@@ -32,9 +32,7 @@ from .learners import (
 )
 from .oracle import (
     AdversarialCallback,
-    BoundedChannelAbsorbingOracle,
     BoundedChannelNoise,
-    ClassificationCorrectedOracle,
     ClassificationNoise,
     DefaultAdversary,
     DepolarizingCorrectedOracle,
@@ -77,7 +75,8 @@ from .stabilizer import (
     enumerate_stabilizer_groups,
     random_stabilizer_group,
 )
-from .statdim import ConceptClass, average_correlation, sda_bound, sda_exact, verify_query_lower_bound
+from .statdim import ConceptClass, average_correlation, jsonable, sda_bound, sda_exact
+from .statdim import verify_query_lower_bound
 from .streams import substream
 
 STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080}
@@ -104,6 +103,13 @@ class ExperimentConfig:
     lpn_file: str | None = None
     out: str | None = None
 
+    def __post_init__(self):
+        for name in ("n", "trials", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        noise_from_descriptor(self.noise)
+        policy_from_descriptor(self.policy, self.seed)
+
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         known = {f.name for f in fields(cls)}
@@ -118,72 +124,59 @@ class ExperimentConfig:
         return asdict(self)
 
 
+def _finite_item(meas, weight) -> tuple:
+    if isinstance(meas, str):
+        return PauliMeasurement(PauliOperator.from_string(meas)), weight
+    return SingleQubitProjector(meas["n"], meas["qubit"], BlochVector(*meas["axis"])), weight
+
+
+# Descriptor kind -> object.  These tables are the one list of accepted
+# kinds: the descriptor parsers and the --noise/--policy choices read them.
+DISTRIBUTION_KINDS = {
+    "uniform_pauli": lambda desc: UniformPauli(desc["n"]),
+    "uniform_parity": lambda desc: UniformParity(desc["n"]),
+    "haar_product": lambda desc: HaarSingleQubitProduct(desc["n"]),
+    "finite": lambda desc: FiniteWeighted(tuple(_finite_item(*item) for item in desc["items"])),
+}
+
+NOISE_KINDS = {
+    "none": lambda eta: NoNoise(),
+    "classification": ClassificationNoise,
+    "malicious": MaliciousNoise,
+    "depolarizing": DepolarizingNoise,
+    "bounded_channel": lambda eta: BoundedChannelNoise(2.0 * eta, DepolarizingNoise(eta)),
+}
+
+POLICY_KINDS = {
+    "exact": lambda desc, seed: ExactPolicy(),
+    "random_within_tau": lambda desc, seed: RandomWithinTau(desc.get("seed", seed)),
+    "adversarial": lambda desc, seed: AdversarialCallback(DefaultAdversary()),
+    "empirical": lambda desc, seed: EmpiricalFromSamples(desc.get("samples"), desc.get("seed", seed)),
+}
+
+
+def _kind(desc: dict, table: dict, what: str) -> str:
+    kind = desc.get("kind")
+    if kind not in table:
+        raise ValueError(f"unknown {what} kind {kind!r}; expected one of {', '.join(table)}")
+    return kind
+
+
 def distribution_from_descriptor(desc: dict):
-    kind = desc["kind"]
-    if kind == "uniform_pauli":
-        return UniformPauli(desc["n"])
-    if kind == "uniform_parity":
-        return UniformParity(desc["n"])
-    if kind == "haar_product":
-        return HaarSingleQubitProduct(desc["n"])
-    if kind == "finite":
-        items = []
-        for meas, weight in desc["items"]:
-            if isinstance(meas, str):
-                items.append((PauliMeasurement(PauliOperator.from_string(meas)), weight))
-            else:
-                items.append(
-                    (SingleQubitProjector(meas["n"], meas["qubit"], BlochVector(*meas["axis"])), weight)
-                )
-        return FiniteWeighted(tuple(items))
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    return DISTRIBUTION_KINDS[_kind(desc, DISTRIBUTION_KINDS, "distribution")](desc)
 
 
 def noise_from_descriptor(desc: dict | None):
-    if desc is None:
-        return NoNoise()
-    kind = desc["kind"]
-    if kind == "none":
-        return NoNoise()
-    if kind == "classification":
-        return ClassificationNoise(desc["eta"])
-    if kind == "malicious":
-        return MaliciousNoise(desc["eta"])
-    if kind == "depolarizing":
-        return DepolarizingNoise(desc["eta"])
-    if kind == "bounded_channel":
-        eta = desc["eta"]
-        return BoundedChannelNoise(eta_diamond=2.0 * eta, channel=DepolarizingNoise(eta))
-    raise ValueError(f"unknown noise kind {kind!r}")
+    desc = {"kind": "none"} if desc is None else desc
+    kind = _kind(desc, NOISE_KINDS, "noise")
+    if kind != "none" and "eta" not in desc:
+        raise ValueError(f"noise kind {kind!r} needs an eta")
+    return NOISE_KINDS[kind](desc.get("eta"))
 
 
 def policy_from_descriptor(desc: dict | None, default_seed: int):
-    if desc is None:
-        return ExactPolicy()
-    kind = desc["kind"]
-    if kind == "exact":
-        return ExactPolicy()
-    if kind == "random_within_tau":
-        return RandomWithinTau(desc.get("seed", default_seed))
-    if kind == "adversarial":
-        return AdversarialCallback(DefaultAdversary())
-    if kind == "empirical":
-        return EmpiricalFromSamples(
-            samples=desc.get("samples"), seed=desc.get("seed", default_seed)
-        )
-    raise ValueError(f"unknown policy kind {kind!r}")
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    desc = {"kind": "exact"} if desc is None else desc
+    return POLICY_KINDS[_kind(desc, POLICY_KINDS, "policy")](desc, default_seed)
 
 
 def _random_product_state(n: int, rng, target: str) -> ProductState:
@@ -307,92 +300,68 @@ def cmd_verify_lemmas(config: ExperimentConfig) -> dict:
 # learn-product
 
 
+def _run_trials(trial, config: ExperimentConfig) -> list[dict]:
+    """trial(config_dict, index) for every trial, pooled when jobs > 1; rows sorted by trial."""
+    args = ([config.to_dict()] * config.trials, range(config.trials))
+    if config.jobs > 1:
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            rows = list(pool.map(trial, *args))
+    else:
+        rows = list(map(trial, *args))
+    return sorted(rows, key=lambda r: r["trial"])
+
+
 def _product_trial(config_dict: dict, trial: int) -> dict:
     config = ExperimentConfig.from_dict(config_dict)
     n = config.n
     rng = substream(config.seed, "trial", trial)
     dist = HaarSingleQubitProduct(n)
     noise = noise_from_descriptor(config.noise)
-    policy = policy_from_descriptor(config.policy, default_seed=config.seed * 7919 + trial)
-    t0 = time.perf_counter()
+    oracle_config = OracleConfig(policy_from_descriptor(config.policy, config.seed * 7919 + trial), noise)
 
     if config.target == "basis":
         bits = int(rng.integers(0, 1 << n))
         state = StabilizerState(StabilizerGroup.basis_state(bits, n))
-        oracle = StatisticalQueryOracle(state, dist, OracleConfig(policy, noise))
-        hypothesis = learn_basis_state(oracle)
+        hypothesis = learn_basis_state(StatisticalQueryOracle(state, dist, oracle_config))
         loss = float(squared_loss(state, hypothesis.state, dist, EXACT))
-        recovered = hypothesis.state == state
-        return {
-            "trial": trial,
-            "queries": hypothesis.queries_used,
-            "loss": loss,
-            "recovered": bool(recovered),
-            "runtime_s": time.perf_counter() - t0,
-        }
+        recovered = bool(hypothesis.state == state)
+        return {"trial": trial, "queries": hypothesis.queries_used, "loss": loss, "recovered": recovered}
 
     state = _random_product_state(n, rng, config.target)
-    oracle = StatisticalQueryOracle(state, dist, OracleConfig(policy, noise))
     epsilon = config.epsilon
 
-    if isinstance(noise, ClassificationNoise):
-        learner_oracle = ClassificationCorrectedOracle(oracle, noise.eta)
-        hypothesis = learn_product_state(learner_oracle, epsilon)
-    elif isinstance(noise, DepolarizingNoise) and config.grid_search:
+    if config.grid_search and config.noise and config.noise["kind"] == "depolarizing":
+        # the rate is unknown to the learner: search over guesses up to eta_upper
         eta_upper = config.eta_upper if config.eta_upper is not None else noise.eta
         delta = grid_step(epsilon, eta_upper)
         validation = draw_validation_set(state, dist, 20_000, substream(config.seed, "val", trial))
 
         def run(guess: float):
-            inner = StatisticalQueryOracle(state, dist, OracleConfig(policy, noise))
+            inner = StatisticalQueryOracle(state, dist, oracle_config)
             corrected = DepolarizingCorrectedOracle(inner, guess)
             return learn_product_state(corrected, epsilon / 4)
 
         _, hypothesis = eta_grid_search(run, eta_upper, delta, validation)
-    elif isinstance(noise, DepolarizingNoise):
-        learner_oracle = DepolarizingCorrectedOracle(oracle, noise.eta)
-        hypothesis = learn_product_state(learner_oracle, epsilon)
-    elif isinstance(noise, BoundedChannelNoise):
-        learner_oracle = BoundedChannelAbsorbingOracle(oracle, noise.eta_diamond)
-        hypothesis = learn_product_state(learner_oracle, epsilon, tau=config.tau)
     else:
+        oracle = noise.learner_oracle(StatisticalQueryOracle(state, dist, oracle_config))
         hypothesis = learn_product_state(oracle, epsilon, tau=config.tau)
 
     loss = float(squared_loss(state, hypothesis.state, dist, EXACT))
-    return {
-        "trial": trial,
-        "queries": hypothesis.queries_used,
-        "loss": loss,
-        "passed": loss <= epsilon,
-        "runtime_s": time.perf_counter() - t0,
-    }
+    return {"trial": trial, "queries": hypothesis.queries_used, "loss": loss, "passed": loss <= epsilon}
 
 
 def cmd_learn_product(config: ExperimentConfig) -> dict:
-    trial_ids = list(range(config.trials))
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_product_trial, [config.to_dict()] * len(trial_ids), trial_ids))
-    else:
-        rows = [_product_trial(config.to_dict(), t) for t in trial_ids]
-    rows.sort(key=lambda r: r["trial"])
-    for row in rows:
-        row.pop("runtime_s", None)
-    assertions = []
+    rows = _run_trials(_product_trial, config)
     if config.target == "basis":
-        assertions.append(
-            {"name": "exact_recovery", "passed": all(r["recovered"] for r in rows)}
-        )
-        assertions.append(
-            {"name": "queries_equal_n", "passed": all(r["queries"] == config.n for r in rows)}
-        )
+        assertions = [
+            {"name": "exact_recovery", "passed": all(r["recovered"] for r in rows)},
+            {"name": "queries_equal_n", "passed": all(r["queries"] == config.n for r in rows)},
+        ]
     else:
-        assertions.append(
-            {"name": "loss_within_epsilon", "passed": all(r["loss"] <= config.epsilon for r in rows)}
-        )
-        assertions.append(
-            {"name": "queries_equal_3n", "passed": all(r["queries"] == 3 * config.n for r in rows)}
-        )
+        assertions = [
+            {"name": "loss_within_epsilon", "passed": all(r["loss"] <= config.epsilon for r in rows)},
+            {"name": "queries_equal_3n", "passed": all(r["queries"] == 3 * config.n for r in rows)},
+        ]
     return {"results": {"trials": rows, "max_loss": max(r["loss"] for r in rows)}, "assertions": assertions}
 
 
@@ -452,13 +421,7 @@ def _lpn_trial(config_dict: dict, trial: int) -> dict:
 
 
 def cmd_lpn(config: ExperimentConfig) -> dict:
-    trial_ids = list(range(config.trials))
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_lpn_trial, [config.to_dict()] * len(trial_ids), trial_ids))
-    else:
-        rows = [_lpn_trial(config.to_dict(), t) for t in trial_ids]
-    rows.sort(key=lambda r: r["trial"])
+    rows = _run_trials(_lpn_trial, config)
     recovered = sum(1 for r in rows if r["recovered"])
     assertions = [
         {"name": "round_trip_bijection", "passed": all(r["round_trip"] for r in rows)},
@@ -545,7 +508,7 @@ def cmd_noise_demo(config: ExperimentConfig) -> dict:
     label_query = lambda e, y: float(y)  # noqa: E731
 
     def answer(noise):
-        oracle = StatisticalQueryOracle(state, point_mass, OracleConfig(ExactPolicy(), noise))
+        oracle = StatisticalQueryOracle(state, point_mass, OracleConfig(noise=noise))
         return oracle.query(SQQuery(label_query, 0.01))
 
     eta_c, eta_d, eta_m = 0.1, 0.5, 0.2
@@ -587,11 +550,9 @@ def cmd_noise_demo(config: ExperimentConfig) -> dict:
         # correction round trip on a caller-supplied measurement distribution
         d = distribution_from_descriptor(config.distribution)
         target = StabilizerState(random_stabilizer_group(d.n, substream(config.seed, "demo-state")))
-        clean = StatisticalQueryOracle(target, d, OracleConfig(ExactPolicy(), NoNoise()))
-        noisy = StatisticalQueryOracle(
-            target, d, OracleConfig(ExactPolicy(), ClassificationNoise(eta_c))
-        )
-        wrapped = ClassificationCorrectedOracle(noisy, eta_c)
+        clean = StatisticalQueryOracle(target, d)
+        noise = ClassificationNoise(eta_c)
+        wrapped = noise.learner_oracle(StatisticalQueryOracle(target, d, OracleConfig(noise=noise)))
         tau = config.tau or 0.01
         probe = SQQuery(label_query, tau)
         gap = abs(wrapped.query(probe) - clean.query(probe))
@@ -620,8 +581,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     passed = all(a["passed"] for a in body["assertions"])
     report = {
         "config": config.to_dict(),
-        "results": _jsonable(body["results"]),
-        "assertions": _jsonable(body["assertions"]),
+        "results": jsonable(body["results"]),
+        "assertions": jsonable(body["assertions"]),
         "passed": passed,
         "version": __version__,
         "meta": {"runtime_s": time.perf_counter() - t0, "timestamp": time.time()},
@@ -643,14 +604,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--target", type=str, default=None, choices=["ball", "pure", "basis"])
-        p.add_argument("--noise", type=str, default=None, help="noise kind")
-        p.add_argument("--eta", type=float, default=None)
-        p.add_argument("--policy", type=str, default=None)
+        p.add_argument("--noise", type=str, default=None, choices=list(NOISE_KINDS))
+        p.add_argument("--eta", type=float, default=None, help="noise rate; required with a noisy --noise")
+        p.add_argument("--policy", type=str, default=None, choices=list(POLICY_KINDS))
         p.add_argument("--grid-search", action="store_true", default=None)
         p.add_argument("--lpn-m", type=int, default=None)
         p.add_argument("--lpn-eta", type=float, default=None)
         p.add_argument("--lpn-file", type=str, default=None)
     return parser
+
+
+# flags that override the config file field of the same name
+_OVERRIDES = ("seed", "out", "trials", "jobs", "n", "epsilon", "samples", "target",
+              "lpn_m", "lpn_eta", "lpn_file", "grid_search")
 
 
 def config_from_args(args) -> ExperimentConfig:
@@ -659,24 +625,12 @@ def config_from_args(args) -> ExperimentConfig:
         with open(args.config, encoding="utf-8") as fh:
             data.update(json.load(fh))
         data["experiment"] = args.experiment
-    overrides = {
-        "seed": args.seed,
-        "out": args.out,
-        "trials": args.trials,
-        "jobs": args.jobs,
-        "n": args.n,
-        "epsilon": args.epsilon,
-        "samples": args.samples,
-        "target": args.target,
-        "lpn_m": args.lpn_m,
-        "lpn_eta": args.lpn_eta,
-        "lpn_file": args.lpn_file,
-        "grid_search": args.grid_search,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
+    for key in _OVERRIDES:
+        if getattr(args, key) is not None:
+            data[key] = getattr(args, key)
     if args.noise is not None:
+        if args.noise != "none" and args.eta is None:
+            raise ValueError(f"--eta is required with --noise {args.noise}")
         data["noise"] = {"kind": args.noise, "eta": args.eta if args.eta is not None else 0.0}
     if args.policy is not None:
         data["policy"] = {"kind": args.policy}
@@ -684,8 +638,12 @@ def config_from_args(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = config_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run_experiment(config)
     text = json.dumps(report, indent=2)
     if config.out:

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .pauli import PauliMeasurement
+from .pauli import BudgetExceeded, PauliMeasurement
 from .pconcept import (
     BlochVector,
     HaarSingleQubitProduct,
@@ -29,6 +29,7 @@ from .pconcept import (
     QuantumState,
     SingleQubitProjector,
     StabilizerState,
+    haar_directions,
     parity_index,
     parity_measurement,
 )
@@ -42,10 +43,6 @@ class PromiseViolation(RuntimeError):
 
 class InconsistentSystem(ValueError):
     """The linear system has no solution over GF(2)."""
-
-
-class BudgetExceeded(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -161,10 +158,7 @@ def haar_sign_moment_mc(
     """
     if abs(reference.norm() - 1.0) > 1e-9:
         raise ValueError("reference state must be pure (unit Bloch vector)")
-    cos_t = rng.uniform(-1.0, 1.0, size=samples)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=samples)
-    sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
-    u = np.stack([np.cos(phi) * sin_t, np.sin(phi) * sin_t, cos_t], axis=1)
+    u = haar_directions(rng, samples)
     vals = np.sign(u @ np.array(reference.as_tuple())) * (u @ np.array(target.as_tuple())) / 2.0
     std = float(vals.std(ddof=1))
     return MonteCarloEstimate(float(vals.mean()), std / math.sqrt(samples), samples)
@@ -218,11 +212,15 @@ def lpn_instance_from_json(data: dict) -> LPNInstance:
 def generate_lpn_instance(
     n: int, m: int, eta: float, rng, secret: Optional[int] = None
 ) -> LPNInstance:
+    """m planted examples on n <= 64 bits.  Draws are uint64, which for
+    n <= 62 matches numpy's default int64 draws and stream use exactly."""
+    if n > 64:
+        raise ValueError(f"LPN instances support at most 64 bits, got n = {n}")
     if secret is None:
-        secret = int(rng.integers(0, 1 << n))
+        secret = int(rng.integers(0, 1 << n, dtype=np.uint64))
     examples = []
     for _ in range(m):
-        x = int(rng.integers(0, 1 << n))
+        x = int(rng.integers(0, 1 << n, dtype=np.uint64))
         bit = (x & secret).bit_count() & 1
         if eta > 0 and rng.random() < eta:
             bit ^= 1

@@ -15,6 +15,14 @@ models act through this decomposition:
 * a generic bounded channel perturbs every expectation by at most twice its
   diamond-norm distance from the identity, and is absorbed into tolerance.
 
+Each noise model is a `NoiseModel` subclass that owns its behaviour: `mean`
+and `label_weights` fold it into the expectation engine's atoms, `sample`
+draws one noisy example, `learner_oracle` wraps a noisy oracle in the
+correction a learner queries through, and `adjoint` pushes it onto a
+measurement where a closed form exists.  Each `ResponsePolicy` owns its
+`answer` and the random `stream` an oracle opens for it once.
+`StatisticalQueryOracle` only calls the configured pair.
+
 Expectations are computed deterministically: by weighted enumeration for
 finite distributions, and by per-panel Gauss-Legendre quadrature over the
 sphere for Haar single-qubit measurement distributions (exact to roughly
@@ -32,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .pauli import DimensionMismatch
+from .pauli import DimensionMismatch, PauliMeasurement, PauliOperator
 from .pconcept import (
     BlochVector,
     HaarSingleQubitProduct,
@@ -41,6 +49,7 @@ from .pconcept import (
     MeasurementDistribution,
     QuantumState,
     SingleQubitProjector,
+    acceptance_probability,
     distribution_support,
     f_value,
     reduced_bloch,
@@ -74,27 +83,50 @@ class SQQuery:
             raise ValueError(f"tolerance must be positive, got {self.tau}")
 
 
+class ResponsePolicy:
+    """Base of the response policies (see the module docstring)."""
+
+    def stream(self):
+        return None
+
+
 @dataclass(frozen=True)
-class ExactPolicy:
+class ExactPolicy(ResponsePolicy):
     """Answer with the true (noisy) expectation."""
 
+    def answer(self, oracle, q, rng) -> float:
+        return oracle.true_noisy_expectation(q.phi)
+
 
 @dataclass(frozen=True)
-class RandomWithinTau:
+class RandomWithinTau(ResponsePolicy):
     """Answer with truth plus uniform noise over [-tau, tau]."""
 
     seed: int = 0
 
+    def stream(self):
+        return substream(self.seed, "within-tau")
+
+    def answer(self, oracle, q, rng) -> float:
+        return oracle.true_noisy_expectation(q.phi) + float(rng.uniform(-q.tau, q.tau))
+
 
 @dataclass(frozen=True)
-class AdversarialCallback:
+class AdversarialCallback(ResponsePolicy):
     """Answer via handle(truth, tau); the handle must stay inside the band."""
 
     handle: Callable[[float, float], float]
 
+    def answer(self, oracle, q, rng) -> float:
+        truth = oracle.true_noisy_expectation(q.phi)
+        answer = float(self.handle(truth, q.tau))
+        if abs(answer - truth) > q.tau * (1.0 + 1e-9):
+            raise ValueError("adversarial callback left the tolerance band")
+        return answer
+
 
 @dataclass(frozen=True)
-class EmpiricalFromSamples:
+class EmpiricalFromSamples(ResponsePolicy):
     """Answer with the empirical mean of phi over fresh noisy samples.
 
     With samples=None the per-query sample size is ceil(2 ln(2/delta)/tau^2)
@@ -106,6 +138,20 @@ class EmpiricalFromSamples:
     seed: int = 0
     delta_total: float = 0.01
     expected_queries: int = 1
+
+    def stream(self):
+        return substream(self.seed, "empirical")
+
+    def answer(self, oracle, q, rng) -> float:
+        m = self.samples
+        if m is None:
+            delta = self.delta_total / max(self.expected_queries, 1)
+            m = math.ceil(2.0 * math.log(2.0 / delta) / (q.tau * q.tau))
+        total = 0.0
+        for _ in range(m):
+            e, y = oracle.sample_noisy_example(rng)
+            total += q.phi(e, y)
+        return total / m
 
 
 class DefaultAdversary:
@@ -120,13 +166,34 @@ class DefaultAdversary:
         return truth + self._sign * tau
 
 
+class NoiseModel:
+    """Base of the noise models (see the module docstring); by itself, no noise."""
+
+    def mean(self, f: float, f_mixed: float) -> float:
+        """Noisy outcome mean from the clean one and the mixed state's."""
+        return f
+
+    def label_weights(self, engine: "_ExpectationEngine") -> list:
+        return engine.label_weights([self.mean(f, fm) for f, fm in zip(engine.f_clean, engine.f_mixed)])
+
+    def sample(self, state: QuantumState, distribution: MeasurementDistribution, rng):
+        e = distribution.sample(rng)
+        return e, sample_outcome(state, e, rng)
+
+    def learner_oracle(self, oracle):
+        return oracle
+
+    def adjoint(self, e: Measurement) -> tuple:
+        raise ValueError(f"no closed-form adjoint for channel {self!r}")
+
+
 @dataclass(frozen=True)
-class NoNoise:
+class NoNoise(NoiseModel):
     pass
 
 
 @dataclass(frozen=True)
-class ClassificationNoise:
+class ClassificationNoise(NoiseModel):
     """Each outcome label is flipped independently with probability eta."""
 
     eta: float
@@ -135,12 +202,25 @@ class ClassificationNoise:
         if not 0 <= self.eta < 0.5:
             raise ValueError(f"classification noise rate must lie in [0, 1/2), got {self.eta}")
 
+    def mean(self, f, f_mixed):
+        return (1.0 - 2.0 * self.eta) * f
+
+    def sample(self, state, distribution, rng):
+        e, y = super().sample(state, distribution, rng)
+        if rng.random() < self.eta:
+            y = -y
+        return e, y
+
+    def learner_oracle(self, oracle):
+        return ClassificationCorrectedOracle(oracle, self.eta)
+
 
 @dataclass(frozen=True)
-class MaliciousNoise:
+class MaliciousNoise(NoiseModel):
     """With probability eta the whole example is replaced by a draw from an
     adversarial distribution; `corruption` is a tuple of ((E, y), weight)
-    entries, or None for the default of E ~ D with a uniform label."""
+    entries, or None for the default of E ~ D with a uniform label.
+    Learners query it uncorrected; see MaliciousAbsorbingOracle."""
 
     eta: float
     corruption: Optional[tuple] = None
@@ -149,9 +229,35 @@ class MaliciousNoise:
         if not 0 <= self.eta <= 1:
             raise ValueError(f"malicious noise rate must lie in [0, 1], got {self.eta}")
 
+    def label_weights(self, engine) -> list:
+        keep = 1.0 - self.eta
+        pairs = [(e, keep * wp, keep * wm) for e, wp, wm in super().label_weights(engine)]
+        if self.corruption is None:
+            # default corruption: E ~ D with a uniformly random label
+            pairs += [
+                (e, 0.5 * self.eta * w, 0.5 * self.eta * w)
+                for e, w in zip(engine.measurements, engine.weights)
+            ]
+        else:
+            pairs += [
+                (e, self.eta * float(w) if y == 1 else 0.0, self.eta * float(w) if y == -1 else 0.0)
+                for (e, y), w in self.corruption
+            ]
+        return pairs
+
+    def sample(self, state, distribution, rng):
+        if rng.random() < self.eta:
+            if self.corruption is not None:
+                weights = [float(w) for _, w in self.corruption]
+                idx = rng.choice(len(weights), p=np.asarray(weights) / sum(weights))
+                return self.corruption[int(idx)][0]
+            e = distribution.sample(rng)
+            return e, (1 if rng.random() < 0.5 else -1)
+        return super().sample(state, distribution, rng)
+
 
 @dataclass(frozen=True)
-class DepolarizingNoise:
+class DepolarizingNoise(NoiseModel):
     """The hidden state is replaced by (1-eta) rho + eta I/2^n."""
 
     eta: float
@@ -160,12 +266,38 @@ class DepolarizingNoise:
         if not 0 <= self.eta < 1:
             raise ValueError(f"depolarizing rate must lie in [0, 1), got {self.eta}")
 
+    def mean(self, f, f_mixed):
+        return (1.0 - self.eta) * f + self.eta * f_mixed
+
+    def sample(self, state, distribution, rng):
+        # one uniform draw per example, against the noisy outcome mean
+        e = distribution.sample(rng)
+        f = self.mean(float(f_value(state, e)), float(f_value(MaximallyMixed(state.n), e)))
+        return e, (1 if rng.random() < 0.5 * (1.0 + f) else -1)
+
+    def learner_oracle(self, oracle):
+        return DepolarizingCorrectedOracle(oracle, self.eta)
+
+    def adjoint(self, e: Measurement) -> tuple:
+        """adj(E) = (1-eta) E + eta (tr E / 2^n) I.  Effects here have trace 0,
+        2^{n-1} or 2^n; the middle case is returned as the exact convex mixture
+        (1-eta) E + eta/2 (always-accept) + eta/2 (always-reject) of Pauli effects."""
+        if self.eta == 0.0:
+            return ((e, 1.0),)
+        if isinstance(e, PauliMeasurement) and e.pauli.is_identity:
+            return ((e, 1.0),)  # E = I or E = 0: fixed points of the unital adjoint
+        n = e.n
+        accept_all = PauliMeasurement(PauliOperator.identity(n, 1))
+        reject_all = PauliMeasurement(PauliOperator.identity(n, -1))
+        return ((e, 1.0 - self.eta), (accept_all, self.eta / 2.0), (reject_all, self.eta / 2.0))
+
 
 @dataclass(frozen=True)
-class BoundedChannelNoise:
+class BoundedChannelNoise(NoiseModel):
     """A channel applied to the hidden state, declared to be within
     eta_diamond of the identity in diamond norm.  The concrete channel in
-    scope is depolarizing; the declared bound is what wrappers may rely on."""
+    scope is depolarizing and produces the examples; the declared bound is
+    what wrappers may rely on."""
 
     eta_diamond: float
     channel: DepolarizingNoise
@@ -174,14 +306,26 @@ class BoundedChannelNoise:
         if self.eta_diamond < 0:
             raise ValueError("diamond bound must be nonnegative")
 
+    def mean(self, f, f_mixed):
+        return self.channel.mean(f, f_mixed)
 
-NoiseModel = object
+    def sample(self, state, distribution, rng):
+        return self.channel.sample(state, distribution, rng)
+
+    def learner_oracle(self, oracle):
+        return BoundedChannelAbsorbingOracle(oracle, self.eta_diamond)
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    policy: object = field(default_factory=ExactPolicy)
-    noise: object = field(default_factory=NoNoise)
+    policy: ResponsePolicy = field(default_factory=ExactPolicy)
+    noise: NoiseModel = field(default_factory=NoNoise)
+
+    def __post_init__(self):
+        if not isinstance(self.policy, ResponsePolicy):
+            raise TypeError(f"unknown response policy {self.policy!r}: not a ResponsePolicy")
+        if not isinstance(self.noise, NoiseModel):
+            raise TypeError(f"unknown noise model {self.noise!r}: not a NoiseModel")
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +375,6 @@ class _ExpectationEngine:
     distribution: E[phi] = sum_atoms w (phi(E,1)(1+f) + phi(E,-1)(1-f))/2."""
 
     def __init__(self, state: QuantumState, distribution: MeasurementDistribution):
-        self.state = state
-        self.distribution = distribution
         self.measurements: list[Measurement] = []
         self.weights: list[float] = []
         self.f_clean: list[float] = []
@@ -267,19 +409,6 @@ def _evaluate(pairs, phi) -> float:
     for e, wp, wm in pairs:
         total += wp * phi(e, 1) + wm * phi(e, -1)
     return total
-
-
-def _effective_mean(noise) -> Callable[[float, float], float] | None:
-    """How the configured noise reshapes the conditional outcome mean."""
-    if isinstance(noise, ClassificationNoise):
-        scale = 1.0 - 2.0 * noise.eta
-        return lambda f, fm: scale * f
-    if isinstance(noise, DepolarizingNoise):
-        eta = noise.eta
-        return lambda f, fm: (1.0 - eta) * f + eta * fm
-    if isinstance(noise, BoundedChannelNoise):
-        return _effective_mean(noise.channel)
-    return None
 
 
 @lru_cache(maxsize=16)
@@ -344,12 +473,7 @@ class StatisticalQueryOracle:
         self._count = 0
         self._pairs: Optional[list] = None
         self._probe_rng = substream(probe_seed, "probe")
-        policy = config.policy
-        self._policy_rng = None
-        if isinstance(policy, RandomWithinTau):
-            self._policy_rng = substream(policy.seed, "within-tau")
-        elif isinstance(policy, EmpiricalFromSamples):
-            self._policy_rng = substream(policy.seed, "empirical")
+        self._policy_rng = config.policy.stream()
 
     @property
     def distribution(self) -> MeasurementDistribution:
@@ -374,91 +498,23 @@ class StatisticalQueryOracle:
     def _get_pairs(self) -> list:
         """Per-atom (measurement, accept, reject) weights with the noise model
         folded in, so each query costs two phi calls per atom and nothing else."""
-        if self._pairs is not None:
-            return self._pairs
-        engine = _ExpectationEngine(self._state, self._distribution)
-        noise = self.config.noise
-        transform = _effective_mean(noise)
-        fs = (
-            engine.f_clean
-            if transform is None
-            else [transform(f, fm) for f, fm in zip(engine.f_clean, engine.f_mixed)]
-        )
-        pairs = engine.label_weights(fs)
-        if isinstance(noise, MaliciousNoise):
-            keep = 1.0 - noise.eta
-            pairs = [(e, keep * wp, keep * wm) for e, wp, wm in pairs]
-            if noise.corruption is None:
-                # default corruption: E ~ D with a uniformly random label
-                pairs += [
-                    (e, 0.5 * noise.eta * w, 0.5 * noise.eta * w)
-                    for e, w in zip(engine.measurements, engine.weights)
-                ]
-            else:
-                pairs += [
-                    (e, noise.eta * float(w) if y == 1 else 0.0, noise.eta * float(w) if y == -1 else 0.0)
-                    for (e, y), w in noise.corruption
-                ]
-        self._pairs = pairs
-        return pairs
+        if self._pairs is None:
+            engine = _ExpectationEngine(self._state, self._distribution)
+            self._pairs = self.config.noise.label_weights(engine)
+        return self._pairs
 
     def true_noisy_expectation(self, phi) -> float:
         """E[phi] under the configured noise model, computed deterministically."""
         return _evaluate(self._get_pairs(), phi)
 
-    def _sample_noisy_example(self, rng):
-        noise = self.config.noise
-        if isinstance(noise, MaliciousNoise) and rng.random() < noise.eta:
-            if noise.corruption is not None:
-                weights = [float(w) for _, w in noise.corruption]
-                idx = rng.choice(len(weights), p=np.asarray(weights) / sum(weights))
-                return noise.corruption[int(idx)][0]
-            e = self._distribution.sample(rng)
-            return e, (1 if rng.random() < 0.5 else -1)
-        e = self._distribution.sample(rng)
-        if isinstance(noise, ClassificationNoise):
-            y = sample_outcome(self._state, e, rng)
-            if rng.random() < noise.eta:
-                y = -y
-            return e, y
-        transform = _effective_mean(noise)
-        if transform is None:
-            y = sample_outcome(self._state, e, rng)
-        else:
-            f = transform(float(f_value(self._state, e)), float(f_value(MaximallyMixed(self.n), e)))
-            y = 1 if rng.random() < 0.5 * (1.0 + f) else -1
-        return e, y
-
-    def _empirical_answer(self, q: SQQuery) -> float:
-        policy = self.config.policy
-        m = policy.samples
-        if m is None:
-            delta = policy.delta_total / max(policy.expected_queries, 1)
-            m = math.ceil(2.0 * math.log(2.0 / delta) / (q.tau * q.tau))
-        total = 0.0
-        for _ in range(m):
-            e, y = self._sample_noisy_example(self._policy_rng)
-            total += q.phi(e, y)
-        return total / m
+    def sample_noisy_example(self, rng):
+        """One (E, y) example drawn under the configured noise model."""
+        return self.config.noise.sample(self._state, self._distribution, rng)
 
     def query(self, q: SQQuery) -> float:
         """Answer within tau of the noisy expectation, per the response policy."""
         self._probe_boundedness(q.phi)
-        policy = self.config.policy
-        if isinstance(policy, EmpiricalFromSamples):
-            answer = self._empirical_answer(q)
-        else:
-            truth = self.true_noisy_expectation(q.phi)
-            if isinstance(policy, ExactPolicy):
-                answer = truth
-            elif isinstance(policy, RandomWithinTau):
-                answer = truth + float(self._policy_rng.uniform(-q.tau, q.tau))
-            elif isinstance(policy, AdversarialCallback):
-                answer = float(policy.handle(truth, q.tau))
-                if abs(answer - truth) > q.tau * (1.0 + 1e-9):
-                    raise ValueError("adversarial callback left the tolerance band")
-            else:
-                raise ValueError(f"unknown policy {policy!r}")
+        answer = self.config.policy.answer(self, q, self._policy_rng)
         self._count += 1
         row = {"query": self._count, "tau": q.tau, "answer": answer}
         self.transcript.append(row)
@@ -617,34 +673,13 @@ class MaliciousAbsorbingOracle(_WrapperOracle):
 # adjoint channel action on measurements
 
 
-def adjoint_measurement(e: Measurement, channel: DepolarizingNoise):
-    """Push a depolarizing channel from the state onto the effect.
-
-    For the depolarizing channel the adjoint is
-    adj(E) = (1-eta) E + eta (tr E / 2^n) I.  Effects here have trace 0,
-    2^{n-1}, or 2^n; the middle case is returned as the exact convex mixture
-    (1-eta) E + eta/2 (always-accept) + eta/2 (always-reject), whose
-    components are all legal Pauli effects.
-    """
-    if not isinstance(channel, DepolarizingNoise):
-        raise ValueError(f"no closed-form adjoint for channel {channel!r}")
-    eta = channel.eta
-    if eta == 0.0:
-        return ((e, 1.0),)
-    from .pauli import PauliMeasurement, PauliOperator
-
-    if isinstance(e, PauliMeasurement) and e.pauli.is_identity:
-        return ((e, 1.0),)  # E = I or E = 0: fixed points of the unital adjoint
-    n = e.n
-    accept_all = PauliMeasurement(PauliOperator.identity(n, 1))
-    reject_all = PauliMeasurement(PauliOperator.identity(n, -1))
-    return ((e, 1.0 - eta), (accept_all, eta / 2.0), (reject_all, eta / 2.0))
+def adjoint_measurement(e: Measurement, channel: NoiseModel):
+    """Push a channel from the state onto the effect, as a convex mixture."""
+    return channel.adjoint(e)
 
 
 def mixture_acceptance(state: QuantumState, mixture) -> float:
     """tr(sum_k w_k E_k rho) for a convex mixture of effects."""
-    from .pconcept import acceptance_probability
-
     return sum(float(w) * float(acceptance_probability(state, e)) for e, w in mixture)
 
 

@@ -26,6 +26,10 @@ class DimensionMismatch(ValueError):
     """Raised when two operators act on different qubit counts."""
 
 
+class BudgetExceeded(ValueError):
+    """Raised when an exhaustive operation is asked beyond its size budget."""
+
+
 def _check_same_n(a, b) -> int:
     if a.n != b.n:
         raise DimensionMismatch(f"qubit counts differ: {a.n} != {b.n}")

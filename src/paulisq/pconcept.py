@@ -226,6 +226,15 @@ def _sphere_point(rng) -> tuple[float, float, float]:
     return (math.cos(phi) * sin_theta, math.sin(phi) * sin_theta, cos_theta)
 
 
+def haar_directions(rng, size: int) -> np.ndarray:
+    """`size` area-uniform unit vectors as rows: the vectorised _sphere_point,
+    drawing all cos(polar) values first and then all azimuths."""
+    cos_t = rng.uniform(-1.0, 1.0, size=size)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=size)
+    sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
+    return np.stack([np.cos(phi) * sin_t, np.sin(phi) * sin_t, cos_t], axis=1)
+
+
 def distribution_support(d: MeasurementDistribution):
     """(measurement, weight) pairs for finite distributions; error otherwise."""
     if isinstance(d, (UniformParity, FiniteWeighted)):
@@ -371,10 +380,7 @@ def _mc_f_arrays(rho, sigma, d, mode):
     m = mode.samples
     if isinstance(d, HaarSingleQubitProduct):
         qubits = rng.integers(0, d.n, size=m)
-        cos_t = rng.uniform(-1.0, 1.0, size=m)
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=m)
-        sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
-        u = np.stack([np.cos(phi) * sin_t, np.sin(phi) * sin_t, cos_t], axis=1)
+        u = haar_directions(rng, m)
         fr = np.einsum("ij,ij->i", u, _bloch_matrix(rho)[qubits])
         fs = np.einsum("ij,ij->i", u, _bloch_matrix(sigma)[qubits])
         return fr, fs

@@ -17,6 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .pauli import (
+    BudgetExceeded,
     DimensionMismatch,
     PauliMeasurement,
     PauliOperator,
@@ -27,10 +28,6 @@ from .pauli import (
 
 ENUMERATION_LIMIT = 3
 ELEMENT_ITERATION_LIMIT = 14
-
-
-class BudgetExceeded(ValueError):
-    """Raised when an exhaustive operation is asked beyond its size budget."""
 
 
 class Membership(Enum):

@@ -13,18 +13,31 @@ being checked are equalities, and float tolerances would weaken them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
+import numpy as np
+
+from .pauli import BudgetExceeded
 from .pconcept import EXACT, MeasurementDistribution, QuantumState, inner_product
 
 SDA_SWEEP_LIMIT = 16
 
 
-class BudgetExceeded(ValueError):
-    pass
+def jsonable(value):
+    """A JSON-ready copy of a report value: exact rationals become
+    {"num", "den"} objects, numpy scalars Python scalars, tuples lists."""
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.item()
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -89,21 +102,7 @@ class SDAReport:
     witness: Optional[tuple[int, ...]] = None
 
     def to_jsonable(self) -> dict:
-        def enc(v):
-            if isinstance(v, Fraction):
-                return {"num": v.numerator, "den": v.denominator}
-            return v
-
-        return {
-            "gamma": enc(self.gamma),
-            "sda_value": enc(self.sda_value),
-            "is_lower_bound": self.is_lower_bound,
-            "kappa": enc(self.kappa),
-            "gamma_pair": enc(self.gamma_pair),
-            "min_norm_sq": enc(self.min_norm_sq),
-            "class_size": self.class_size,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
+        return jsonable(asdict(self))
 
 
 def _pair_stats(mat):

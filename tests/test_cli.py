@@ -192,3 +192,63 @@ def test_lpn_instance_file_round_trip(tmp_path):
     )
     assert report["passed"]
     assert report["results"]["recovered"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["learn-product", "--noise", "bogus"], "invalid choice: 'bogus'"),
+        (["learn-product", "--policy", "bogus"], "invalid choice: 'bogus'"),
+        (["learn-product", "--noise", "classification"], "--eta is required"),
+        (["learn-product", "--noise", "classification", "--eta", "0.7"], "[0, 1/2)"),
+        (["learn-product", "--trials", "0"], "trials must be at least 1"),
+        (["lpn", "--n", "0"], "n must be at least 1"),
+        (["lpn", "--jobs", "0"], "jobs must be at least 1"),
+    ],
+)
+def test_cli_rejects_bad_input_with_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("paulisq") and message in err.splitlines()[-1]
+
+
+def test_cli_noise_none_needs_no_eta():
+    args = build_parser().parse_args(["learn-product", "--noise", "none"])
+    assert config_from_args(args).noise == {"kind": "none", "eta": 0.0}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"trials": 0}, "trials must be at least 1"),
+        ({"n": -1}, "n must be at least 1"),
+        ({"jobs": 0}, "jobs must be at least 1"),
+        ({"noise": {"kind": "mystery", "eta": 0.1}}, "unknown noise kind"),
+        ({"noise": {"kind": "depolarizing"}}, "needs an eta"),
+        ({"policy": {"kind": "mystery"}}, "unknown policy kind"),
+    ],
+)
+def test_config_file_rejects_bad_values(data, message, tmp_path, capsys):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict({"experiment": "learn-product", **data})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["learn-product", "--config", str(cfg)])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_every_table_kind_parses_from_the_command_line():
+    from paulisq.cli import NOISE_KINDS, POLICY_KINDS, policy_from_descriptor
+
+    parser = build_parser()
+    for kind in NOISE_KINDS:
+        config = config_from_args(parser.parse_args(["learn-product", "--noise", kind, "--eta", "0.1"]))
+        assert type(noise_from_descriptor(config.noise)) is type(NOISE_KINDS[kind](0.1))
+    for kind in POLICY_KINDS:
+        config = config_from_args(parser.parse_args(["learn-product", "--policy", kind]))
+        assert policy_from_descriptor(config.policy, 0) is not None

@@ -1,0 +1,94 @@
+"""Golden reports: `results` and `assertions` of small seeded runs, pinned
+exactly.
+
+The fixture covers every noise kind, every response policy, the basis
+target, the noise-rate grid search, LPN with and without noise, `sda` and
+`noise-demo`.  A refactor of the oracle or the runner must leave every
+report bit-identical.  To re-record after a deliberate change to reports,
+run `PYTHONPATH=src python tests/test_golden_reports.py --write`.
+"""
+
+import json
+import pathlib
+import sys
+
+import pytest
+
+from paulisq.cli import ExperimentConfig, run_experiment
+
+FIXTURE = pathlib.Path(__file__).with_name("golden_reports.json")
+
+_PRODUCT = {"experiment": "learn-product", "n": 2, "epsilon": 0.25, "seed": 3, "trials": 2}
+
+
+def _product(**extra) -> dict:
+    return {**_PRODUCT, **extra}
+
+
+def _empirical(noise: dict | None) -> dict:
+    return _product(trials=1, noise=noise, policy={"kind": "empirical", "samples": 40})
+
+
+CONFIGS = {
+    "product-none": _product(noise={"kind": "none", "eta": 0.0}),
+    "product-classification": _product(noise={"kind": "classification", "eta": 0.2}),
+    "product-depolarizing": _product(noise={"kind": "depolarizing", "eta": 0.5}),
+    "product-bounded-channel": _product(noise={"kind": "bounded_channel", "eta": 0.005}),
+    "product-malicious": _product(noise={"kind": "malicious", "eta": 0.05}),
+    "policy-exact": _product(policy={"kind": "exact"}),
+    "policy-random-within-tau": _product(
+        noise={"kind": "classification", "eta": 0.1}, policy={"kind": "random_within_tau"}
+    ),
+    "policy-adversarial": _product(
+        noise={"kind": "depolarizing", "eta": 0.3}, policy={"kind": "adversarial"}
+    ),
+    "empirical-none": _empirical(None),
+    "empirical-classification": _empirical({"kind": "classification", "eta": 0.2}),
+    "empirical-depolarizing": _empirical({"kind": "depolarizing", "eta": 0.5}),
+    "empirical-bounded-channel": _empirical({"kind": "bounded_channel", "eta": 0.005}),
+    "empirical-malicious": _empirical({"kind": "malicious", "eta": 0.3}),
+    "target-basis": _product(n=3, target="basis", policy={"kind": "adversarial"}),
+    "target-basis-classification": _product(
+        n=3, target="basis", noise={"kind": "classification", "eta": 0.1}
+    ),
+    "target-pure-bounded-tau": _product(
+        target="pure", tau=0.1, noise={"kind": "bounded_channel", "eta": 0.01}
+    ),
+    "grid-search": _product(
+        trials=1, grid_search=True, noise={"kind": "depolarizing", "eta": 0.5}
+    ),
+    "lpn-noiseless": {"experiment": "lpn", "n": 8, "seed": 5, "trials": 3},
+    "lpn-noisy": {"experiment": "lpn", "n": 6, "lpn_eta": 0.1, "lpn_m": 150, "seed": 5, "trials": 3},
+    "sda-n1": {"experiment": "sda", "n": 1, "seed": 0},
+    "noise-demo": {"experiment": "noise-demo", "seed": 2},
+    "noise-demo-parity": {
+        "experiment": "noise-demo", "seed": 2, "distribution": {"kind": "uniform_parity", "n": 2},
+    },
+    "verify-lemmas-n1": {"experiment": "verify-lemmas", "n": 1, "seed": 4, "samples": 2000},
+}
+
+
+def _body(config: dict) -> dict:
+    report = run_experiment(ExperimentConfig.from_dict(config))
+    # a JSON round trip, so that tuples compare equal to the stored lists
+    return json.loads(json.dumps({k: report[k] for k in ("results", "assertions")}))
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_covers_every_config(golden):
+    assert sorted(golden) == sorted(CONFIGS)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_matches_golden(golden, name):
+    assert _body(CONFIGS[name]) == golden[name]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden_reports.py --write")
+    FIXTURE.write_text(json.dumps({k: _body(v) for k, v in CONFIGS.items()}, indent=1) + "\n")

@@ -302,6 +302,17 @@ def test_gaussian_elimination_planted():
     assert recovered >= 19  # rank deficiency at m = 4n is vanishingly rare
 
 
+def test_noiseless_lpn_recovers_secret_at_64_bits():
+    instance = generate_lpn_instance(64, 256, 0.0, substream(64, "wide"))
+    assert instance.secret >= 1 << 32  # the draw really spans the high bits
+    assert gaussian_elimination_parity(instance.examples, 64) == instance.secret
+
+
+def test_lpn_instance_rejects_more_than_64_bits():
+    with pytest.raises(ValueError, match="at most 64 bits"):
+        generate_lpn_instance(65, 10, 0.0, substream(0, "wide"))
+
+
 def test_gaussian_elimination_inconsistent():
     with pytest.raises(InconsistentSystem):
         gaussian_elimination_parity([(0b11, 0), (0b11, 1)], 2)

@@ -531,3 +531,32 @@ def test_adjoint_weights_form_convex_mixture():
 def test_adjoint_rejects_unknown_channel():
     with pytest.raises(ValueError):
         adjoint_measurement(E_Z, ClassificationNoise(0.1))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        lambda: OracleConfig(ExactPolicy(), "classification"),
+        lambda: OracleConfig(ExactPolicy(), None),
+        lambda: OracleConfig("exact", NoNoise()),
+        lambda: OracleConfig(NoNoise(), ExactPolicy()),
+    ],
+)
+def test_oracle_config_rejects_unknown_noise_or_policy(config):
+    with pytest.raises(TypeError, match="unknown"):
+        config()
+
+
+def test_noise_models_pick_the_learner_oracle():
+    inner = StatisticalQueryOracle(KET0, POINT_MASS_Z)
+    assert NoNoise().learner_oracle(inner) is inner
+    assert MaliciousNoise(0.1).learner_oracle(inner) is inner
+    classification = ClassificationNoise(0.1).learner_oracle(inner)
+    assert isinstance(classification, ClassificationCorrectedOracle)
+    assert (classification.inner, classification.eta) == (inner, 0.1)
+    depolarizing = DepolarizingNoise(0.3).learner_oracle(inner)
+    assert isinstance(depolarizing, DepolarizingCorrectedOracle)
+    assert (depolarizing.inner, depolarizing.eta) == (inner, 0.3)
+    bounded = BoundedChannelNoise(0.02, DepolarizingNoise(0.01)).learner_oracle(inner)
+    assert isinstance(bounded, BoundedChannelAbsorbingOracle)
+    assert (bounded.inner, bounded.eta_diamond) == (inner, 0.02)

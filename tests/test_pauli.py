@@ -159,3 +159,11 @@ def test_phased_repr_and_realness():
     p = as_phased(PauliOperator.from_string("-YY"))
     assert p.is_real_signed
     assert p.to_operator() == PauliOperator.from_string("-YY")
+
+
+def test_one_budget_exceeded_class():
+    from paulisq import learners, pauli, stabilizer, statdim
+
+    assert stabilizer.BudgetExceeded is pauli.BudgetExceeded
+    assert statdim.BudgetExceeded is pauli.BudgetExceeded
+    assert learners.BudgetExceeded is pauli.BudgetExceeded
