@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .learners import (
+    SWEEP_LIMIT,
     decode_state_learning_dataset,
     exhaustive_lpn_solver,
     gaussian_elimination_parity,
@@ -71,6 +72,7 @@ from .pconcept import (
     squared_loss,
 )
 from .stabilizer import (
+    ENUMERATION_LIMIT,
     StabilizerGroup,
     enumerate_stabilizer_groups,
     random_stabilizer_group,
@@ -80,6 +82,8 @@ from .statdim import verify_query_lower_bound
 from .streams import substream
 
 STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080}
+# verify-lemmas and sda enumerate stabilizer states; noisy lpn sweeps 2^n secrets
+MAX_N = {"verify-lemmas": ENUMERATION_LIMIT, "sda": 2}
 
 
 @dataclass
@@ -107,6 +111,11 @@ class ExperimentConfig:
         for name in ("n", "trials", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        top, what = MAX_N.get(self.experiment), self.experiment
+        if self.experiment == "lpn" and self.lpn_file is None:
+            top, what = (SWEEP_LIMIT, "noisy lpn") if self.lpn_eta > 0 else (64, "lpn")
+        if top is not None and self.n > top:
+            raise ValueError(f"{what} supports n <= {top}, got n = {self.n}")
         noise_from_descriptor(self.noise)
         policy_from_descriptor(self.policy, self.seed)
 
@@ -210,8 +219,6 @@ def grid_step(epsilon: float, eta_upper: float) -> float:
 
 def cmd_verify_lemmas(config: ExperimentConfig) -> dict:
     n = config.n
-    if not 1 <= n <= 3:
-        raise ValueError(f"verify-lemmas supports n in 1..3, got {n}")
     assertions = []
     results = {}
 
@@ -448,8 +455,6 @@ def cmd_lpn(config: ExperimentConfig) -> dict:
 
 def cmd_sda(config: ExperimentConfig) -> dict:
     n = config.n
-    if not 1 <= n <= 2:
-        raise ValueError(f"sda supports n in 1..2 for exact class quantities, got {n}")
     groups = enumerate_stabilizer_groups(n)
     cls = ConceptClass(tuple(StabilizerState(g) for g in groups), UniformPauli(n))
     results = {}

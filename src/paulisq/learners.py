@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .pauli import BudgetExceeded, PauliMeasurement
+from .pauli import BudgetExceeded, PauliMeasurement, gf2_echelon
 from .pconcept import (
     BlochVector,
     HaarSingleQubitProduct,
@@ -32,6 +32,7 @@ from .pconcept import (
     haar_directions,
     parity_index,
     parity_measurement,
+    random_bits,
 )
 from .oracle import SQQuery
 from .stabilizer import StabilizerGroup
@@ -212,15 +213,12 @@ def lpn_instance_from_json(data: dict) -> LPNInstance:
 def generate_lpn_instance(
     n: int, m: int, eta: float, rng, secret: Optional[int] = None
 ) -> LPNInstance:
-    """m planted examples on n <= 64 bits.  Draws are uint64, which for
-    n <= 62 matches numpy's default int64 draws and stream use exactly."""
-    if n > 64:
-        raise ValueError(f"LPN instances support at most 64 bits, got n = {n}")
+    """m planted examples on n <= 64 bits, drawn with random_bits."""
     if secret is None:
-        secret = int(rng.integers(0, 1 << n, dtype=np.uint64))
+        secret = random_bits(rng, n)
     examples = []
     for _ in range(m):
-        x = int(rng.integers(0, 1 << n, dtype=np.uint64))
+        x = random_bits(rng, n)
         bit = (x & secret).bit_count() & 1
         if eta > 0 and rng.random() < eta:
             bit ^= 1
@@ -266,44 +264,18 @@ def gaussian_elimination_parity(dataset, n: int) -> ParitySolution:
     rank, otherwise the affine solution space.  Raises InconsistentSystem on
     contradictory examples (noise, or a broken promise).
     """
-    rows = [(x, b & 1) for x, b in dataset]
-    pivots: dict[int, tuple[int, int]] = {}
-    for x, b in rows:
-        for col, row in pivots.items():
-            if (x >> col) & 1:
-                x ^= row[0]
-                b ^= row[1]
-        if x == 0:
-            if b:
-                raise InconsistentSystem("contradictory parity examples")
-            continue
-        col = (x & -x).bit_length() - 1
-        pivots[col] = (x, b)
-    # back-substitute to reduced form
-    cols = sorted(pivots)
-    for c in cols:
-        x, b = pivots[c]
-        for c2 in cols:
-            if c2 == c:
-                continue
-            x2, b2 = pivots[c2]
-            if (x2 >> c) & 1:
-                pivots[c2] = (x2 ^ x, b2 ^ b)
-    solution = 0
-    for c, (x, b) in pivots.items():
-        if b:
-            solution |= 1 << c
+    pivots, dependencies = gf2_echelon((x, b & 1) for x, b in dataset)
+    if any(dependencies):
+        raise InconsistentSystem("contradictory parity examples")
+    # free variables set to 0 leave y_c = b on each reduced pivot row
+    solution = sum(1 << c for c, (_, b) in pivots.items() if b)
     if len(pivots) == n:
         return solution
-    free_cols = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = 1 << fc
-        for c, (x, _) in pivots.items():
-            if (x >> fc) & 1:
-                vec |= 1 << c
-        basis.append(vec)
-    return AffineSolutionSpace(solution, tuple(basis))
+    basis = tuple(
+        1 << free | sum(1 << c for c, (x, _) in pivots.items() if x >> free & 1)
+        for free in range(n) if free not in pivots
+    )
+    return AffineSolutionSpace(solution, basis)
 
 
 @dataclass(frozen=True)
@@ -325,7 +297,10 @@ def _walsh_hadamard_inplace(v: np.ndarray):
         h *= 2
 
 
-def exhaustive_lpn_solver(instance: LPNInstance, budget: int = 20) -> MaximumLikelihoodSecret:
+SWEEP_LIMIT = 20
+
+
+def exhaustive_lpn_solver(instance: LPNInstance, budget: int = SWEEP_LIMIT) -> MaximumLikelihoodSecret:
     """Minimum-disagreement secret over all 2^n candidates.
 
     Disagreement counts for every candidate at once come from one

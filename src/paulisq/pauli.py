@@ -171,6 +171,40 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
 
+def gf2_reduce(bits: int, tag: int, pivots: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    """Reduce the GF(2) row `bits` against the pivots {column: (bits, tag)} of
+    :func:`gf2_echelon`, XORing their tags into `tag`.  One pass in any order
+    suffices, as each pivot column is clear in every other pivot row."""
+    for col, (row, row_tag) in pivots.items():
+        if bits >> col & 1:
+            bits ^= row
+            tag ^= row_tag
+    return bits, tag
+
+
+def gf2_echelon(rows) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Reduced row echelon form over GF(2) of `(bits, tag)` int pairs, unique
+    per row space: each row pivots on its lowest set bit, and pivot columns are
+    cleared from all other rows.  Tags are XORed along with the rows.
+
+    Returns the pivot rows as {column: (bits, tag)} in column order, and the
+    tags of the input rows that reduced to zero.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    zeros = []
+    for bits, tag in rows:
+        bits, tag = gf2_reduce(bits, tag, pivots)
+        if not bits:
+            zeros.append(tag)
+            continue
+        low = bits & -bits
+        for col, (row, row_tag) in pivots.items():
+            if row & low:
+                pivots[col] = (row ^ bits, row_tag ^ tag)
+        pivots[low.bit_length() - 1] = (bits, tag)
+    return dict(sorted(pivots.items())), zeros
+
+
 def pauli_trace_sign(p: PauliOperator) -> int:
     """tr(P): +-2^n for the signed identity, 0 for every other Pauli string."""
     if p.is_identity:

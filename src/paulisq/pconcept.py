@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .pauli import DimensionMismatch, PauliMeasurement, PauliOperator, pauli_trace_sign
-from .stabilizer import StabilizerGroup
+from .stabilizer import StabilizerGroup, signed_intersection_counts
 
 EXACT_PAULI_ENUMERATION_LIMIT = 6
 
@@ -141,6 +141,14 @@ def parity_index(e: PauliMeasurement) -> int:
 # distributions
 
 
+def random_bits(rng, n: int) -> int:
+    """A uniform n-bit int for n <= 64, drawn as uint64; for n <= 62 this is
+    the same draw, and the same stream use, as numpy's default int64 draw."""
+    if n > 64:
+        raise ValueError(f"uniform draws support at most 64 bits, got n = {n}")
+    return int(rng.integers(0, 1 << n, dtype=np.uint64))
+
+
 @dataclass(frozen=True)
 class UniformPauli:
     """Uniform over all 2*4^n Pauli effects (I+P)/2, including E=0 and E=I."""
@@ -156,8 +164,8 @@ class UniformPauli:
 
     def sample(self, rng) -> PauliMeasurement:
         sign = 1 if rng.integers(0, 2) == 0 else -1
-        x = int(rng.integers(0, 1 << self.n))
-        z = int(rng.integers(0, 1 << self.n))
+        x = random_bits(rng, self.n)
+        z = random_bits(rng, self.n)
         return PauliMeasurement(PauliOperator(self.n, sign, x, z))
 
 
@@ -173,7 +181,7 @@ class UniformParity:
             yield parity_measurement(x, self.n), weight
 
     def sample(self, rng) -> PauliMeasurement:
-        return parity_measurement(int(rng.integers(0, 1 << self.n)), self.n)
+        return parity_measurement(random_bits(rng, self.n), self.n)
 
 
 @dataclass(frozen=True)
@@ -364,8 +372,6 @@ def _exact_inner(rho: QuantumState, sigma: QuantumState, d: MeasurementDistribut
             # state's f is -1 and +1; those two atoms contribute 2/(2*4^n)
             return Fraction(1, 4**n)
         if isinstance(rho, StabilizerState) and isinstance(sigma, StabilizerState):
-            from .stabilizer import signed_intersection_counts
-
             plus, minus = signed_intersection_counts(rho.group, sigma.group)
             return Fraction(plus - minus, 4**n)
     total = None

@@ -8,9 +8,11 @@ tautology.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from paulisq.pauli import PauliMeasurement, PauliOperator, PhasedPauli
+from paulisq.pauli import PauliMeasurement, PauliOperator, PhasedPauli, as_phased, pauli_product
 from paulisq.pconcept import (
     MaximallyMixed,
     ProductState,
@@ -46,11 +48,32 @@ def pauli_matrix(p: PauliOperator | PhasedPauli) -> np.ndarray:
     return p.sign * kron_all(mats)
 
 
+def group_elements(group: StabilizerGroup):
+    """Yield all 2^n group elements (Gray-code order over generator subsets)."""
+    current = as_phased(PauliOperator.identity(group.n))
+    yield current.to_operator()
+    for k in range(1, 1 << group.n):
+        flip = (k & -k).bit_length() - 1
+        current = pauli_product(current, group.generators[flip])
+        yield current.to_operator()
+
+
+@lru_cache(maxsize=None)
+def element_set(group: StabilizerGroup) -> frozenset:
+    return frozenset(group_elements(group))
+
+
+def element_intersection_counts(s: StabilizerGroup, t: StabilizerGroup) -> tuple[int, int]:
+    """(|S meet T|, |S meet -T|) by listing both groups' 2^n elements."""
+    s_elements, t_elements = element_set(s), element_set(t)
+    return len(s_elements & t_elements), sum(e.negated() in t_elements for e in s_elements)
+
+
 def group_state_matrix(group: StabilizerGroup) -> np.ndarray:
     """rho = 2^{-n} sum over all group elements."""
     n = group.n
     total = np.zeros((2**n, 2**n), dtype=complex)
-    for element in group.elements():
+    for element in group_elements(group):
         total += pauli_matrix(element)
     return total / 2**n
 

@@ -204,6 +204,10 @@ def test_lpn_instance_file_round_trip(tmp_path):
         (["learn-product", "--trials", "0"], "trials must be at least 1"),
         (["lpn", "--n", "0"], "n must be at least 1"),
         (["lpn", "--jobs", "0"], "jobs must be at least 1"),
+        (["verify-lemmas", "--n", "4"], "verify-lemmas supports n <= 3"),
+        (["sda", "--n", "3"], "sda supports n <= 2"),
+        (["lpn", "--n", "21", "--lpn-eta", "0.1"], "noisy lpn supports n <= 20"),
+        (["lpn", "--n", "65"], "lpn supports n <= 64"),
     ],
 )
 def test_cli_rejects_bad_input_with_usage_error(argv, message, capsys):

@@ -11,6 +11,8 @@ from paulisq.pauli import (
     PauliOperator,
     as_phased,
     commutes,
+    gf2_echelon,
+    gf2_reduce,
     pauli_product,
     pauli_product_many,
     pauli_trace_sign,
@@ -167,3 +169,29 @@ def test_one_budget_exceeded_class():
     assert stabilizer.BudgetExceeded is pauli.BudgetExceeded
     assert statdim.BudgetExceeded is pauli.BudgetExceeded
     assert learners.BudgetExceeded is pauli.BudgetExceeded
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=16))
+def test_gf2_echelon_is_the_reduced_form_of_the_row_space(values):
+    pivots, zeros = gf2_echelon((v, 1 << i) for i, v in enumerate(values))
+
+    def named_sum(tag):
+        total = 0
+        for i, v in enumerate(values):
+            if tag >> i & 1:
+                total ^= v
+        return total
+
+    assert list(pivots) == sorted(pivots)
+    for col, (bits, tag) in pivots.items():
+        assert bits & -bits == 1 << col  # pivot on the lowest set bit
+        assert all(other >> col & 1 == 0 for c, (other, _) in pivots.items() if c != col)
+        assert named_sum(tag) == bits
+    assert len(pivots) + len(zeros) == len(values)
+    assert all(tag and named_sum(tag) == 0 for tag in zeros)
+    # every input row lies in the span of the pivot rows
+    assert all(gf2_reduce(v, 0, pivots)[0] == 0 for v in values)
+    # the form depends only on the row space, not on the order of the rows
+    reordered, _ = gf2_echelon((v, 0) for v in reversed(values))
+    assert [bits for bits, _ in reordered.values()] == [bits for bits, _ in pivots.values()]

@@ -25,6 +25,7 @@ from paulisq.pconcept import (
     inner_product,
     parity_index,
     parity_measurement,
+    random_bits,
     reduced_bloch,
     sample_outcome,
     squared_loss,
@@ -106,6 +107,27 @@ def test_uniform_parity_includes_empty_parity():
     e0 = parity_measurement(0, 2)
     # the empty parity always rejects: its label is pinned to parity zero
     assert acceptance_probability(StabilizerState(StabilizerGroup.basis_state(3, 2)), e0) == 0
+
+
+def test_random_bits_keeps_the_int64_stream_up_to_62_bits():
+    for n in (1, 16, 62):
+        a, b = substream(3, "bits", n), substream(3, "bits", n)
+        assert [random_bits(a, n) for _ in range(20)] == [int(b.integers(0, 1 << n)) for _ in range(20)]
+        assert a.random() == b.random()
+
+
+def test_uniform_samplers_at_64_qubits():
+    rng = substream(4, "wide")
+    paulis = [UniformPauli(64).sample(rng).pauli for _ in range(20)]
+    parities = [parity_index(UniformParity(64).sample(rng)) for _ in range(20)]
+    assert max(p.x for p in paulis) >= 1 << 62 and max(p.z for p in paulis) >= 1 << 62
+    assert max(parities) >= 1 << 62
+
+
+@pytest.mark.parametrize("d", [UniformPauli(65), UniformParity(65)])
+def test_uniform_samplers_reject_more_than_64_qubits(d):
+    with pytest.raises(ValueError, match="at most 64 bits"):
+        d.sample(substream(4, "too-wide"))
 
 
 def test_sample_outcome_deterministic_cases():

@@ -1,19 +1,24 @@
 """Stabilizer tableaux: canonicalization, membership, traces, enumeration."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_ref import (
     dense_acceptance,
     dense_stabilizer_state_census,
+    element_intersection_counts,
+    group_elements,
     group_state_matrix,
     matrix_key,
     pauli_matrix,
 )
-from paulisq.pauli import PauliMeasurement, PauliOperator
-from paulisq.pconcept import StabilizerState
+from paulisq.pauli import PauliMeasurement, PauliOperator, commutes, pauli_product_many
+from paulisq.pconcept import MaximallyMixed, StabilizerState, UniformPauli, inner_product, squared_loss
 from paulisq.stabilizer import (
     BudgetExceeded,
     Membership,
@@ -22,6 +27,7 @@ from paulisq.stabilizer import (
     random_stabilizer_group,
     signed_intersection_counts,
 )
+from paulisq.streams import substream
 
 KET0 = ["+Z"]
 KET1 = ["-Z"]
@@ -159,7 +165,7 @@ def test_intersection_bound_exhaustive_small_n():
 def test_group_elements_are_closed_and_real():
     rng = np.random.default_rng(19)
     g = random_stabilizer_group(3, rng)
-    elements = list(g.elements())
+    elements = list(group_elements(g))
     assert len(elements) == 8
     assert len(set(elements)) == 8
     dense = [pauli_matrix(e) for e in elements]
@@ -186,3 +192,100 @@ def test_random_groups_are_valid():
     for _ in range(25):
         g = random_stabilizer_group(2, rng)
         assert g in set(enumerate_stabilizer_groups(2))
+
+
+def sign_flipped(group: StabilizerGroup, i: int) -> StabilizerGroup:
+    gens = list(group.generators)
+    gens[i] = gens[i].negated()
+    return StabilizerGroup.from_generators(gens)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_intersection_counts_match_elements_on_all_ordered_pairs(n):
+    groups = enumerate_stabilizer_groups(n)
+    for s in groups:
+        for t in groups:
+            assert signed_intersection_counts(s, t) == element_intersection_counts(s, t)
+
+
+def test_intersection_counts_match_elements_at_n3():
+    groups = enumerate_stabilizer_groups(3)
+    for s in groups[::27]:
+        for t in groups:
+            assert signed_intersection_counts(s, t) == element_intersection_counts(s, t)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_intersection_counts_match_elements_on_random_pairs(n):
+    rng = substream(31, "pairs", n)
+    for _ in range(3):
+        s, t = random_stabilizer_group(n, rng), random_stabilizer_group(n, rng)
+        neighbours = [sign_flipped(s, int(rng.integers(0, n))), sign_flipped(t, int(rng.integers(0, n)))]
+        for a, b in [(s, t), (t, s), (s, neighbours[0]), (t, neighbours[1])]:
+            assert signed_intersection_counts(a, b) == element_intersection_counts(a, b)
+
+
+# ---------------------------------------------------------------------------
+# large n: groups from random symplectic transvections of a basis state, since
+# random_stabilizer_group is exponential in n
+
+
+def transvected(group: StabilizerGroup, rnd: random.Random, steps: int) -> StabilizerGroup:
+    """Apply `steps` random transvections v -> v + <v, h> h to the group's
+    (x|z) rows and draw fresh signs: the rows stay independent and commuting."""
+    n = group.n
+    mask = (1 << n) - 1
+    rows = [g.x | g.z << n for g in group.generators]
+    for _ in range(steps):
+        h = rnd.getrandbits(2 * n)
+        swapped = h >> n | (h & mask) << n
+        rows = [r ^ h if (r & swapped).bit_count() & 1 else r for r in rows]
+    return StabilizerGroup.from_generators(
+        PauliOperator(n, rnd.choice((1, -1)), r & mask, r >> n) for r in rows
+    )
+
+
+LARGE = dict(n=st.integers(64, 256), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=8, deadline=None)
+@given(**LARGE, steps=st.integers(1, 3))
+def test_intersection_counts_structure_at_large_n(n, seed, steps):
+    rnd = random.Random(seed)
+    s = transvected(StabilizerGroup.basis_state(0, n), rnd, 6)
+    t = transvected(s, rnd, steps)
+    plus, minus = signed_intersection_counts(s, t)
+    assert signed_intersection_counts(s, s) == (2**n, 0)
+    assert signed_intersection_counts(t, s) == (plus, minus)
+    assert minus in (0, plus)
+    total = plus + minus
+    assert total & (total - 1) == 0 and 2 ** (n - steps) <= total <= 2**n
+    i = rnd.randrange(n)
+    assert signed_intersection_counts(s, sign_flipped(s, i)) == (2 ** (n - 1), 2 ** (n - 1))
+    d = UniformPauli(n)
+    state = StabilizerState(s)
+    assert inner_product(state, state, d) - squared_loss(state, MaximallyMixed(n), d) == Fraction(1, 4**n)
+
+
+@settings(max_examples=8, deadline=None)
+@given(**LARGE)
+def test_contains_on_products_of_generators_at_large_n(n, seed):
+    rnd = random.Random(seed)
+    s = transvected(StabilizerGroup.basis_state(0, n), rnd, 6)
+    subset = [g for g in s.generators if rnd.random() < 0.5] or [s.generators[0]]
+    member = pauli_product_many(subset).to_operator()
+    assert s.contains(member) is Membership.PLUS
+    assert s.contains(member.negated()) is Membership.MINUS
+    bit = 1 << rnd.randrange(n)
+    for other in (PauliOperator(n, 1, member.x ^ bit, member.z), PauliOperator(n, 1, member.x, member.z ^ bit)):
+        inside = all(commutes(other, g) for g in s.generators)
+        assert (s.contains(other) is not Membership.ABSENT) == inside
+
+
+def test_exact_inner_products_at_128_qubits():
+    rnd = random.Random(128)
+    s = transvected(StabilizerGroup.basis_state(0, 128), rnd, 6)
+    a, b = StabilizerState(s), StabilizerState(transvected(s, rnd, 2))
+    d = UniformPauli(128)
+    assert inner_product(a, a, d) == Fraction(1, 2**128)
+    assert inner_product(a, b, d) in {0} | {Fraction(2**k, 4**128) for k in range(129)}
