@@ -29,6 +29,7 @@ from .learners import (
     haar_sign_moment_mc,
     learn_basis_state,
     learn_product_state,
+    lpn_instance_from_json,
     make_lpn_as_state_learning,
 )
 from .oracle import (
@@ -69,6 +70,7 @@ from .pconcept import (
     UniformParity,
     acceptance_probability,
     inner_product,
+    random_bits,
     squared_loss,
 )
 from .stabilizer import (
@@ -111,11 +113,17 @@ class ExperimentConfig:
         for name in ("n", "trials", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        top, what = MAX_N.get(self.experiment), self.experiment
-        if self.experiment == "lpn" and self.lpn_file is None:
-            top, what = (SWEEP_LIMIT, "noisy lpn") if self.lpn_eta > 0 else (64, "lpn")
-        if top is not None and self.n > top:
-            raise ValueError(f"{what} supports n <= {top}, got n = {self.n}")
+        # an --lpn-file instance is read here, so its size is checked like --n
+        self.lpn_instance = None if self.lpn_file is None else _load_lpn_instance(self.lpn_file)
+        n, top, what = self.n, MAX_N.get(self.experiment), self.experiment
+        if self.experiment == "learn-product" and self.target == "basis":
+            top, what = 64, "basis target"
+        if self.experiment == "lpn":
+            fixed = self.lpn_instance
+            n, eta = (fixed.n, fixed.eta) if fixed else (self.n, self.lpn_eta)
+            top, what = (SWEEP_LIMIT, "noisy lpn") if eta > 0 else (64, "lpn")
+        if top is not None and n > top:
+            raise ValueError(f"{what} supports n <= {top}, got n = {n}")
         noise_from_descriptor(self.noise)
         policy_from_descriptor(self.policy, self.seed)
 
@@ -327,7 +335,7 @@ def _product_trial(config_dict: dict, trial: int) -> dict:
     oracle_config = OracleConfig(policy_from_descriptor(config.policy, config.seed * 7919 + trial), noise)
 
     if config.target == "basis":
-        bits = int(rng.integers(0, 1 << n))
+        bits = random_bits(rng, n)
         state = StabilizerState(StabilizerGroup.basis_state(bits, n))
         hypothesis = learn_basis_state(StatisticalQueryOracle(state, dist, oracle_config))
         loss = float(squared_loss(state, hypothesis.state, dist, EXACT))
@@ -377,19 +385,20 @@ def cmd_learn_product(config: ExperimentConfig) -> dict:
 
 
 def _load_lpn_instance(path: str):
-    from .learners import lpn_instance_from_json
-
-    with open(path, encoding="utf-8") as fh:
-        return lpn_instance_from_json(json.load(fh))
+    """The LPN instance in a JSON file; any unreadable file is a ValueError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return lpn_instance_from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"cannot read LPN instance {path}: {type(exc).__name__}: {exc}") from None
 
 
 def _lpn_trial(config_dict: dict, trial: int) -> dict:
     config = ExperimentConfig.from_dict(config_dict)
-    if config.lpn_file is not None:
-        fixed = _load_lpn_instance(config.lpn_file)
+    fixed = config.lpn_instance
+    if fixed is not None:
         n, eta, m = fixed.n, fixed.eta, len(fixed.examples)
     else:
-        fixed = None
         n = config.n
         eta = config.lpn_eta
         m = config.lpn_m or (4 * n if eta == 0 else 50 * n)

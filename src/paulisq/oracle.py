@@ -707,20 +707,22 @@ def draw_validation_set(
     return out
 
 
-def _empirical_squared_loss(hypothesis_state: QuantumState, validation) -> float:
-    projectors = all(isinstance(e, SingleQubitProjector) for e, _ in validation)
-    if projectors and validation:
-        bloch = np.array(
-            [reduced_bloch(hypothesis_state, q) for q in range(hypothesis_state.n)], dtype=float
-        )
-        qubits = np.fromiter((e.qubit for e, _ in validation), dtype=int)
-        axes = np.array([e.axis.as_tuple() for e, _ in validation], dtype=float)
-        labels = np.fromiter((y for _, y in validation), dtype=float)
+def _empirical_squared_loss(validation) -> Callable[[QuantumState], float]:
+    """The mean squared error of f_hypothesis on the validation set, as a
+    function of the hypothesis state.  A set of single-qubit projectors is
+    packed into arrays here, once for every hypothesis scored."""
+    if not all(isinstance(e, SingleQubitProjector) for e, _ in validation):
+        return lambda state: float(np.mean([(float(f_value(state, e)) - y) ** 2 for e, y in validation]))
+    qubits = np.fromiter((e.qubit for e, _ in validation), dtype=int)
+    axes = np.array([e.axis.as_tuple() for e, _ in validation], dtype=float)
+    labels = np.fromiter((y for _, y in validation), dtype=float)
+
+    def loss(state: QuantumState) -> float:
+        bloch = np.array([reduced_bloch(state, q) for q in range(state.n)], dtype=float)
         f = np.einsum("ij,ij->i", axes, bloch[qubits])
         return float(np.mean((f - labels) ** 2))
-    return float(
-        np.mean([(float(f_value(hypothesis_state, e)) - y) ** 2 for e, y in validation])
-    )
+
+    return loss
 
 
 def eta_grid_search(
@@ -746,10 +748,11 @@ def eta_grid_search(
         g += delta_grid
     if eta_upper > 0:
         guesses.append(eta_upper)
+    loss = _empirical_squared_loss(validation)
     best = None
     for guess in guesses:
         hypothesis = run_learner(guess)
-        score = _empirical_squared_loss(hypothesis.state, validation)
+        score = loss(hypothesis.state)
         if best is None or score < best[0]:
             best = (score, guess, hypothesis)
     return best[1], best[2]

@@ -6,8 +6,10 @@ The RREF basis of the (x|z) row space is unique, and each row's sign is fixed
 by group membership, so equal groups produce bit-identical tableaux.
 
 Membership and the signed intersections behind the exact correlations
-<f_S, f_T> are GF(2) solves on these rows, polynomial in n.  Dense states and
-the element-by-element reference live only in the test suite.
+<f_S, f_T> are GF(2) solves on these rows, polynomial in n.  Sampling and
+enumeration add rows one at a time from the symplectic complement of the rows
+so far.  Dense states and the element-by-element reference live only in the
+test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import xor
 
 from .pauli import (
     BudgetExceeded,
@@ -37,6 +41,11 @@ class Membership(Enum):
     PLUS = 1
     MINUS = -1
     ABSENT = 0
+
+
+def _swapped(v: int, n: int) -> int:
+    """The packed row x | z << n as z | x << n: <u, v> = |u & _swapped(v)| mod 2."""
+    return v >> n | (v & ((1 << n) - 1)) << n
 
 
 def _packed_rows(generators):
@@ -146,8 +155,7 @@ def signed_intersection_counts(s: StabilizerGroup, t: StabilizerGroup) -> tuple[
     if s.n != t.n:
         raise DimensionMismatch(f"qubit counts differ: {s.n} != {t.n}")
     n = s.n
-    # <g, h> = |g.x & h.z| + |g.z & h.x| mod 2, with h's halves swapped once
-    swapped = [h.z | h.x << n for h in t.generators]
+    swapped = [_swapped(h, n) for h, _ in _packed_rows(t.generators)]
     anticommute = [
         (sum(((bits & h).bit_count() & 1) << j for j, h in enumerate(swapped)), tag)
         for bits, tag in _packed_rows(s.generators)
@@ -159,85 +167,68 @@ def signed_intersection_counts(s: StabilizerGroup, t: StabilizerGroup) -> tuple[
     return 1 << (k - 1), 1 << (k - 1)
 
 
-def _symplectic_orthogonal(u: tuple[int, int], v: tuple[int, int]) -> bool:
-    return ((u[0] & v[1]).bit_count() + (u[1] & v[0]).bit_count()) % 2 == 0
-
-
 def _isotropic_subspaces(n: int):
-    """All maximal (dimension-n) isotropic subspaces of GF(2)^{2n}.
+    """Yield every maximal isotropic subspace of GF(2)^{2n} once, as its RREF
+    rows (packed x | z << n, pivot on the lowest set bit; see gf2_echelon).
 
-    Each subspace appears once (dedup'd on its full span) and is returned
-    as one basis of (x, z) vectors.
+    Rows are chosen in decreasing pivot order: each new row pivots below the
+    rows so far, is clear at their pivots and commutes with them.
     """
-    dim = 2 * n
-    vectors = [((v >> n), v & ((1 << n) - 1)) for v in range(1, 1 << dim)]
-    seen: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
-
-    def extend(basis: list[tuple[int, int]], span: dict[int, tuple[int, int]], start: int):
-        if len(basis) == n:
-            seen.setdefault(tuple(sorted(span)), tuple(basis))
+    def extend(rows, pivots, low):
+        if len(rows) == n:
+            yield rows
             return
-        for idx in range(start, len(vectors)):
-            v = vectors[idx]
-            code = v[0] << n | v[1]
-            if code in span:
-                continue
-            if not all(_symplectic_orthogonal(v, b) for b in basis):
-                continue
-            new_span = dict(span)
-            for s in list(span.values()) + [(0, 0)]:
-                xs, zs = s[0] ^ v[0], s[1] ^ v[1]
-                new_span[xs << n | zs] = (xs, zs)
-            basis.append(v)
-            extend(basis, new_span, idx + 1)
-            basis.pop()
+        swapped = [_swapped(r, n) for r in rows]
+        # the rows still to come need pivots below this row's
+        for v in range(1 << n - len(rows) - 1, 1 << 2 * n):
+            pivot = v & -v
+            if pivot < low and not v & pivots and not any((v & h).bit_count() & 1 for h in swapped):
+                yield from extend([*rows, v], pivots | pivot, pivot)
 
-    extend([], {}, 0)
-    return [seen[key] for key in sorted(seen)]
+    yield from extend([], 0, 1 << 2 * n)
 
 
 def enumerate_stabilizer_groups(n: int) -> list[StabilizerGroup]:
     """Every n-qubit stabilizer group, canonical and duplicate-free.
 
-    Works by enumerating the maximal isotropic (x|z) row spaces and then
+    Works by enumerating the maximal isotropic (x|z) row spaces in RREF and then
     assigning the 2^n free generator signs: independence of the rows already
     rules -I out for every sign pattern.  Counts: 6, 60, 1080 for n = 1, 2, 3.
     """
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise BudgetExceeded(f"enumeration supported for 1 <= n <= {ENUMERATION_LIMIT}, got {n}")
-    groups = []
-    for basis in _isotropic_subspaces(n):
-        plain_rows = canonical_rows(
-            [PauliOperator(n, 1, x, z) for x, z in basis]
-        )
-        for signs in range(1 << n):
-            gens = [
-                PauliOperator(n, -1 if (signs >> i) & 1 else 1, row.x, row.z)
-                for i, row in enumerate(plain_rows)
-            ]
-            groups.append(StabilizerGroup.from_generators(gens))
+    mask = (1 << n) - 1
+    groups = [
+        StabilizerGroup(n, tuple(
+            PauliOperator(n, -1 if signs >> i & 1 else 1, v & mask, v >> n)
+            for i, v in enumerate(reversed(rows))
+        ))
+        for rows in _isotropic_subspaces(n)
+        for signs in range(1 << n)
+    ]
     groups.sort(key=lambda g: tuple((p.sign, p.x, p.z) for p in g.generators))
     return groups
 
 
 def random_stabilizer_group(n: int, rng) -> StabilizerGroup:
-    """Draw a stabilizer group by rejection over commuting independent generators."""
-    while True:
-        gens: list[PauliOperator] = []
-        span = {0}
-        guard = 0
-        while len(gens) < n:
-            guard += 1
-            if guard > 400 * n:
-                break  # dead end: restart from scratch
-            x = int(rng.integers(0, 1 << n))
-            z = int(rng.integers(0, 1 << n))
-            if (x << n | z) in span:
-                continue
-            cand = PauliOperator(n, 1 if rng.integers(0, 2) == 0 else -1, x, z)
-            if not all(commutes(cand, g) for g in gens):
-                continue
-            span |= {s ^ (x << n | z) for s in span}
-            gens.append(cand)
-        if len(gens) == n:
-            return StabilizerGroup.from_generators(gens)
+    """A uniformly random stabilizer group, in O(n^3) bit operations.
+
+    Each generator is a uniform element v of the symplectic complement of the
+    rows so far, kept as a basis (at first the 2n unit rows), with a uniform
+    sign.  v is redrawn, with odds at most 1/2, while it lies in the span of
+    the rows so far, which is where it commutes with every basis row.  The
+    basis then shrinks by one: rows anticommuting with v are XORed with the
+    first of them, which is dropped (Koenig & Smolin, arXiv:1406.2170).
+    """
+    basis = [1 << i for i in range(2 * n)]
+    mask = (1 << n) - 1
+    gens = []
+    while len(gens) < n:
+        v = reduce(xor, compress(basis, rng.integers(0, 2, size=len(basis))), 0)
+        h = _swapped(v, n)
+        anti = [b for b in basis if (b & h).bit_count() & 1]
+        if not anti:
+            continue
+        gens.append(PauliOperator(n, 1 if rng.integers(0, 2) == 0 else -1, v & mask, v >> n))
+        basis = [b for b in basis if not (b & h).bit_count() & 1] + [b ^ anti[0] for b in anti[1:]]
+    return StabilizerGroup.from_generators(gens)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -208,11 +209,50 @@ def test_lpn_instance_file_round_trip(tmp_path):
         (["sda", "--n", "3"], "sda supports n <= 2"),
         (["lpn", "--n", "21", "--lpn-eta", "0.1"], "noisy lpn supports n <= 20"),
         (["lpn", "--n", "65"], "lpn supports n <= 64"),
+        (["learn-product", "--target", "basis", "--n", "65"], "basis target supports n <= 64"),
     ],
 )
 def test_cli_rejects_bad_input_with_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("paulisq") and message in err.splitlines()[-1]
+
+
+def test_basis_target_learns_at_64_qubits():
+    report = run_experiment(ExperimentConfig(experiment="learn-product", target="basis", n=64, trials=1))
+    assert report["passed"]
+    assert report["results"]["trials"][0]["queries"] == 64
+
+
+def _noisy_21_qubit_file():
+    from paulisq.learners import generate_lpn_instance, lpn_instance_to_json
+    from paulisq.streams import substream
+
+    return json.dumps(lpn_instance_to_json(generate_lpn_instance(21, 5, 0.1, substream(3, "fixture"))))
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "No such file or directory"),
+        ('{"n": 3, "eta": 0.0, "examples": [["0101", 1]]}', "'0101' is not an 3-bit string"),
+        ('{"n": 3, "eta": 0.0, "examples": [["010", 1]', "JSONDecodeError"),
+        (json.dumps({"n": 65, "eta": 0.0, "examples": [["1" * 65, 1]]}), "lpn supports n <= 64, got n = 65"),
+        (_noisy_21_qubit_file(), "noisy lpn supports n <= 20, got n = 21"),
+    ],
+    ids=["missing", "bad-bits", "bad-json", "n65", "noisy-n21"],
+)
+def test_lpn_file_is_checked_at_the_boundary(content, message, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(experiment="lpn", lpn_file=str(path))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lpn", "--lpn-file", str(path)])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -484,6 +484,21 @@ def test_eta_grid_search_zero_upper_is_single_clean_run():
     assert best_eta == 0.0
 
 
+def test_validation_loss_packed_and_generic_paths_agree():
+    from paulisq.oracle import _empirical_squared_loss, draw_validation_set
+    from paulisq.pconcept import f_value
+
+    target, hypothesis = _grid_target(), ProductState((BlochVector(0, 0, 1), BlochVector(0.3, 0, 0)))
+    projectors = draw_validation_set(target, HaarSingleQubitProduct(2), 500, substream(43, "val"))
+    generic = np.mean([(float(f_value(hypothesis, e)) - y) ** 2 for e, y in projectors])
+    assert _empirical_squared_loss(projectors)(hypothesis) == pytest.approx(generic, abs=1e-12)
+    # a Pauli validation set takes the f_value path; exact mean labels score 0 on the target
+    state = StabilizerState(random_stabilizer_group(2, substream(43, "state")))
+    paulis = draw_validation_set(state, UniformPauli(2), 200, substream(43, "paulis"))
+    loss = _empirical_squared_loss(paulis)
+    assert loss(state) == 0.0 and loss(MaximallyMixed(2)) > 0
+
+
 def test_eta_grid_search_rejects_bad_inputs():
     from paulisq.oracle import eta_grid_search
 

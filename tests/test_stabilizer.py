@@ -1,6 +1,7 @@
 """Stabilizer tableaux: canonicalization, membership, traces, enumeration."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,12 +18,14 @@ from dense_ref import (
     matrix_key,
     pauli_matrix,
 )
-from paulisq.pauli import PauliMeasurement, PauliOperator, commutes, pauli_product_many
+from paulisq.pauli import PauliMeasurement, PauliOperator, commutes, gf2_echelon, pauli_product_many
 from paulisq.pconcept import MaximallyMixed, StabilizerState, UniformPauli, inner_product, squared_loss
 from paulisq.stabilizer import (
     BudgetExceeded,
     Membership,
     StabilizerGroup,
+    _isotropic_subspaces,
+    _swapped,
     enumerate_stabilizer_groups,
     random_stabilizer_group,
     signed_intersection_counts,
@@ -194,6 +197,32 @@ def test_random_groups_are_valid():
         assert g in set(enumerate_stabilizer_groups(2))
 
 
+# chi-square critical values at p = 1e-6 for 5 and 59 degrees of freedom
+CHI2_CRITICAL = {1: 35.89, 2: 125.66}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_groups_are_uniform(n):
+    groups = enumerate_stabilizer_groups(n)
+    per_group = 100
+    rng = substream(5, "uniformity", n)
+    counts = Counter(random_stabilizer_group(n, rng) for _ in range(per_group * len(groups)))
+    assert set(counts) == set(groups)
+    chi2 = sum((counts[g] - per_group) ** 2 / per_group for g in groups)
+    assert chi2 < CHI2_CRITICAL[n]
+
+
+@pytest.mark.parametrize("n,count", [(1, 3), (2, 15), (3, 135)])
+def test_isotropic_subspaces_are_distinct_rref_row_sets(n, count):
+    row_sets = [tuple(rows) for rows in _isotropic_subspaces(n)]
+    assert len(row_sets) == len(set(row_sets)) == count
+    for rows in row_sets:
+        assert len(rows) == n
+        assert all(not (u & _swapped(v, n)).bit_count() & 1 for u in rows for v in rows)
+        pivots, dependent = gf2_echelon((r, 0) for r in rows)
+        assert not dependent and sorted(rows) == sorted(r for r, _ in pivots.values())
+
+
 def sign_flipped(group: StabilizerGroup, i: int) -> StabilizerGroup:
     gens = list(group.generators)
     gens[i] = gens[i].negated()
@@ -226,8 +255,20 @@ def test_intersection_counts_match_elements_on_random_pairs(n):
 
 
 # ---------------------------------------------------------------------------
-# large n: groups from random symplectic transvections of a basis state, since
-# random_stabilizer_group is exponential in n
+# large n
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(64, 128), seed=st.integers(0, 2**32 - 1))
+def test_random_groups_at_large_n(n, seed):
+    g = random_stabilizer_group(n, np.random.default_rng(seed))
+    assert StabilizerGroup.from_generators(g.generators) == g
+    assert all(g.contains(p) is Membership.PLUS for p in g.generators)
+
+
+# Pairs with a large, known intersection come from random symplectic
+# transvections of one group: independent uniform groups almost never share
+# more than a few generators.
 
 
 def transvected(group: StabilizerGroup, rnd: random.Random, steps: int) -> StabilizerGroup:
