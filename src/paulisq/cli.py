@@ -119,13 +119,17 @@ class ExperimentConfig:
         if self.experiment == "learn-product" and self.target == "basis":
             top, what = 64, "basis target"
         if self.experiment == "lpn":
-            fixed = self.lpn_instance
-            n, eta = (fixed.n, fixed.eta) if fixed else (self.n, self.lpn_eta)
+            n, eta = _lpn_size(self)
             top, what = (SWEEP_LIMIT, "noisy lpn") if eta > 0 else (64, "lpn")
         if top is not None and n > top:
             raise ValueError(f"{what} supports n <= {top}, got n = {n}")
         noise_from_descriptor(self.noise)
         policy_from_descriptor(self.policy, self.seed)
+        searchable = self.experiment == "learn-product" and self.target != "basis"
+        if self.grid_search and not (searchable and (self.noise or {}).get("kind") == "depolarizing"):
+            raise ValueError("grid_search runs only in learn-product with depolarizing noise and a non-basis target")
+        if self.eta_upper is not None and not (self.grid_search and 0 <= self.eta_upper < 1):
+            raise ValueError(f"eta_upper must lie in [0, 1) and needs grid_search, got {self.eta_upper}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -316,8 +320,8 @@ def cmd_verify_lemmas(config: ExperimentConfig) -> dict:
 
 
 def _run_trials(trial, config: ExperimentConfig) -> list[dict]:
-    """trial(config_dict, index) for every trial, pooled when jobs > 1; rows sorted by trial."""
-    args = ([config.to_dict()] * config.trials, range(config.trials))
+    """trial(config, index) for every trial, pooled when jobs > 1; rows sorted by trial."""
+    args = ([config] * config.trials, range(config.trials))
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             rows = list(pool.map(trial, *args))
@@ -326,8 +330,7 @@ def _run_trials(trial, config: ExperimentConfig) -> list[dict]:
     return sorted(rows, key=lambda r: r["trial"])
 
 
-def _product_trial(config_dict: dict, trial: int) -> dict:
-    config = ExperimentConfig.from_dict(config_dict)
+def _product_trial(config: ExperimentConfig, trial: int) -> dict:
     n = config.n
     rng = substream(config.seed, "trial", trial)
     dist = HaarSingleQubitProduct(n)
@@ -345,7 +348,7 @@ def _product_trial(config_dict: dict, trial: int) -> dict:
     state = _random_product_state(n, rng, config.target)
     epsilon = config.epsilon
 
-    if config.grid_search and config.noise and config.noise["kind"] == "depolarizing":
+    if config.grid_search:
         # the rate is unknown to the learner: search over guesses up to eta_upper
         eta_upper = config.eta_upper if config.eta_upper is not None else noise.eta
         delta = grid_step(epsilon, eta_upper)
@@ -393,15 +396,16 @@ def _load_lpn_instance(path: str):
         raise ValueError(f"cannot read LPN instance {path}: {type(exc).__name__}: {exc}") from None
 
 
-def _lpn_trial(config_dict: dict, trial: int) -> dict:
-    config = ExperimentConfig.from_dict(config_dict)
+def _lpn_size(config: ExperimentConfig) -> tuple[int, float]:
+    """n and noise rate of an lpn run: the --lpn-file instance's own, else the flags'."""
     fixed = config.lpn_instance
-    if fixed is not None:
-        n, eta, m = fixed.n, fixed.eta, len(fixed.examples)
-    else:
-        n = config.n
-        eta = config.lpn_eta
-        m = config.lpn_m or (4 * n if eta == 0 else 50 * n)
+    return (fixed.n, fixed.eta) if fixed is not None else (config.n, config.lpn_eta)
+
+
+def _lpn_trial(config: ExperimentConfig, trial: int) -> dict:
+    fixed = config.lpn_instance
+    n, eta = _lpn_size(config)
+    m = len(fixed.examples) if fixed is not None else config.lpn_m or (4 * n if eta == 0 else 50 * n)
     rng = substream(config.seed, "lpn", trial)
     retries = 0
     while True:
@@ -443,9 +447,9 @@ def cmd_lpn(config: ExperimentConfig) -> dict:
         {"name": "round_trip_bijection", "passed": all(r["round_trip"] for r in rows)},
     ]
     secrets_known = all(r["recovered"] is not None for r in rows)
-    near_boundary = config.lpn_eta >= 0.45
-    if secrets_known and not near_boundary:
-        threshold = 0.99 if config.lpn_eta == 0 else 0.95
+    _, eta = _lpn_size(config)
+    if secrets_known and eta < 0.45:
+        threshold = 0.99 if eta == 0 else 0.95
         assertions.append(
             {
                 "name": "secret_recovery_rate",

@@ -286,14 +286,14 @@ class MaximumLikelihoodSecret:
 
 
 def _walsh_hadamard_inplace(v: np.ndarray):
+    """Unnormalised Walsh-Hadamard transform of a contiguous power-of-two
+    length vector: at each level the blocks pair up as rows of a reshape."""
     h = 1
-    m = len(v)
-    while h < m:
-        for start in range(0, m, 2 * h):
-            a = v[start : start + h].copy()
-            b = v[start + h : start + 2 * h].copy()
-            v[start : start + h] = a + b
-            v[start + h : start + 2 * h] = a - b
+    while h < len(v):
+        w = v.reshape(-1, 2, h)
+        low = w[:, 0].copy()
+        w[:, 0] += w[:, 1]
+        np.subtract(low, w[:, 1], out=w[:, 1])
         h *= 2
 
 
@@ -312,8 +312,8 @@ def exhaustive_lpn_solver(instance: LPNInstance, budget: int = SWEEP_LIMIT) -> M
         raise BudgetExceeded(f"2^{n} sweep exceeds budget 2^{budget}")
     m = len(instance.examples)
     hist = np.zeros(1 << n, dtype=np.int64)
-    for x, b in instance.examples:
-        hist[x] += 1 - 2 * (b & 1)
+    examples = np.array(instance.examples, dtype=np.int64).reshape(-1, 2)
+    np.add.at(hist, examples[:, 0], 1 - 2 * (examples[:, 1] & 1))
     _walsh_hadamard_inplace(hist)
     # hist[y] = sum_i (-1)^{b_i + x_i.y}, so disagreements(y) = (m - hist[y])/2
     disagreements = (m - hist) // 2

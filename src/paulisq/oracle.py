@@ -15,19 +15,19 @@ models act through this decomposition:
 * a generic bounded channel perturbs every expectation by at most twice its
   diamond-norm distance from the identity, and is absorbed into tolerance.
 
-Each noise model is a `NoiseModel` subclass that owns its behaviour: `mean`
-and `label_weights` fold it into the expectation engine's atoms, `sample`
-draws one noisy example, `learner_oracle` wraps a noisy oracle in the
-correction a learner queries through, and `adjoint` pushes it onto a
-measurement where a closed form exists.  Each `ResponsePolicy` owns its
-`answer` and the random `stream` an oracle opens for it once.
-`StatisticalQueryOracle` only calls the configured pair.
+Each noise model is a `NoiseModel` subclass that owns its behaviour and
+checks its own rate: `mean` and `label_weights` fold it into an oracle's
+atom table, `sample` draws one noisy example, `correct` undoes it,
+`learner_oracle` wraps a noisy oracle in the correction a learner queries
+through, and `adjoint` pushes it onto a measurement where a closed form
+exists.  Each `ResponsePolicy` owns its `answer` and the random `stream` an
+oracle opens for it once.  `StatisticalQueryOracle` only calls the pair.
 
-Expectations are computed deterministically: by weighted enumeration for
-finite distributions, and by per-panel Gauss-Legendre quadrature over the
-sphere for Haar single-qubit measurement distributions (exact to roughly
-1e-9 for queries that are smooth on each octant, which covers sign-threshold
-queries split along the coordinate planes).
+Expectations are computed deterministically from an atom table: the
+support of a finite distribution, or per-panel Gauss-Legendre quadrature
+over the sphere for Haar single-qubit measurement distributions (exact to
+roughly 1e-9 for queries that are smooth on each octant, which covers
+sign-threshold queries split along the coordinate planes).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -50,15 +50,16 @@ from .pconcept import (
     QuantumState,
     SingleQubitProjector,
     acceptance_probability,
+    bloch_matrix,
     distribution_support,
     f_value,
-    reduced_bloch,
     sample_outcome,
 )
 from .streams import substream
 
 _QUAD_ORDER = 6
 _BOUND_SLACK = 1e-9
+_PROBE_SEED = 2024
 
 
 class UnboundedQuery(ValueError):
@@ -147,11 +148,7 @@ class EmpiricalFromSamples(ResponsePolicy):
         if m is None:
             delta = self.delta_total / max(self.expected_queries, 1)
             m = math.ceil(2.0 * math.log(2.0 / delta) / (q.tau * q.tau))
-        total = 0.0
-        for _ in range(m):
-            e, y = oracle.sample_noisy_example(rng)
-            total += q.phi(e, y)
-        return total / m
+        return _sample_mean(q.phi, lambda: oracle.sample_noisy_example(rng), m)
 
 
 class DefaultAdversary:
@@ -169,12 +166,15 @@ class DefaultAdversary:
 class NoiseModel:
     """Base of the noise models (see the module docstring); by itself, no noise."""
 
-    def mean(self, f: float, f_mixed: float) -> float:
-        """Noisy outcome mean from the clean one and the mixed state's."""
+    def mean(self, f, f_mixed):
+        """Noisy outcome mean from the clean one and the mixed state's (elementwise)."""
         return f
 
-    def label_weights(self, engine: "_ExpectationEngine") -> list:
-        return engine.label_weights([self.mean(f, fm) for f, fm in zip(engine.f_clean, engine.f_mixed)])
+    def label_weights(self, atoms: "_Atoms") -> tuple:
+        """(measurements, accept, reject): per-atom weights of the outcomes +1
+        and -1 under this noise, so E[phi] = sum accept phi(E,1) + reject phi(E,-1)."""
+        mean = self.mean(atoms.f, atoms.f_mixed)
+        return atoms.measurements, 0.5 * atoms.weight * (1.0 + mean), 0.5 * atoms.weight * (1.0 - mean)
 
     def sample(self, state: QuantumState, distribution: MeasurementDistribution, rng):
         e = distribution.sample(rng)
@@ -205,6 +205,11 @@ class ClassificationNoise(NoiseModel):
     def mean(self, f, f_mixed):
         return (1.0 - 2.0 * self.eta) * f
 
+    def correct(self, noisy_answer: float) -> float:
+        """Invert the (1 - 2 eta) attenuation of a query's label-odd part; the
+        label-free part is not damped by label flips and must not be rescaled."""
+        return noisy_answer / (1.0 - 2.0 * self.eta)
+
     def sample(self, state, distribution, rng):
         e, y = super().sample(state, distribution, rng)
         if rng.random() < self.eta:
@@ -229,21 +234,23 @@ class MaliciousNoise(NoiseModel):
         if not 0 <= self.eta <= 1:
             raise ValueError(f"malicious noise rate must lie in [0, 1], got {self.eta}")
 
-    def label_weights(self, engine) -> list:
+    def label_weights(self, atoms) -> tuple:
+        measurements, accept, reject = super().label_weights(atoms)
         keep = 1.0 - self.eta
-        pairs = [(e, keep * wp, keep * wm) for e, wp, wm in super().label_weights(engine)]
         if self.corruption is None:
             # default corruption: E ~ D with a uniformly random label
-            pairs += [
-                (e, 0.5 * self.eta * w, 0.5 * self.eta * w)
-                for e, w in zip(engine.measurements, engine.weights)
-            ]
+            corrupted = atoms.measurements
+            bad_accept = bad_reject = 0.5 * self.eta * atoms.weight
         else:
-            pairs += [
-                (e, self.eta * float(w) if y == 1 else 0.0, self.eta * float(w) if y == -1 else 0.0)
-                for (e, y), w in self.corruption
-            ]
-        return pairs
+            corrupted = tuple(e for (e, _), _ in self.corruption)
+            labels = np.array([y for (_, y), _ in self.corruption])
+            bad = self.eta * np.array([float(w) for _, w in self.corruption])
+            bad_accept, bad_reject = np.where(labels == 1, bad, 0.0), np.where(labels == -1, bad, 0.0)
+        return (
+            measurements + corrupted,
+            np.concatenate([keep * accept, bad_accept]),
+            np.concatenate([keep * reject, bad_reject]),
+        )
 
     def sample(self, state, distribution, rng):
         if rng.random() < self.eta:
@@ -268,6 +275,10 @@ class DepolarizingNoise(NoiseModel):
 
     def mean(self, f, f_mixed):
         return (1.0 - self.eta) * f + self.eta * f_mixed
+
+    def correct(self, noisy_answer: float, phi_on_mixed: float) -> float:
+        """Recover phi[rho] from phi[(1-eta) rho + eta I/2^n] and phi[I/2^n]."""
+        return (noisy_answer - self.eta * phi_on_mixed) / (1.0 - self.eta)
 
     def sample(self, state, distribution, rng):
         # one uniform draw per example, against the noisy outcome mean
@@ -329,92 +340,89 @@ class OracleConfig:
 
 
 # ---------------------------------------------------------------------------
-# deterministic expectation engine
+# atom tables for deterministic expectations
 
 
-@lru_cache(maxsize=None)
-def _sphere_quadrature(order: int):
-    """Gauss-Legendre nodes/weights on the sphere, split into octant panels.
+@lru_cache(maxsize=16)
+def _haar_atoms(n: int):
+    """Quadrature atoms of the Haar product distribution, qubit-major and
+    shared across oracles: (projectors, weights, directions, qubits).
 
-    Splitting theta at pi/2 and phi at every quarter turn keeps sign-threshold
-    integrands smooth on each panel.  Weights sum to 1.
+    The nodes are Gauss-Legendre on the sphere, split into octant panels:
+    splitting theta at pi/2 and phi at every quarter turn keeps sign-threshold
+    integrands smooth on each panel.  The weights sum to 1.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, node_weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
     theta_panels = [(0.0, math.pi / 2), (math.pi / 2, math.pi)]
     phi_panels = [(k * math.pi / 2, (k + 1) * math.pi / 2) for k in range(4)]
     us = []
     ws = []
     for t0, t1 in theta_panels:
         th = 0.5 * (t1 - t0) * nodes + 0.5 * (t1 + t0)
-        wt = 0.5 * (t1 - t0) * weights
+        wt = 0.5 * (t1 - t0) * node_weights
         for p0, p1 in phi_panels:
             ph = 0.5 * (p1 - p0) * nodes + 0.5 * (p1 + p0)
-            wp = 0.5 * (p1 - p0) * weights
+            wp = 0.5 * (p1 - p0) * node_weights
             for t, w_t in zip(th, wt):
                 st, ct = math.sin(t), math.cos(t)
                 for p, w_p in zip(ph, wp):
                     us.append((math.cos(p) * st, math.sin(p) * st, ct))
                     ws.append(w_t * w_p * st / (4.0 * math.pi))
-    return tuple(us), tuple(ws)
+    weights = np.tile(np.array(ws) / n, n)
+    directions = np.tile(np.array(us), (n, 1))
+    qubits = np.repeat(np.arange(n), len(ws))
+    projectors = tuple(SingleQubitProjector(n, int(q), BlochVector(*u)) for q, u in zip(qubits, directions))
+    for array in (weights, directions, qubits):
+        array.setflags(write=False)
+    return projectors, weights, directions, qubits
+
+
+class _Atoms(NamedTuple):
+    """A distribution's atoms with f of one state and f_mixed of I/2^n at each."""
+
+    measurements: tuple
+    weight: np.ndarray
+    f: np.ndarray
+    f_mixed: np.ndarray
+
+
+def _atoms(state: QuantumState, distribution: MeasurementDistribution) -> _Atoms:
+    if isinstance(distribution, HaarSingleQubitProduct):
+        projectors, weights, u, qubits = _haar_atoms(state.n)
+        b = bloch_matrix(state)[qubits]
+        f = u[:, 0] * b[:, 0] + u[:, 1] * b[:, 1] + u[:, 2] * b[:, 2]
+        return _Atoms(projectors, weights, f, np.zeros_like(f))
+    support = distribution_support(distribution)
+    measurements = tuple(e for e, _ in support)
+    mixed = MaximallyMixed(state.n)
+    return _Atoms(
+        measurements,
+        np.array([float(w) for _, w in support]),
+        np.array([float(f_value(state, e)) for e in measurements]),
+        np.array([float(f_value(mixed, e)) for e in measurements]),
+    )
 
 
 @lru_cache(maxsize=16)
-def _haar_atoms(n: int):
-    """Quadrature measurements for the Haar product distribution, shared
-    across oracles: (projector, weight/n, direction) per qubit and node."""
-    us, ws = _sphere_quadrature(_QUAD_ORDER)
-    atoms = []
-    for q in range(n):
-        for u, w in zip(us, ws):
-            atoms.append((SingleQubitProjector(n, q, BlochVector(*u)), w / n, u))
-    return tuple(atoms)
+def _mixed_label_table(distribution: MeasurementDistribution, n: int) -> tuple:
+    return NoNoise().label_weights(_atoms(MaximallyMixed(n), distribution))
 
 
-class _ExpectationEngine:
-    """Deterministic atoms (measurement, weight, f) for a fixed state and
-    distribution: E[phi] = sum_atoms w (phi(E,1)(1+f) + phi(E,-1)(1-f))/2."""
-
-    def __init__(self, state: QuantumState, distribution: MeasurementDistribution):
-        self.measurements: list[Measurement] = []
-        self.weights: list[float] = []
-        self.f_clean: list[float] = []
-        self.f_mixed: list[float] = []
-        n = state.n
-        if isinstance(distribution, HaarSingleQubitProduct):
-            blochs = [reduced_bloch(state, q) for q in range(n)]
-            for e, w, (ux, uy, uz) in _haar_atoms(n):
-                bx, by, bz = blochs[e.qubit]
-                self.measurements.append(e)
-                self.weights.append(w)
-                self.f_clean.append(ux * bx + uy * by + uz * bz)
-                self.f_mixed.append(0.0)
-        else:
-            mixed = MaximallyMixed(n)
-            for e, w in distribution_support(distribution):
-                self.measurements.append(e)
-                self.weights.append(float(w))
-                self.f_clean.append(float(f_value(state, e)))
-                self.f_mixed.append(float(f_value(mixed, e)))
-
-    def label_weights(self, fs) -> list:
-        """Per-atom (measurement, accept-weight, reject-weight) for given outcome means."""
-        return [
-            (e, 0.5 * w * (1.0 + f), 0.5 * w * (1.0 - f))
-            for e, w, f in zip(self.measurements, self.weights, fs)
-        ]
+def _evaluate(table, phi) -> float:
+    """sum_atoms accept phi(E, 1) + reject phi(E, -1): phi called atom by atom, the terms
+    summed in atom order from 0.0 as a loop would (np.sum and np.dot add pairwise)."""
+    measurements, accept, reject = table
+    values = np.fromiter((v for e in measurements for v in (phi(e, 1), phi(e, -1))), float, 2 * len(measurements))
+    return float(np.cumsum(accept * values[0::2] + reject * values[1::2])[-1] + 0.0)
 
 
-def _evaluate(pairs, phi) -> float:
+def _sample_mean(phi, draw: Callable[[], tuple], m: int) -> float:
+    """Mean of phi over m examples (E, y) from draw(), as a running total in
+    draw order (sum() compensates rounding from Python 3.12 on)."""
     total = 0.0
-    for e, wp, wm in pairs:
-        total += wp * phi(e, 1) + wm * phi(e, -1)
-    return total
-
-
-@lru_cache(maxsize=16)
-def _mixed_reference_pairs(distribution: MeasurementDistribution, n: int):
-    engine = _ExpectationEngine(MaximallyMixed(n), distribution)
-    return engine.label_weights(engine.f_clean)
+    for _ in range(m):
+        total += phi(*draw())
+    return total / m
 
 
 def expectation_on_maximally_mixed(
@@ -431,14 +439,10 @@ def expectation_on_maximally_mixed(
     mixed-state outcome law).
     """
     if samples is None:
-        return _evaluate(_mixed_reference_pairs(distribution, n), phi)
+        return _evaluate(_mixed_label_table(distribution, n), phi)
     mixed = MaximallyMixed(n)
     rng = rng if rng is not None else np.random.default_rng(0)
-    total = 0.0
-    for _ in range(samples):
-        e = distribution.sample(rng)
-        total += phi(e, sample_outcome(mixed, e, rng))
-    return total / samples
+    return _sample_mean(phi, lambda: NoNoise().sample(mixed, distribution, rng), samples)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +462,6 @@ class StatisticalQueryOracle:
         state: QuantumState,
         distribution: MeasurementDistribution,
         config: OracleConfig = OracleConfig(),
-        probe_seed: int = 2024,
         transcript_path: Optional[str] = None,
     ):
         if state.n != distribution.n:
@@ -471,8 +474,8 @@ class StatisticalQueryOracle:
         self.transcript: list[dict] = []
         self._transcript_path = transcript_path
         self._count = 0
-        self._pairs: Optional[list] = None
-        self._probe_rng = substream(probe_seed, "probe")
+        self._table: Optional[tuple] = None
+        self._probe_rng = substream(_PROBE_SEED, "probe")
         self._policy_rng = config.policy.stream()
 
     @property
@@ -495,17 +498,12 @@ class StatisticalQueryOracle:
                 if not -1.0 - _BOUND_SLACK <= v <= 1.0 + _BOUND_SLACK:
                     raise UnboundedQuery(f"query returned {v} at a probe point")
 
-    def _get_pairs(self) -> list:
-        """Per-atom (measurement, accept, reject) weights with the noise model
-        folded in, so each query costs two phi calls per atom and nothing else."""
-        if self._pairs is None:
-            engine = _ExpectationEngine(self._state, self._distribution)
-            self._pairs = self.config.noise.label_weights(engine)
-        return self._pairs
-
     def true_noisy_expectation(self, phi) -> float:
-        """E[phi] under the configured noise model, computed deterministically."""
-        return _evaluate(self._get_pairs(), phi)
+        """E[phi] under the configured noise model, computed deterministically
+        from the atom table, which is built on the first call."""
+        if self._table is None:
+            self._table = self.config.noise.label_weights(_atoms(self._state, self._distribution))
+        return _evaluate(self._table, phi)
 
     def sample_noisy_example(self, rng):
         """One (E, y) example drawn under the configured noise model."""
@@ -529,21 +527,13 @@ class StatisticalQueryOracle:
 
 
 def correct_classification(noisy_answer: float, eta: float) -> float:
-    """Invert the (1 - 2 eta) attenuation on the label-dependent part of a query.
-
-    Only the Y-odd part of a query is damped by label flips; the label-free
-    part passes through untouched and must not be rescaled.
-    """
-    if not 0 <= eta < 0.5:
-        raise ValueError(f"classification noise rate must lie in [0, 1/2), got {eta}")
-    return noisy_answer / (1.0 - 2.0 * eta)
+    """ClassificationNoise(eta).correct: undo the label-flip attenuation."""
+    return ClassificationNoise(eta).correct(noisy_answer)
 
 
 def correct_depolarizing(noisy_answer: float, phi_on_mixed: float, eta: float) -> float:
-    """Recover phi[rho] from phi[(1-eta) rho + eta I/2^n] and phi[I/2^n]."""
-    if not 0 <= eta < 1:
-        raise ValueError(f"depolarizing rate must lie in [0, 1), got {eta}")
-    return (noisy_answer - eta * phi_on_mixed) / (1.0 - eta)
+    """DepolarizingNoise(eta).correct: recover phi[rho] from the depolarized answer."""
+    return DepolarizingNoise(eta).correct(noisy_answer, phi_on_mixed)
 
 
 def absorb_bounded_channel(tau_requested: float, eta: float) -> float:
@@ -552,13 +542,7 @@ def absorb_bounded_channel(tau_requested: float, eta: float) -> float:
     A bounded channel moves any query expectation by at most 2 eta, so a
     noisy answer within tau - 2 eta is a clean answer within tau.
     """
-    if eta < 0:
-        raise ValueError("diamond bound must be nonnegative")
-    if not tau_requested > 2.0 * eta:
-        raise ToleranceExhausted(
-            f"tolerance {tau_requested} cannot absorb channel noise 2*{eta}"
-        )
-    return tau_requested - 2.0 * eta
+    return BoundedChannelAbsorbingOracle(None, eta).tightened(tau_requested)
 
 
 class _WrapperOracle:
@@ -593,9 +577,8 @@ class ClassificationCorrectedOracle(_WrapperOracle):
     """
 
     def __init__(self, inner, eta: float):
-        if not 0 <= eta < 0.5:
-            raise ValueError(f"classification noise rate must lie in [0, 1/2), got {eta}")
         super().__init__(inner)
+        self.noise = ClassificationNoise(eta)
         self.eta = eta
 
     def query(self, q: SQQuery) -> float:
@@ -604,7 +587,7 @@ class ClassificationCorrectedOracle(_WrapperOracle):
         even = self.inner.query(SQQuery(lambda e, y: 0.5 * (phi(e, 1) + phi(e, -1)), sub_tau))
         odd = self.inner.query(SQQuery(lambda e, y: 0.5 * y * (phi(e, 1) - phi(e, -1)), sub_tau))
         self._count += 1
-        return even + correct_classification(odd, self.eta)
+        return even + self.noise.correct(odd)
 
 
 class DepolarizingCorrectedOracle(_WrapperOracle):
@@ -616,9 +599,8 @@ class DepolarizingCorrectedOracle(_WrapperOracle):
     """
 
     def __init__(self, inner, eta: float, mixed_samples: Optional[int] = None, seed: int = 0):
-        if not 0 <= eta < 1:
-            raise ValueError(f"depolarizing rate must lie in [0, 1), got {eta}")
         super().__init__(inner)
+        self.noise = DepolarizingNoise(eta)
         self.eta = eta
         self.mixed_samples = mixed_samples
         self._rng = substream(seed, "mixed-reference")
@@ -630,24 +612,46 @@ class DepolarizingCorrectedOracle(_WrapperOracle):
             q.phi, self.distribution, self.n, samples=self.mixed_samples, rng=self._rng
         )
         self._count += 1
-        return correct_depolarizing(noisy, phi_mixed, self.eta)
+        return self.noise.correct(noisy, phi_mixed)
 
 
-class BoundedChannelAbsorbingOracle(_WrapperOracle):
-    """Tightens every tolerance by twice the declared diamond bound and
-    forwards the answer unchanged."""
+class _AbsorbingOracle(_WrapperOracle):
+    """Tightens every tolerance by a fixed margin, the most the noise can move
+    an expectation, and forwards the answer unchanged."""
 
-    def __init__(self, inner, eta_diamond: float):
+    def __init__(self, inner, margin: float):
+        if not margin >= 0:
+            raise ValueError(f"noise margin must be nonnegative, got {margin}")
         super().__init__(inner)
-        self.eta_diamond = eta_diamond
+        self.margin = margin
+
+    def tightened(self, tau: float) -> float:
+        if not tau > self.margin:
+            raise ToleranceExhausted(f"tolerance {tau} cannot absorb the noise margin {self.margin}")
+        return tau - self.margin
 
     def query(self, q: SQQuery) -> float:
-        tightened = absorb_bounded_channel(q.tau, self.eta_diamond)
+        tau = self.tightened(q.tau)
         self._count += 1
-        return self.inner.query(SQQuery(q.phi, tightened))
+        return self.inner.query(SQQuery(q.phi, tau))
 
 
-class MaliciousAbsorbingOracle(_WrapperOracle):
+class BoundedChannelAbsorbingOracle(_AbsorbingOracle):
+    """Tightens every tolerance by 2 eta_diamond and forwards the answer.
+
+    The margin is exact for the halved convention, eta_diamond >= (1/2)
+    ||Phi(rho) - rho||_1: an acceptance probability then moves by at most
+    eta_diamond and a query bounded by 1 by at most 2 eta_diamond.  Under the
+    trace-norm convention, ||Phi - id||_<> <= eta_diamond, a query moves by
+    at most eta_diamond, so there the margin is conservative by a factor 2.
+    """
+
+    def __init__(self, inner, eta_diamond: float):
+        super().__init__(inner, 2.0 * eta_diamond)
+        self.eta_diamond = eta_diamond
+
+
+class MaliciousAbsorbingOracle(_AbsorbingOracle):
     """Tightens every tolerance by the malicious rate and forwards the answer.
 
     Sound when the corruption keeps the measurement marginal (label-only
@@ -657,16 +661,8 @@ class MaliciousAbsorbingOracle(_WrapperOracle):
     """
 
     def __init__(self, inner, eta: float):
-        super().__init__(inner)
+        super().__init__(inner, eta)
         self.eta = eta
-
-    def query(self, q: SQQuery) -> float:
-        if not q.tau > self.eta:
-            raise ToleranceExhausted(
-                f"tolerance {q.tau} cannot absorb malicious noise {self.eta}"
-            )
-        self._count += 1
-        return self.inner.query(SQQuery(q.phi, q.tau - self.eta))
 
 
 # ---------------------------------------------------------------------------
@@ -692,19 +688,11 @@ def draw_validation_set(
     distribution: MeasurementDistribution,
     size: int,
     rng,
-    mean_labels: bool = True,
 ) -> list[tuple[Measurement, float]]:
-    """Labeled holdout examples for hypothesis selection.
-
-    With mean_labels=True each measurement carries its exact conditional mean
-    f_rho(E) (the idealized example form); otherwise a sampled +-1 outcome.
-    """
-    out = []
-    for _ in range(size):
-        e = distribution.sample(rng)
-        label = float(f_value(state, e)) if mean_labels else float(sample_outcome(state, e, rng))
-        out.append((e, label))
-    return out
+    """Labeled holdout examples for hypothesis selection: each measurement
+    carries its exact conditional mean f_rho(E) (the idealized example form)."""
+    measurements = [distribution.sample(rng) for _ in range(size)]
+    return [(e, float(f_value(state, e))) for e in measurements]
 
 
 def _empirical_squared_loss(validation) -> Callable[[QuantumState], float]:
@@ -718,8 +706,7 @@ def _empirical_squared_loss(validation) -> Callable[[QuantumState], float]:
     labels = np.fromiter((y for _, y in validation), dtype=float)
 
     def loss(state: QuantumState) -> float:
-        bloch = np.array([reduced_bloch(state, q) for q in range(state.n)], dtype=float)
-        f = np.einsum("ij,ij->i", axes, bloch[qubits])
+        f = np.einsum("ij,ij->i", axes, bloch_matrix(state)[qubits])
         return float(np.mean((f - labels) ** 2))
 
     return loss
@@ -735,8 +722,7 @@ def eta_grid_search(
     return the (guess, hypothesis) pair with the smallest empirical squared
     loss on the validation set.  Ties break toward the smaller guess.
     """
-    if not 0 <= eta_upper < 1:
-        raise ValueError(f"eta_upper must lie in [0, 1), got {eta_upper}")
+    DepolarizingNoise(eta_upper)  # the guesses are depolarizing rates: check the range
     if eta_upper > 0 and not delta_grid > 0:
         raise ValueError("grid step must be positive")
     if not validation:

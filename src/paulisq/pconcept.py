@@ -346,7 +346,8 @@ class MonteCarloEstimate:
         return self.value
 
 
-def _bloch_matrix(state: QuantumState) -> np.ndarray:
+def bloch_matrix(state: QuantumState) -> np.ndarray:
+    """The reduced Bloch vectors of every qubit, as the rows of an n x 3 float array."""
     return np.array([reduced_bloch(state, i) for i in range(state.n)], dtype=float)
 
 
@@ -387,8 +388,8 @@ def _mc_f_arrays(rho, sigma, d, mode):
     if isinstance(d, HaarSingleQubitProduct):
         qubits = rng.integers(0, d.n, size=m)
         u = haar_directions(rng, m)
-        fr = np.einsum("ij,ij->i", u, _bloch_matrix(rho)[qubits])
-        fs = np.einsum("ij,ij->i", u, _bloch_matrix(sigma)[qubits])
+        fr = np.einsum("ij,ij->i", u, bloch_matrix(rho)[qubits])
+        fs = np.einsum("ij,ij->i", u, bloch_matrix(sigma)[qubits])
         return fr, fs
     fr = np.empty(m)
     fs = np.empty(m)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -64,20 +65,26 @@ class ConceptClass:
     def __len__(self) -> int:
         return len(self.concepts)
 
+    @cached_property
+    def matrix(self) -> tuple:
+        """Pairwise inner products <c_i, c_j>_D, exact where the states allow;
+        computed on first use, one inner product per unordered pair."""
+        k = len(self)
+        pair = self.inner if self.inner is not None else (
+            lambda a, b, d: inner_product(a, b, d, EXACT)
+        )
+        mat = [[None] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                value = pair(self.concepts[i], self.concepts[j], self.distribution)
+                mat[i][j] = value
+                mat[j][i] = value
+        return tuple(tuple(row) for row in mat)
 
-def correlation_matrix(cls: ConceptClass):
-    """Pairwise inner products <c_i, c_j>_D, exact where the states allow."""
-    k = len(cls)
-    pair = cls.inner if cls.inner is not None else (
-        lambda a, b, d: inner_product(a, b, d, EXACT)
-    )
-    mat = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            value = pair(cls.concepts[i], cls.concepts[j], cls.distribution)
-            mat[i][j] = value
-            mat[j][i] = value
-    return mat
+
+def correlation_matrix(cls: ConceptClass) -> tuple:
+    """The class's correlation matrix, rows of <c_i, c_j>_D (see ConceptClass.matrix)."""
+    return cls.matrix
 
 
 def average_correlation(cls: ConceptClass):
@@ -137,7 +144,7 @@ def sda_exact(cls: ConceptClass, gamma, sweep_limit: int = SDA_SWEEP_LIMIT) -> S
             raise BudgetExceeded(
                 f"class size {k} exceeds sweep budget and gamma <= max pair correlation"
             )
-        return sda_bound(cls, gamma_pair, kappa, gamma_prime, _matrix=mat)
+        return sda_bound(cls, gamma_pair, kappa, gamma_prime)
     abs_mat = [[abs(v) for v in row] for row in mat]
     max_violator = 0
     witness = None
@@ -167,7 +174,7 @@ def sda_exact(cls: ConceptClass, gamma, sweep_limit: int = SDA_SWEEP_LIMIT) -> S
     )
 
 
-def sda_bound(cls: ConceptClass, gamma_pair, kappa, gamma_prime, _matrix=None) -> SDAReport:
+def sda_bound(cls: ConceptClass, gamma_pair, kappa, gamma_prime) -> SDAReport:
     """Certified lower bound |C| gamma' / (kappa - gamma_pair) on the dimension
     at threshold gamma_pair + gamma', valid whenever every off-diagonal
     correlation is at most gamma_pair and every squared norm at most kappa.
@@ -176,7 +183,7 @@ def sda_bound(cls: ConceptClass, gamma_pair, kappa, gamma_prime, _matrix=None) -
     """
     if not gamma_prime > 0:
         raise ValueError("gamma_prime must be positive")
-    mat = _matrix if _matrix is not None else correlation_matrix(cls)
+    mat = correlation_matrix(cls)
     k = len(cls)
     for i in range(k):
         if mat[i][i] > kappa:

@@ -296,3 +296,60 @@ def test_every_table_kind_parses_from_the_command_line():
     for kind in POLICY_KINDS:
         config = config_from_args(parser.parse_args(["learn-product", "--policy", kind]))
         assert policy_from_descriptor(config.policy, 0) is not None
+
+
+def _lpn_file(tmp_path, n, m, eta, seed):
+    from paulisq.learners import generate_lpn_instance, lpn_instance_to_json
+    from paulisq.streams import substream
+
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(lpn_instance_to_json(generate_lpn_instance(n, m, eta, substream(seed, "fixture")))))
+    return str(path)
+
+
+def test_lpn_file_is_read_once_and_jobs_agree(tmp_path, monkeypatch, capsys):
+    import paulisq.cli as cli
+
+    path = _lpn_file(tmp_path, 8, 200, 0.1, 63)
+    loads = []
+    original = cli.lpn_instance_from_json
+    monkeypatch.setattr(cli, "lpn_instance_from_json", lambda data: loads.append(1) or original(data))
+    bodies = []
+    for jobs in ("1", "2"):
+        main(["lpn", "--lpn-file", path, "--trials", "5", "--jobs", jobs])
+        bodies.append({k: v for k, v in json.loads(capsys.readouterr().out).items() if k in ("results", "assertions")})
+        if jobs == "1":
+            assert len(loads) == 1
+    assert bodies[0] == bodies[1]
+
+
+def test_lpn_file_rate_decides_the_recovery_assertion(tmp_path, capsys):
+    # at eta = 0.47 recovery is not claimed, whether the rate comes from a flag or a file
+    path = _lpn_file(tmp_path, 8, 400, 0.47, 64)
+    assert main(["lpn", "--lpn-file", path, "--trials", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [a["name"] for a in report["assertions"]] == ["round_trip_bijection"]
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["learn-product", "--noise", "classification", "--eta", "0.1", "--grid-search"], None, "grid_search runs only"),
+        (["lpn", "--grid-search"], None, "grid_search runs only"),
+        (["learn-product", "--target", "basis", "--noise", "depolarizing", "--eta", "0.3", "--grid-search"],
+         None, "grid_search runs only"),
+        (["learn-product"], {"noise": {"kind": "depolarizing", "eta": 0.3}, "grid_search": True, "eta_upper": 1.0},
+         "eta_upper must lie in [0, 1)"),
+        (["learn-product"], {"noise": {"kind": "depolarizing", "eta": 0.3}, "eta_upper": 0.5}, "needs grid_search"),
+    ],
+    ids=["classification", "lpn", "basis-target", "eta-upper-1", "eta-upper-without-search"],
+)
+def test_grid_search_options_only_where_a_search_runs(argv, data, message, tmp_path, capsys):
+    if data is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data))
+        argv = argv + ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err.splitlines()[-1]

@@ -15,6 +15,7 @@ from paulisq.learners import (
     LPNInstance,
     PromiseViolation,
     _axis_sign_query,
+    _walsh_hadamard_inplace,
     decode_state_learning_dataset,
     exhaustive_lpn_solver,
     gaussian_elimination_parity,
@@ -361,6 +362,38 @@ def test_exhaustive_solver_empty_instance_ties_everything():
     ml = exhaustive_lpn_solver(instance)
     assert ml.disagreements == 0
     assert len(ml.ties) == 16
+
+
+def _walsh_hadamard_block_loop(v):
+    """The per-block loop the reshape butterfly replaced, kept as its reference."""
+    h = 1
+    m = len(v)
+    while h < m:
+        for start in range(0, m, 2 * h):
+            a = v[start : start + h].copy()
+            b = v[start + h : start + 2 * h].copy()
+            v[start : start + h] = a + b
+            v[start + h : start + 2 * h] = a - b
+        h *= 2
+
+
+def test_walsh_hadamard_matches_block_loop_for_every_n_up_to_20():
+    rng = np.random.default_rng(61)
+    for n in range(21):
+        v = rng.integers(-1000, 1000, size=1 << n, dtype=np.int64)
+        want, got = v.copy(), v.copy()
+        _walsh_hadamard_block_loop(want)
+        _walsh_hadamard_inplace(got)
+        assert np.array_equal(got, want), n
+
+
+def test_exhaustive_solver_matches_per_candidate_count_with_repeated_examples():
+    # 200 examples on 6 bits repeat example vectors, so the histogram sums
+    instance = generate_lpn_instance(6, 200, 0.2, substream(62, "repeats"))
+    counts = [sum(((x & y).bit_count() & 1) != b for x, b in instance.examples) for y in range(64)]
+    ml = exhaustive_lpn_solver(instance)
+    assert ml.disagreements == min(counts)
+    assert ml.ties == tuple(y for y in range(64) if counts[y] == min(counts))
 
 
 def test_exhaustive_solver_budget():

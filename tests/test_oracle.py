@@ -575,3 +575,50 @@ def test_noise_models_pick_the_learner_oracle():
     bounded = BoundedChannelNoise(0.02, DepolarizingNoise(0.01)).learner_oracle(inner)
     assert isinstance(bounded, BoundedChannelAbsorbingOracle)
     assert (bounded.inner, bounded.eta_diamond) == (inner, 0.02)
+
+
+@pytest.mark.parametrize("distribution", [UniformPauli(2), HaarSingleQubitProduct(2)], ids=["pauli", "haar"])
+@pytest.mark.parametrize(
+    "noise",
+    [
+        NoNoise(),
+        ClassificationNoise(0.2),
+        MaliciousNoise(0.3),
+        MaliciousNoise(0.25, (((PauliMeasurement(PauliOperator.from_string("ZX")), -1), 0.4),
+                              ((PauliMeasurement(PauliOperator.from_string("IZ")), 1), 0.6))),
+        DepolarizingNoise(0.4),
+        BoundedChannelNoise(0.02, DepolarizingNoise(0.01)),
+    ],
+    ids=["none", "classification", "malicious", "malicious-custom", "depolarizing", "bounded"],
+)
+def test_exact_answer_is_the_running_sum_of_the_atom_table(distribution, noise):
+    from paulisq.oracle import _atoms
+    from paulisq.pconcept import f_value
+
+    rng = substream(65, "table")
+    state = ProductState(tuple(BlochVector(*(v / np.linalg.norm(v) * 0.7)) for v in rng.normal(size=(2, 3))))
+    other = ProductState(tuple(BlochVector(*(v / np.linalg.norm(v))) for v in rng.normal(size=(2, 3))))
+
+    def phi(e, y):
+        return 0.25 + 0.5 * y * float(f_value(other, e))
+
+    oracle = StatisticalQueryOracle(state, distribution, OracleConfig(ExactPolicy(), noise))
+    total = 0.0
+    for e, accept, reject in zip(*noise.label_weights(_atoms(state, distribution))):
+        total += accept * phi(e, 1) + reject * phi(e, -1)
+    assert oracle.true_noisy_expectation(phi) == total
+
+
+def test_rates_and_margins_are_checked_when_a_wrapper_is_built():
+    from paulisq.oracle import MaliciousAbsorbingOracle
+
+    inner = StatisticalQueryOracle(KET0, POINT_MASS_Z)
+    for build in (
+        lambda: ClassificationCorrectedOracle(inner, 0.5),
+        lambda: DepolarizingCorrectedOracle(inner, 1.0),
+        lambda: BoundedChannelAbsorbingOracle(inner, -0.01),
+        lambda: MaliciousAbsorbingOracle(inner, -0.1),
+        lambda: absorb_bounded_channel(0.1, -0.01),
+    ):
+        with pytest.raises(ValueError):
+            build()

@@ -198,3 +198,19 @@ def test_sweep_budget_falls_back_to_bound():
     report = sda_exact(cls, Fraction(1, 4), sweep_limit=16)
     assert report.is_lower_bound
     assert report.sda_value == 60
+
+
+def test_correlation_matrix_is_computed_once_per_class():
+    calls = []
+
+    def inner(a, b, d):
+        calls.append((a, b))
+        return Fraction(1) if a == b else Fraction(1, 8)
+
+    k = 5
+    cls = ConceptClass(tuple(range(k)), UniformPauli(1), inner=inner)
+    average_correlation(cls)
+    sda_bound(cls, Fraction(1, 8), Fraction(1), Fraction(1, 8))
+    sda_exact(cls, Fraction(1, 2))
+    assert len(calls) == k * (k + 1) // 2
+    assert correlation_matrix(cls) is correlation_matrix(cls)
