@@ -115,6 +115,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         # an --lpn-file instance is read here, so its size is checked like --n
         self.lpn_instance = None if self.lpn_file is None else _load_lpn_instance(self.lpn_file)
+        if self.lpn_instance is not None and not self.lpn_instance.examples:
+            raise ValueError(f"LPN instance {self.lpn_file} has no examples")
         n, top, what = self.n, MAX_N.get(self.experiment), self.experiment
         if self.experiment == "learn-product" and self.target == "basis":
             top, what = 64, "basis target"

@@ -27,11 +27,14 @@ Expectations are computed deterministically from an atom table: the
 support of a finite distribution, or per-panel Gauss-Legendre quadrature
 over the sphere for Haar single-qubit measurement distributions (exact to
 roughly 1e-9 for queries that are smooth on each octant, which covers
-sign-threshold queries split along the coordinate planes).
+sign-threshold queries split along the coordinate planes).  Every query is
+evaluated in one place, `_values`, which checks |phi| <= 1 on each value an
+answer uses (each pair (E, y) of the table, or each drawn example).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -59,11 +62,10 @@ from .streams import substream
 
 _QUAD_ORDER = 6
 _BOUND_SLACK = 1e-9
-_PROBE_SEED = 2024
 
 
 class UnboundedQuery(ValueError):
-    """A query function strayed outside [-1, 1] on a probe point."""
+    """A query returned a value outside [-1, 1], or NaN, that its answer uses."""
 
 
 class ToleranceExhausted(ValueError):
@@ -403,26 +405,38 @@ def _atoms(state: QuantumState, distribution: MeasurementDistribution) -> _Atoms
     )
 
 
+def _label_table(state: QuantumState, distribution: MeasurementDistribution, noise: NoiseModel) -> tuple:
+    """label_weights' table with each atom E as its pairs (E, 1), (E, -1), in phi's call order."""
+    measurements, accept, reject = noise.label_weights(_atoms(state, distribution))
+    return tuple((e, y) for e in measurements for y in (1, -1)), accept, reject
+
+
 @lru_cache(maxsize=16)
 def _mixed_label_table(distribution: MeasurementDistribution, n: int) -> tuple:
-    return NoNoise().label_weights(_atoms(MaximallyMixed(n), distribution))
+    return _label_table(MaximallyMixed(n), distribution, NoNoise())
+
+
+def _values(phi, pairs, count: int) -> np.ndarray:
+    """phi at `count` pairs (E, y) in order, each checked against |phi| <= 1 (NaN fails)."""
+    values = np.fromiter(itertools.starmap(phi, pairs), float, count)
+    outside = ~(np.abs(values) <= 1.0 + _BOUND_SLACK)
+    if outside.any():
+        raise UnboundedQuery(f"query returned {values[outside][0]}, outside [-1, 1]")
+    return values
 
 
 def _evaluate(table, phi) -> float:
-    """sum_atoms accept phi(E, 1) + reject phi(E, -1): phi called atom by atom, the terms
-    summed in atom order from 0.0 as a loop would (np.sum and np.dot add pairwise)."""
-    measurements, accept, reject = table
-    values = np.fromiter((v for e in measurements for v in (phi(e, 1), phi(e, -1))), float, 2 * len(measurements))
+    """sum_atoms accept phi(E, 1) + reject phi(E, -1), the terms summed in atom
+    order from 0.0 as a loop would (np.sum and np.dot add pairwise)."""
+    pairs, accept, reject = table
+    values = _values(phi, pairs, len(pairs))
     return float(np.cumsum(accept * values[0::2] + reject * values[1::2])[-1] + 0.0)
 
 
 def _sample_mean(phi, draw: Callable[[], tuple], m: int) -> float:
-    """Mean of phi over m examples (E, y) from draw(), as a running total in
-    draw order (sum() compensates rounding from Python 3.12 on)."""
-    total = 0.0
-    for _ in range(m):
-        total += phi(*draw())
-    return total / m
+    """Mean of phi over m examples (E, y) streamed from draw(), as a running total
+    in draw order (sum() compensates rounding from Python 3.12 on)."""
+    return float(np.cumsum(_values(phi, (draw() for _ in range(m)), m))[-1] + 0.0) / m
 
 
 def expectation_on_maximally_mixed(
@@ -475,7 +489,6 @@ class StatisticalQueryOracle:
         self._transcript_path = transcript_path
         self._count = 0
         self._table: Optional[tuple] = None
-        self._probe_rng = substream(_PROBE_SEED, "probe")
         self._policy_rng = config.policy.stream()
 
     @property
@@ -490,19 +503,11 @@ class StatisticalQueryOracle:
     def query_count(self) -> int:
         return self._count
 
-    def _probe_boundedness(self, phi):
-        for _ in range(8):
-            e = self._distribution.sample(self._probe_rng)
-            for y in (1, -1):
-                v = phi(e, y)
-                if not -1.0 - _BOUND_SLACK <= v <= 1.0 + _BOUND_SLACK:
-                    raise UnboundedQuery(f"query returned {v} at a probe point")
-
     def true_noisy_expectation(self, phi) -> float:
         """E[phi] under the configured noise model, computed deterministically
         from the atom table, which is built on the first call."""
         if self._table is None:
-            self._table = self.config.noise.label_weights(_atoms(self._state, self._distribution))
+            self._table = _label_table(self._state, self._distribution, self.config.noise)
         return _evaluate(self._table, phi)
 
     def sample_noisy_example(self, rng):
@@ -511,7 +516,6 @@ class StatisticalQueryOracle:
 
     def query(self, q: SQQuery) -> float:
         """Answer within tau of the noisy expectation, per the response policy."""
-        self._probe_boundedness(q.phi)
         answer = self.config.policy.answer(self, q, self._policy_rng)
         self._count += 1
         row = {"query": self._count, "tau": q.tau, "answer": answer}

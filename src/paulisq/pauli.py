@@ -100,10 +100,6 @@ class PauliOperator:
         letters = "".join(self.kind(i) for i in range(self.n))
         return ("+" if self.sign > 0 else "-") + letters
 
-    def phase_exponent(self) -> int:
-        """Exponent k with  self == i^k * X^x Z^z  (letter form absorbs i per Y)."""
-        return ((0 if self.sign > 0 else 2) + (self.x & self.z).bit_count()) % 4
-
 
 @dataclass(frozen=True)
 class PhasedPauli:

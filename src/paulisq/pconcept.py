@@ -63,9 +63,6 @@ class BlochVector:
         return cls(float(x), float(y), float(z))
 
 
-ZERO_BLOCH = BlochVector(0.0, 0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class StabilizerState:
     group: StabilizerGroup

@@ -259,6 +259,21 @@ def test_lpn_file_is_checked_at_the_boundary(content, message, tmp_path, capsys)
     assert err.splitlines()[-1].startswith("paulisq") and message in err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.1], ids=["noiseless", "noisy"])
+def test_empty_lpn_file_is_a_usage_error(eta, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 3, "eta": eta, "examples": []}))
+    message = f"LPN instance {path} has no examples"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(experiment="lpn", lpn_file=str(path))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lpn", "--lpn-file", str(path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if message in line] == [err.splitlines()[-1]]
+
+
 def test_cli_noise_none_needs_no_eta():
     args = build_parser().parse_args(["learn-product", "--noise", "none"])
     assert config_from_args(args).noise == {"kind": "none", "eta": 0.0}

@@ -290,6 +290,76 @@ def test_unbounded_query_rejected():
         SQQuery(label_query, 0.0)
 
 
+E_X = PauliMeasurement(PauliOperator.from_string("X"))
+RARE_X = FiniteWeighted(((E_Z, 0.999999), (E_X, 0.000001)))
+# half of every noisy draw is the example (X, +1), which D itself never yields
+CORRUPT_TO_X = MaliciousNoise(0.5, (((E_X, 1), 1.0),))
+
+
+def _spike(value):
+    """A query inside [-1, 1] except on the measurement X, where it returns `value`."""
+    return lambda e, y: value if e == E_X else 0.5 * y
+
+
+def _assert_rejected_without_a_trace(distribution, config, phi, tmp_path):
+    sink = tmp_path / "transcript.jsonl"
+    oracle = StatisticalQueryOracle(KET0, distribution, config, transcript_path=str(sink))
+    with pytest.raises(UnboundedQuery):
+        oracle.query(SQQuery(phi, 0.1))
+    assert oracle.query_count == 0
+    assert oracle.transcript == []
+    assert not sink.exists()
+    oracle.query(SQQuery(label_query, 0.1))
+    assert oracle.query_count == 1
+    assert [row["query"] for row in oracle.transcript] == [1]
+
+
+@pytest.mark.parametrize("value", [5.0, math.nan], ids=["five", "nan"])
+@pytest.mark.parametrize(
+    "policy",
+    [ExactPolicy(), RandomWithinTau(seed=3), AdversarialCallback(DefaultAdversary())],
+    ids=["exact", "within-tau", "adversarial"],
+)
+def test_unbounded_query_rejected_on_a_rare_atom(policy, value, tmp_path):
+    _assert_rejected_without_a_trace(RARE_X, OracleConfig(policy, NoNoise()), _spike(value), tmp_path)
+
+
+@pytest.mark.parametrize("value", [5.0, math.nan], ids=["five", "nan"])
+@pytest.mark.parametrize(
+    "policy", [ExactPolicy(), EmpiricalFromSamples(samples=50, seed=4)], ids=["exact", "empirical"]
+)
+def test_unbounded_query_rejected_on_a_corruption_atom(policy, value, tmp_path):
+    _assert_rejected_without_a_trace(POINT_MASS_Z, OracleConfig(policy, CORRUPT_TO_X), _spike(value), tmp_path)
+
+
+@pytest.mark.parametrize("value", [5.0, math.nan], ids=["five", "nan"])
+def test_mixed_reference_rejects_an_unbounded_query(value):
+    with pytest.raises(UnboundedQuery):
+        expectation_on_maximally_mixed(_spike(value), RARE_X, 1)
+    half_x = FiniteWeighted(((E_Z, 0.5), (E_X, 0.5)))
+    with pytest.raises(UnboundedQuery):
+        expectation_on_maximally_mixed(_spike(value), half_x, 1, samples=50, rng=substream(6, "mixed"))
+    wrapped = DepolarizingCorrectedOracle(StatisticalQueryOracle(KET0, RARE_X), 0.2)
+    with pytest.raises(UnboundedQuery):
+        wrapped.query(SQQuery(_spike(value), 0.1))
+    assert wrapped.query_count == 0
+
+
+def test_phi_is_called_only_on_the_pairs_an_answer_uses():
+    calls = []
+
+    def phi(e, y):
+        calls.append((e, y))
+        return 0.0
+
+    StatisticalQueryOracle(KET0, RARE_X).query(SQQuery(phi, 0.1))
+    assert calls == [(E_Z, 1), (E_Z, -1), (E_X, 1), (E_X, -1)]
+    calls.clear()
+    config = OracleConfig(EmpiricalFromSamples(samples=30, seed=7), NoNoise())
+    StatisticalQueryOracle(KET0, RARE_X, config).query(SQQuery(phi, 0.1))
+    assert len(calls) == 30
+
+
 def test_adversary_contract_enforced():
     oracle = StatisticalQueryOracle(
         KET0, POINT_MASS_Z, OracleConfig(AdversarialCallback(lambda t, tau: t + 2 * tau), NoNoise())
