@@ -113,6 +113,8 @@ class ExperimentConfig:
         for name in ("n", "trials", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.samples is not None and self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
         # an --lpn-file instance is read here, so its size is checked like --n
         self.lpn_instance = None if self.lpn_file is None else _load_lpn_instance(self.lpn_file)
         if self.lpn_instance is not None and not self.lpn_instance.examples:
@@ -284,7 +286,7 @@ def cmd_verify_lemmas(config: ExperimentConfig) -> dict:
     assertions.append({"name": "maximally_mixed_identity", "passed": identity_ok})
 
     # Haar sign moment, Monte Carlo vs closed form
-    samples = config.samples or 1_000_000
+    samples = 1_000_000 if config.samples is None else config.samples
     mc_ok = True
     mc_rows = []
     for k in range(5):

@@ -63,7 +63,8 @@ def normalize_if_outside(x: float, y: float, z: float) -> tuple[float, float, fl
     return (x, y, z)
 
 
-def _axis_sign_query(qubit: int, axis: int):
+@dataclass(frozen=True)
+class _AxisSignQuery:
     """phi(E, Y) = sgn(component `axis` of the projector on `qubit`) * Y.
 
     This is the sign of 2^{1-n} tr(E (I x ... x (I+P_axis)/2 x ... x I)) - 1/2
@@ -71,16 +72,23 @@ def _axis_sign_query(qubit: int, axis: int):
     contribute exactly 1/2 and score zero.
     """
 
-    def phi(e, y: int) -> float:
-        if isinstance(e, SingleQubitProjector) and e.qubit == qubit:
-            component = e.axis.as_tuple()[axis]
+    qubit: int
+    axis: int
+
+    def __call__(self, e, y: int) -> float:
+        if isinstance(e, SingleQubitProjector) and e.qubit == self.qubit:
+            component = e.axis.as_tuple()[self.axis]
             if component > 0:
                 return float(y)
             if component < 0:
                 return float(-y)
         return 0.0
 
-    return phi
+    def on_projectors(self, qubits: np.ndarray, directions: np.ndarray) -> tuple:
+        """(phi(E, 1), phi(E, -1)) for every projector of a table at once."""
+        component = directions[:, self.axis]
+        plus = np.where(qubits == self.qubit, (component > 0).astype(float) - (component < 0), 0.0)
+        return plus, 0.0 - plus  # not -plus: off the qubit the scalar form gives +0.0
 
 
 def _require_haar(oracle) -> int:
@@ -110,7 +118,7 @@ def learn_product_state(oracle, epsilon: float, tau: Optional[float] = None) -> 
         tau = math.sqrt(epsilon) / (2 * n)
     blochs = []
     for i in range(n):
-        coords = [2 * n * oracle.query(SQQuery(_axis_sign_query(i, j), tau)) for j in range(3)]
+        coords = [2 * n * oracle.query(SQQuery(_AxisSignQuery(i, j), tau)) for j in range(3)]
         blochs.append(BlochVector(*normalize_if_outside(*coords)))
     used = oracle.query_count - start
     transcript = getattr(oracle, "transcript", None)
@@ -130,7 +138,7 @@ def learn_basis_state(oracle) -> LearnedHypothesis:
     tau = 1.0 / (4 * n)
     bits = 0
     for i in range(n):
-        answer = oracle.query(SQQuery(_axis_sign_query(i, 2), tau))
+        answer = oracle.query(SQQuery(_AxisSignQuery(i, 2), tau))
         # 1e-9 slack: boundary answers from a worst-case-within-band oracle
         # carry ~1e-10 of deterministic evaluation error and still decide the bit
         if abs(answer) < tau - 1e-9:

@@ -30,6 +30,12 @@ roughly 1e-9 for queries that are smooth on each octant, which covers
 sign-threshold queries split along the coordinate planes).  Every query is
 evaluated in one place, `_values`, which checks |phi| <= 1 on each value an
 answer uses (each pair (E, y) of the table, or each drawn example).
+
+A query is any callable phi(E, y).  It may also have an array form,
+phi.on_projectors(qubits, directions) -> (phi(E, 1), phi(E, -1)) as two
+arrays over the atoms; a table whose atoms are all single-qubit projectors
+(every Haar table) is then evaluated in one call, with the same bound check.
+Otherwise, and for drawn examples, phi is called pair by pair.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -142,6 +148,10 @@ class EmpiricalFromSamples(ResponsePolicy):
     delta_total: float = 0.01
     expected_queries: int = 1
 
+    def __post_init__(self):
+        if self.samples is not None and self.samples < 1:
+            raise ValueError(f"empirical samples must be at least 1, got {self.samples}")
+
     def stream(self):
         return substream(self.seed, "empirical")
 
@@ -173,8 +183,9 @@ class NoiseModel:
         return f
 
     def label_weights(self, atoms: "_Atoms") -> tuple:
-        """(measurements, accept, reject): per-atom weights of the outcomes +1
-        and -1 under this noise, so E[phi] = sum accept phi(E,1) + reject phi(E,-1)."""
+        """(measurements, accept, reject): the atoms' `_Measurements` and per-atom
+        weights of the outcomes +1 and -1 under this noise, so
+        E[phi] = sum accept phi(E,1) + reject phi(E,-1)."""
         mean = self.mean(atoms.f, atoms.f_mixed)
         return atoms.measurements, 0.5 * atoms.weight * (1.0 + mean), 0.5 * atoms.weight * (1.0 - mean)
 
@@ -244,7 +255,7 @@ class MaliciousNoise(NoiseModel):
             corrupted = atoms.measurements
             bad_accept = bad_reject = 0.5 * self.eta * atoms.weight
         else:
-            corrupted = tuple(e for (e, _), _ in self.corruption)
+            corrupted = _Measurements.of(tuple(e for (e, _), _ in self.corruption))
             labels = np.array([y for (_, y), _ in self.corruption])
             bad = self.eta * np.array([float(w) for _, w in self.corruption])
             bad_accept, bad_reject = np.where(labels == 1, bad, 0.0), np.where(labels == -1, bad, 0.0)
@@ -345,10 +356,48 @@ class OracleConfig:
 # atom tables for deterministic expectations
 
 
+class _Measurements:
+    """A table's measurements in atom order, iterable as them.  When every atom
+    is a single-qubit projector, `projectors` also holds them as the arrays
+    (qubits, directions), on which a query's array form answers; else None."""
+
+    def __init__(self, measurements: tuple, projectors: Optional[tuple] = None):
+        self.measurements = measurements
+        self.projectors = projectors
+        self._pairs: Optional[tuple] = None
+
+    @classmethod
+    def of(cls, measurements: tuple) -> "_Measurements":
+        if not all(isinstance(e, SingleQubitProjector) for e in measurements):
+            return cls(measurements)
+        qubits = np.array([e.qubit for e in measurements], dtype=int)
+        directions = np.array([e.axis.as_tuple() for e in measurements], dtype=float).reshape(-1, 3)
+        return cls(measurements, (qubits, directions))
+
+    def __iter__(self):
+        return iter(self.measurements)
+
+    def __len__(self) -> int:
+        return len(self.measurements)
+
+    def __add__(self, other: "_Measurements") -> "_Measurements":
+        projectors = None
+        if self.projectors is not None and other.projectors is not None:
+            projectors = tuple(np.concatenate(arrays) for arrays in zip(self.projectors, other.projectors))
+        return _Measurements(self.measurements + other.measurements, projectors)
+
+    def pairs(self) -> tuple:
+        """Each atom E as its pairs (E, 1), (E, -1), in phi's call order; built
+        on first use, which only a query evaluated pair by pair makes."""
+        if self._pairs is None:
+            self._pairs = tuple((e, y) for e in self.measurements for y in (1, -1))
+        return self._pairs
+
+
 @lru_cache(maxsize=16)
-def _haar_atoms(n: int):
+def _haar_atoms(n: int) -> tuple:
     """Quadrature atoms of the Haar product distribution, qubit-major and
-    shared across oracles: (projectors, weights, directions, qubits).
+    shared across oracles: (measurements, weights).
 
     The nodes are Gauss-Legendre on the sphere, split into octant panels:
     splitting theta at pi/2 and phi at every quarter turn keeps sign-threshold
@@ -376,13 +425,13 @@ def _haar_atoms(n: int):
     projectors = tuple(SingleQubitProjector(n, int(q), BlochVector(*u)) for q, u in zip(qubits, directions))
     for array in (weights, directions, qubits):
         array.setflags(write=False)
-    return projectors, weights, directions, qubits
+    return _Measurements(projectors, (qubits, directions)), weights
 
 
 class _Atoms(NamedTuple):
     """A distribution's atoms with f of one state and f_mixed of I/2^n at each."""
 
-    measurements: tuple
+    measurements: _Measurements
     weight: np.ndarray
     f: np.ndarray
     f_mixed: np.ndarray
@@ -390,53 +439,61 @@ class _Atoms(NamedTuple):
 
 def _atoms(state: QuantumState, distribution: MeasurementDistribution) -> _Atoms:
     if isinstance(distribution, HaarSingleQubitProduct):
-        projectors, weights, u, qubits = _haar_atoms(state.n)
+        measurements, weights = _haar_atoms(state.n)
+        qubits, u = measurements.projectors
         b = bloch_matrix(state)[qubits]
         f = u[:, 0] * b[:, 0] + u[:, 1] * b[:, 1] + u[:, 2] * b[:, 2]
-        return _Atoms(projectors, weights, f, np.zeros_like(f))
+        return _Atoms(measurements, weights, f, np.zeros_like(f))
     support = distribution_support(distribution)
     measurements = tuple(e for e, _ in support)
     mixed = MaximallyMixed(state.n)
     return _Atoms(
-        measurements,
+        _Measurements.of(measurements),
         np.array([float(w) for _, w in support]),
         np.array([float(f_value(state, e)) for e in measurements]),
         np.array([float(f_value(mixed, e)) for e in measurements]),
     )
 
 
-def _label_table(state: QuantumState, distribution: MeasurementDistribution, noise: NoiseModel) -> tuple:
-    """label_weights' table with each atom E as its pairs (E, 1), (E, -1), in phi's call order."""
-    measurements, accept, reject = noise.label_weights(_atoms(state, distribution))
-    return tuple((e, y) for e in measurements for y in (1, -1)), accept, reject
-
-
 @lru_cache(maxsize=16)
 def _mixed_label_table(distribution: MeasurementDistribution, n: int) -> tuple:
-    return _label_table(MaximallyMixed(n), distribution, NoNoise())
+    return NoNoise().label_weights(_atoms(MaximallyMixed(n), distribution))
 
 
-def _values(phi, pairs, count: int) -> np.ndarray:
-    """phi at `count` pairs (E, y) in order, each checked against |phi| <= 1 (NaN fails)."""
-    values = np.fromiter(itertools.starmap(phi, pairs), float, count)
+def _check_bound(values: np.ndarray) -> np.ndarray:
+    """The values, once each has passed |v| <= 1 + _BOUND_SLACK (NaN fails)."""
     outside = ~(np.abs(values) <= 1.0 + _BOUND_SLACK)
     if outside.any():
         raise UnboundedQuery(f"query returned {values[outside][0]}, outside [-1, 1]")
     return values
 
 
+def _values(phi, count: int, pairs: Callable[[], Iterable], projectors: Optional[tuple] = None) -> np.ndarray:
+    """phi at `count` pairs (E, y) in the order pairs() yields them, each checked
+    against |phi| <= 1.  A query with an array form, phi.on_projectors(qubits,
+    directions) -> (phi(E, 1), phi(E, -1)) per atom, answers on a table's
+    `projectors` instead, and pairs() is not called."""
+    native = getattr(phi, "on_projectors", None)
+    if native is not None and projectors is not None:
+        values = np.empty(count)
+        values[0::2], values[1::2] = native(*projectors)
+    else:
+        values = np.fromiter(itertools.starmap(phi, pairs()), float, count)
+    return _check_bound(values)
+
+
 def _evaluate(table, phi) -> float:
     """sum_atoms accept phi(E, 1) + reject phi(E, -1), the terms summed in atom
     order from 0.0 as a loop would (np.sum and np.dot add pairwise)."""
-    pairs, accept, reject = table
-    values = _values(phi, pairs, len(pairs))
+    measurements, accept, reject = table
+    values = _values(phi, 2 * len(measurements), measurements.pairs, measurements.projectors)
     return float(np.cumsum(accept * values[0::2] + reject * values[1::2])[-1] + 0.0)
 
 
 def _sample_mean(phi, draw: Callable[[], tuple], m: int) -> float:
     """Mean of phi over m examples (E, y) streamed from draw(), as a running total
     in draw order (sum() compensates rounding from Python 3.12 on)."""
-    return float(np.cumsum(_values(phi, (draw() for _ in range(m)), m))[-1] + 0.0) / m
+    return float(np.cumsum(_values(phi, m, lambda: (draw() for _ in range(m))))[-1] + 0.0) / m
 
 
 def expectation_on_maximally_mixed(
@@ -507,7 +564,7 @@ class StatisticalQueryOracle:
         """E[phi] under the configured noise model, computed deterministically
         from the atom table, which is built on the first call."""
         if self._table is None:
-            self._table = _label_table(self._state, self._distribution, self.config.noise)
+            self._table = self.config.noise.label_weights(_atoms(self._state, self._distribution))
         return _evaluate(self._table, phi)
 
     def sample_noisy_example(self, rng):
@@ -573,6 +630,36 @@ class _WrapperOracle:
         return getattr(self.inner, "transcript", None)
 
 
+class _LabelPart:
+    """The label-free part 0.5 (phi(E, 1) + phi(E, -1)) of a query, or with
+    odd=True its label-odd part 0.5 y (phi(E, 1) - phi(E, -1)).
+
+    A query outside [-1, 1] can have bounded parts, so phi itself is checked
+    on both labels of every atom or example the part is evaluated at.  The
+    part has an array form exactly when phi has one.
+    """
+
+    def __init__(self, phi, odd: bool):
+        self.phi = phi
+        self.odd = odd
+        if hasattr(phi, "on_projectors"):
+            self.on_projectors = self._on_projectors
+
+    def __call__(self, e, y: int) -> float:
+        plus, minus = self.phi(e, 1), self.phi(e, -1)
+        for value in (plus, minus):
+            if not abs(value) <= 1.0 + _BOUND_SLACK:
+                raise UnboundedQuery(f"query returned {value}, outside [-1, 1]")
+        return 0.5 * y * (plus - minus) if self.odd else 0.5 * (plus + minus)
+
+    def _on_projectors(self, qubits: np.ndarray, directions: np.ndarray) -> tuple:
+        plus, minus = _check_bound(np.array(self.phi.on_projectors(qubits, directions), dtype=float))
+        if self.odd:
+            return 0.5 * (plus - minus), -0.5 * (plus - minus)
+        even = 0.5 * (plus + minus)
+        return even, even
+
+
 class ClassificationCorrectedOracle(_WrapperOracle):
     """Presents a clean oracle on top of a classification-noisy one.
 
@@ -586,10 +673,9 @@ class ClassificationCorrectedOracle(_WrapperOracle):
         self.eta = eta
 
     def query(self, q: SQQuery) -> float:
-        phi = q.phi
         sub_tau = q.tau * (1.0 - 2.0 * self.eta) / 2.0
-        even = self.inner.query(SQQuery(lambda e, y: 0.5 * (phi(e, 1) + phi(e, -1)), sub_tau))
-        odd = self.inner.query(SQQuery(lambda e, y: 0.5 * y * (phi(e, 1) - phi(e, -1)), sub_tau))
+        even = self.inner.query(SQQuery(_LabelPart(q.phi, odd=False), sub_tau))
+        odd = self.inner.query(SQQuery(_LabelPart(q.phi, odd=True), sub_tau))
         self._count += 1
         return even + self.noise.correct(odd)
 

@@ -210,6 +210,8 @@ def test_lpn_instance_file_round_trip(tmp_path):
         (["lpn", "--n", "21", "--lpn-eta", "0.1"], "noisy lpn supports n <= 20"),
         (["lpn", "--n", "65"], "lpn supports n <= 64"),
         (["learn-product", "--target", "basis", "--n", "65"], "basis target supports n <= 64"),
+        (["verify-lemmas", "--samples", "0"], "samples must be at least 1, got 0"),
+        (["verify-lemmas", "--samples", "-5"], "samples must be at least 1, got -5"),
     ],
 )
 def test_cli_rejects_bad_input_with_usage_error(argv, message, capsys):
@@ -299,6 +301,22 @@ def test_config_file_rejects_bad_values(data, message, tmp_path, capsys):
         main(["learn-product", "--config", str(cfg)])
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_empirical_policy_needs_a_sample(samples, tmp_path, capsys):
+    from paulisq.oracle import EmpiricalFromSamples
+
+    with pytest.raises(ValueError, match="empirical samples must be at least 1"):
+        EmpiricalFromSamples(samples=samples)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"policy": {"kind": "empirical", "samples": samples}}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["learn-product", "--config", str(cfg)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "samples" in line] == [err.splitlines()[-1]]
 
 
 def test_every_table_kind_parses_from_the_command_line():

@@ -14,7 +14,7 @@ from paulisq.learners import (
     InconsistentSystem,
     LPNInstance,
     PromiseViolation,
-    _axis_sign_query,
+    _AxisSignQuery,
     _walsh_hadamard_inplace,
     decode_state_learning_dataset,
     exhaustive_lpn_solver,
@@ -86,7 +86,7 @@ def test_axis_sign_query_matches_literal_trace_formula():
                         2.0 ** (1 - n) * np.trace(e_mat @ kron_all(mats)).real - 0.5
                     )
                     for y in (1, -1):
-                        assert _axis_sign_query(i, j)(e, y) == pytest.approx(ref * y)
+                        assert _AxisSignQuery(i, j)(e, y) == pytest.approx(ref * y)
 
 
 def test_product_learner_exact_recovery_of_all_zeros():

@@ -161,9 +161,9 @@ def test_exact_haar_with_noise_matches_empirical_sampling():
         empirical = StatisticalQueryOracle(
             state, d, OracleConfig(EmpiricalFromSamples(samples=60_000, seed=11), noise)
         )
-        from paulisq.learners import _axis_sign_query
+        from paulisq.learners import _AxisSignQuery
 
-        q = _axis_sign_query(0, 0)
+        q = _AxisSignQuery(0, 0)
         a = exact.query(SQQuery(q, 1e-6))
         b = empirical.query(SQQuery(q, 0.05))
         assert abs(a - b) <= 0.02  # ~5 sigma at this sample size
@@ -376,11 +376,11 @@ def test_exact_haar_quadrature_matches_closed_form():
     oracle = StatisticalQueryOracle(
         state, HaarSingleQubitProduct(n), OracleConfig(ExactPolicy(), NoNoise())
     )
-    from paulisq.learners import _axis_sign_query
+    from paulisq.learners import _AxisSignQuery
 
     for i in range(n):
         for j in range(3):
-            got = oracle.query(SQQuery(_axis_sign_query(i, j), 1e-6))
+            got = oracle.query(SQQuery(_AxisSignQuery(i, j), 1e-6))
             want = blochs[i].as_tuple()[j] / (2 * n)
             assert got == pytest.approx(want, abs=1e-9)
 
