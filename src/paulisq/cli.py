@@ -88,6 +88,19 @@ STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080}
 MAX_N = {"verify-lemmas": ENUMERATION_LIMIT, "sda": 2}
 
 
+# the JSON values accepted for each type named in ExperimentConfig's annotations
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "dict": dict, "None": type(None)}
+
+
+def _json_type_ok(annotation: str, value) -> bool:
+    """Whether `value` fits an annotation such as "int | None"; a JSON true or
+    false is a bool only, though Python counts it as an int."""
+    kinds = annotation.split(" | ")
+    if isinstance(value, bool):
+        return "bool" in kinds
+    return any(isinstance(value, _JSON_TYPES[kind]) for kind in kinds)
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -143,6 +156,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         if "experiment" not in data:
             raise ValueError("config needs an 'experiment' field")
+        for f in fields(cls):
+            if f.name in data and not _json_type_ok(f.type, data[f.name]):
+                expected = f.type.replace(" | ", " or ")
+                raise ValueError(f"config field {f.name!r} must be {expected}, got {data[f.name]!r}")
         return cls(**data)
 
     def to_dict(self) -> dict:

@@ -36,6 +36,13 @@ phi.on_projectors(qubits, directions) -> (phi(E, 1), phi(E, -1)) as two
 arrays over the atoms; a table whose atoms are all single-qubit projectors
 (every Haar table) is then evaluated in one call, with the same bound check.
 Otherwise, and for drawn examples, phi is called pair by pair.
+
+Seeded draws of many measurements are batches: `distribution.draw(rng, m)`
+returns the m measurements as arrays, and the batch's f(state) is f at all
+of them in one call.  The grid search's validation set is one batch labeled
+with f of the hidden state, and each hypothesis is scored on it with one
+more call.  The empirical policy still draws example by example, since its
+phi is a plain per-example function.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -55,11 +62,12 @@ from .pconcept import (
     HaarSingleQubitProduct,
     MaximallyMixed,
     Measurement,
+    MeasurementBatch,
     MeasurementDistribution,
+    ProjectorBatch,
     QuantumState,
     SingleQubitProjector,
     acceptance_probability,
-    bloch_matrix,
     distribution_support,
     f_value,
     sample_outcome,
@@ -440,9 +448,7 @@ class _Atoms(NamedTuple):
 def _atoms(state: QuantumState, distribution: MeasurementDistribution) -> _Atoms:
     if isinstance(distribution, HaarSingleQubitProduct):
         measurements, weights = _haar_atoms(state.n)
-        qubits, u = measurements.projectors
-        b = bloch_matrix(state)[qubits]
-        f = u[:, 0] * b[:, 0] + u[:, 1] * b[:, 1] + u[:, 2] * b[:, 2]
+        f = ProjectorBatch(state.n, *measurements.projectors).f(state)
         return _Atoms(measurements, weights, f, np.zeros_like(f))
     support = distribution_support(distribution)
     measurements = tuple(e for e, _ in support)
@@ -773,40 +779,39 @@ def mixture_acceptance(state: QuantumState, mixture) -> float:
 # noise-rate grid search
 
 
+@dataclass(frozen=True)
+class ValidationSet:
+    """Labeled holdout examples for hypothesis selection: drawn measurements,
+    each labeled with its exact conditional mean f_rho(E) (the idealized
+    example form)."""
+
+    batch: MeasurementBatch
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def loss(self, hypothesis: QuantumState) -> float:
+        """The mean squared error of f_hypothesis against the labels."""
+        return float(np.mean((self.batch.f(hypothesis) - self.labels) ** 2))
+
+
 def draw_validation_set(
     state: QuantumState,
     distribution: MeasurementDistribution,
     size: int,
     rng,
-) -> list[tuple[Measurement, float]]:
-    """Labeled holdout examples for hypothesis selection: each measurement
-    carries its exact conditional mean f_rho(E) (the idealized example form)."""
-    measurements = [distribution.sample(rng) for _ in range(size)]
-    return [(e, float(f_value(state, e))) for e in measurements]
-
-
-def _empirical_squared_loss(validation) -> Callable[[QuantumState], float]:
-    """The mean squared error of f_hypothesis on the validation set, as a
-    function of the hypothesis state.  A set of single-qubit projectors is
-    packed into arrays here, once for every hypothesis scored."""
-    if not all(isinstance(e, SingleQubitProjector) for e, _ in validation):
-        return lambda state: float(np.mean([(float(f_value(state, e)) - y) ** 2 for e, y in validation]))
-    qubits = np.fromiter((e.qubit for e, _ in validation), dtype=int)
-    axes = np.array([e.axis.as_tuple() for e, _ in validation], dtype=float)
-    labels = np.fromiter((y for _, y in validation), dtype=float)
-
-    def loss(state: QuantumState) -> float:
-        f = np.einsum("ij,ij->i", axes, bloch_matrix(state)[qubits])
-        return float(np.mean((f - labels) ** 2))
-
-    return loss
+) -> ValidationSet:
+    """`size` measurements drawn as one batch, labeled with f_state."""
+    batch = distribution.draw(rng, size)
+    return ValidationSet(batch, batch.f(state))
 
 
 def eta_grid_search(
     run_learner: Callable[[float], object],
     eta_upper: float,
     delta_grid: float,
-    validation: Sequence[tuple[Measurement, float]],
+    validation: ValidationSet,
 ):
     """Learn once per noise-rate guess {0, delta, 2 delta, ..., eta_upper} and
     return the (guess, hypothesis) pair with the smallest empirical squared
@@ -824,11 +829,10 @@ def eta_grid_search(
         g += delta_grid
     if eta_upper > 0:
         guesses.append(eta_upper)
-    loss = _empirical_squared_loss(validation)
     best = None
     for guess in guesses:
         hypothesis = run_learner(guess)
-        score = loss(hypothesis.state)
+        score = validation.loss(hypothesis.state)
         if best is None or score < best[0]:
             best = (score, guess, hypothesis)
     return best[1], best[2]

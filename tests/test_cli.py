@@ -67,18 +67,18 @@ def test_grid_step_properties():
 
 
 def test_learn_product_determinism_across_runs_and_jobs():
-    config = ExperimentConfig(experiment="learn-product", n=2, epsilon=0.25, seed=7, trials=4)
-    first = run_experiment(config)
-    second = run_experiment(config)
-    assert strip_meta(first) == strip_meta(second)
-    parallel = run_experiment(
-        ExperimentConfig(experiment="learn-product", n=2, epsilon=0.25, seed=7, trials=4, jobs=2)
-    )
-    first_body = strip_meta(first)
-    parallel_body = strip_meta(parallel)
-    first_body["config"].pop("jobs")
-    parallel_body["config"].pop("jobs")
-    assert first_body == parallel_body
+    grid = {"noise": {"kind": "depolarizing", "eta": 0.5}, "grid_search": True, "trials": 2}
+    for extra in ({}, grid):
+        data = {"experiment": "learn-product", "n": 2, "epsilon": 0.25, "seed": 7, "trials": 4, **extra}
+        first = run_experiment(ExperimentConfig.from_dict(data))
+        second = run_experiment(ExperimentConfig.from_dict(data))
+        assert strip_meta(first) == strip_meta(second)
+        parallel = run_experiment(ExperimentConfig.from_dict({**data, "jobs": 2}))
+        first_body = strip_meta(first)
+        parallel_body = strip_meta(parallel)
+        first_body["config"].pop("jobs")
+        parallel_body["config"].pop("jobs")
+        assert first_body == parallel_body
 
 
 def test_lpn_determinism():
@@ -290,6 +290,9 @@ def test_cli_noise_none_needs_no_eta():
         ({"noise": {"kind": "mystery", "eta": 0.1}}, "unknown noise kind"),
         ({"noise": {"kind": "depolarizing"}}, "needs an eta"),
         ({"policy": {"kind": "mystery"}}, "unknown policy kind"),
+        ({"trials": "3"}, "config field 'trials' must be int, got '3'"),
+        ({"n": None}, "config field 'n' must be int, got None"),
+        ({"samples": 2.5}, "config field 'samples' must be int or None, got 2.5"),
     ],
 )
 def test_config_file_rejects_bad_values(data, message, tmp_path, capsys):
@@ -297,10 +300,12 @@ def test_config_file_rejects_bad_values(data, message, tmp_path, capsys):
         ExperimentConfig.from_dict({"experiment": "learn-product", **data})
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(data))
-    with pytest.raises(SystemExit) as exit_info:
-        main(["learn-product", "--config", str(cfg)])
-    assert exit_info.value.code == 2
-    assert message in capsys.readouterr().err
+    for command in ("learn-product", "verify-lemmas"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize("samples", [0, -3])

@@ -5,7 +5,8 @@ The fixture covers every noise kind, every response policy, the basis
 target, the noise-rate grid search, LPN with and without noise, `sda` and
 `noise-demo`.  A refactor of the oracle or the runner must leave every
 report bit-identical.  To re-record after a deliberate change to reports,
-run `PYTHONPATH=src python tests/test_golden_reports.py --write`.
+run `PYTHONPATH=src python tests/test_golden_reports.py --write`; it prints
+the names of the reports whose body changed.
 """
 
 import json
@@ -91,4 +92,8 @@ def test_report_matches_golden(golden, name):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden_reports.py --write")
-    FIXTURE.write_text(json.dumps({k: _body(v) for k, v in CONFIGS.items()}, indent=1) + "\n")
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    bodies = {k: _body(v) for k, v in CONFIGS.items()}
+    FIXTURE.write_text(json.dumps(bodies, indent=1) + "\n")
+    changed = [k for k in bodies if old.get(k) != bodies[k]]
+    print(f"changed: {', '.join(changed)}" if changed else "no report changed")

@@ -555,18 +555,22 @@ def test_eta_grid_search_zero_upper_is_single_clean_run():
 
 
 def test_validation_loss_packed_and_generic_paths_agree():
-    from paulisq.oracle import _empirical_squared_loss, draw_validation_set
+    # labels and loss of the drawn batch equal scalar f_value on the same measurements
+    from paulisq.oracle import draw_validation_set
     from paulisq.pconcept import f_value
 
     target, hypothesis = _grid_target(), ProductState((BlochVector(0, 0, 1), BlochVector(0.3, 0, 0)))
     projectors = draw_validation_set(target, HaarSingleQubitProduct(2), 500, substream(43, "val"))
-    generic = np.mean([(float(f_value(hypothesis, e)) - y) ** 2 for e, y in projectors])
-    assert _empirical_squared_loss(projectors)(hypothesis) == pytest.approx(generic, abs=1e-12)
-    # a Pauli validation set takes the f_value path; exact mean labels score 0 on the target
+    drawn = projectors.batch.measurements()
+    assert len(projectors) == len(drawn) == 500
+    assert projectors.labels.tolist() == [float(f_value(target, e)) for e in drawn]
+    generic = np.mean([(float(f_value(hypothesis, e)) - y) ** 2 for e, y in zip(drawn, projectors.labels)])
+    assert projectors.loss(hypothesis) == generic
+    # a Pauli validation set: exact mean labels score 0 on the target
     state = StabilizerState(random_stabilizer_group(2, substream(43, "state")))
     paulis = draw_validation_set(state, UniformPauli(2), 200, substream(43, "paulis"))
-    loss = _empirical_squared_loss(paulis)
-    assert loss(state) == 0.0 and loss(MaximallyMixed(2)) > 0
+    assert paulis.labels.tolist() == [float(f_value(state, e)) for e in paulis.batch.measurements()]
+    assert paulis.loss(state) == 0.0 and paulis.loss(MaximallyMixed(2)) > 0
 
 
 def test_eta_grid_search_rejects_bad_inputs():
