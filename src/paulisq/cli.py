@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
@@ -344,6 +343,9 @@ def _run_trials(trial, config: ExperimentConfig) -> list[dict]:
     """trial(config, index) for every trial, pooled when jobs > 1; rows sorted by trial."""
     args = ([config] * config.trials, range(config.trials))
     if config.jobs > 1:
+        # imported here: the pool machinery costs memory that a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             rows = list(pool.map(trial, *args))
     else:

@@ -42,7 +42,9 @@ returns the m measurements as arrays, and the batch's f(state) is f at all
 of them in one call.  The grid search's validation set is one batch labeled
 with f of the hidden state, and each hypothesis is scored on it with one
 more call.  The empirical policy still draws example by example, since its
-phi is a plain per-example function.
+phi is a plain per-example function.  On a stabilizer state each example's
+outcome law is a membership sign, which is integer arithmetic on the
+tableau's packed rows, and the outcome is drawn against a float threshold.
 """
 
 from __future__ import annotations
@@ -502,6 +504,11 @@ def _sample_mean(phi, draw: Callable[[], tuple], m: int) -> float:
     return float(np.cumsum(_values(phi, m, lambda: (draw() for _ in range(m))))[-1] + 0.0) / m
 
 
+def _check_mixed_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"mixed-reference samples must be at least 1, got {samples}")
+
+
 def expectation_on_maximally_mixed(
     phi,
     distribution: MeasurementDistribution,
@@ -517,6 +524,7 @@ def expectation_on_maximally_mixed(
     """
     if samples is None:
         return _evaluate(_mixed_label_table(distribution, n), phi)
+    _check_mixed_samples(samples)
     mixed = MaximallyMixed(n)
     rng = rng if rng is not None else np.random.default_rng(0)
     return _sample_mean(phi, lambda: NoNoise().sample(mixed, distribution, rng), samples)
@@ -695,6 +703,8 @@ class DepolarizingCorrectedOracle(_WrapperOracle):
     """
 
     def __init__(self, inner, eta: float, mixed_samples: Optional[int] = None, seed: int = 0):
+        if mixed_samples is not None:
+            _check_mixed_samples(mixed_samples)
         super().__init__(inner)
         self.noise = DepolarizingNoise(eta)
         self.eta = eta

@@ -14,7 +14,6 @@ measurements are built from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 _PHASES = (1, 1j, -1, -1j)
 _KIND_FOR_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -152,13 +151,6 @@ def pauli_product(a: PauliOperator | PhasedPauli, b: PauliOperator | PhasedPauli
     z = pa.z ^ pb.z
     k = ka + kb + 2 * (pa.z & pb.x).bit_count() - (x & z).bit_count()
     return PhasedPauli(n, k % 4, x, z)
-
-
-def pauli_product_many(ops) -> PhasedPauli:
-    ops = list(ops)
-    if not ops:
-        raise ValueError("empty product")
-    return reduce(pauli_product, ops[1:], as_phased(ops[0]))
 
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:

@@ -333,8 +333,14 @@ def acceptance_probability(state: QuantumState, e: Measurement):
 
 
 def sample_outcome(state: QuantumState, e: Measurement, rng) -> int:
-    """One +-1 measurement outcome: +1 with probability tr(E rho)."""
-    return 1 if rng.random() < float(acceptance_probability(state, e)) else -1
+    """One +-1 measurement outcome: +1 with probability tr(E rho).
+
+    The threshold (1 + f)/2 is taken in floats.  It equals
+    float(acceptance_probability) wherever f is exact as a float, as every
+    Fraction f_value is (-1, 0 or 1): halving is exact, so rounding 1 + f
+    and then halving rounds (1 + f)/2 once.
+    """
+    return 1 if rng.random() < 0.5 * (1.0 + float(f_value(state, e))) else -1
 
 
 # ---------------------------------------------------------------------------

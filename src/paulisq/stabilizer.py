@@ -6,10 +6,13 @@ The RREF basis of the (x|z) row space is unique, and each row's sign is fixed
 by group membership, so equal groups produce bit-identical tableaux.
 
 Membership and the signed intersections behind the exact correlations
-<f_S, f_T> are GF(2) solves on these rows, polynomial in n.  Sampling and
-enumeration add rows one at a time from the symplectic complement of the rows
-so far.  Dense states and the element-by-element reference live only in the
-test suite.
+<f_S, f_T> are GF(2) solves on these rows, polynomial in n.  A solve names
+the generators whose product is the member, and the member's sign is that
+product's phase i^k, accumulated as an integer over the packed rows
+(Aaronson & Gottesman, arXiv:quant-ph/0406196): no Pauli object is built
+until the product itself.  Sampling and enumeration add rows one at a time
+from the symplectic complement of the rows so far.  Dense states and the
+element-by-element reference live only in the test suite.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .pauli import (
     commutes,
     gf2_echelon,
     gf2_reduce,
-    pauli_product_many,
 )
 
 ENUMERATION_LIMIT = 3
@@ -54,9 +56,24 @@ def _packed_rows(generators):
 
 
 def _product(generators, tag: int) -> PauliOperator:
-    """The product of the commuting generators named by the set bits of `tag`."""
-    named = [g for i, g in enumerate(generators) if tag >> i & 1]
-    return pauli_product_many([PauliOperator.identity(generators[0].n), *named]).to_operator()
+    """The product of the generators named by the set bits of `tag`, in index order.
+
+    Each factor is i^k X^x Z^z with k counting its Y letters and a sign of -1
+    as 2; moving a Z of the product so far past an X of the next factor adds 2,
+    and the letters of the result take back one i per Y.  Raises ValueError if
+    the phase is imaginary, i.e. if the named generators do not commute.
+    """
+    k = x = z = 0
+    while tag:
+        g = generators[(tag & -tag).bit_length() - 1]
+        tag &= tag - 1
+        k += (1 - g.sign) + (g.x & g.z).bit_count() + 2 * (z & g.x).bit_count()
+        x ^= g.x
+        z ^= g.z
+    k -= (x & z).bit_count()
+    if k & 1:
+        raise ValueError(f"phase i^{k % 4} is imaginary, not in the real-signed set")
+    return PauliOperator(generators[0].n, 1 if k % 4 == 0 else -1, x, z)
 
 
 def canonical_rows(generators) -> tuple[PauliOperator, ...]:
@@ -79,11 +96,13 @@ def canonical_rows(generators) -> tuple[PauliOperator, ...]:
         raise ValueError("generators produce -I: not a stabilizer group")
     if dependencies:
         raise ValueError("generators are dependent over GF(2)")
-    # a one-hot tag is an input row that survived unchanged: reuse it
-    return tuple(
+    # a one-hot tag is an input row that survived unchanged: reuse it.  The
+    # tuple is built from a list: tuple(<generator>) over-allocates and then
+    # shrinks, which leaves a free-list block behind per group
+    return tuple([
         rows[tag.bit_length() - 1] if tag & (tag - 1) == 0 else _product(rows, tag)
         for _, tag in pivots.values()
-    )
+    ])
 
 
 @dataclass(frozen=True)
@@ -123,7 +142,13 @@ class StabilizerGroup:
         return gf2_echelon(_packed_rows(self.generators))[0]
 
     def contains(self, p: PauliOperator) -> Membership:
-        """Decide P in S / -P in S / neither, by GF(2) solve plus exact signs."""
+        """Decide P in S / -P in S / neither.
+
+        A GF(2) solve of P's (x|z) bits against the tableau names the
+        generators whose product has P's letters, or finds none; that
+        product's sign, an integer phase over the packed rows, then tells S
+        from -S.
+        """
         if p.n != self.n:
             raise DimensionMismatch(f"qubit counts differ: {p.n} != {self.n}")
         rest, tag = gf2_reduce(p.x | p.z << self.n, 0, self._pivots)

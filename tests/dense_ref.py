@@ -8,7 +8,7 @@ tautology.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -46,6 +46,15 @@ def pauli_matrix(p: PauliOperator | PhasedPauli) -> np.ndarray:
         return phase * kron_all(mats)
     mats = [PAULI_MATS[p.kind(i)] for i in range(p.n)]
     return p.sign * kron_all(mats)
+
+
+def pauli_product_many(ops) -> PhasedPauli:
+    """The product of `ops` in order, one pauli_product at a time: the
+    reference for the packed-int phase of paulisq.stabilizer._product."""
+    ops = list(ops)
+    if not ops:
+        raise ValueError("empty product")
+    return reduce(pauli_product, ops[1:], as_phased(ops[0]))
 
 
 def group_elements(group: StabilizerGroup):

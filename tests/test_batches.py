@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paulisq.pauli import PauliMeasurement, PauliOperator, pauli_product_many
+from dense_ref import pauli_product_many
+from paulisq.pauli import PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
     BlochVector,
     FiniteWeighted,

@@ -2,10 +2,14 @@
 
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import paulisq
 from paulisq.cli import (
     ExperimentConfig,
     build_parser,
@@ -79,6 +83,14 @@ def test_learn_product_determinism_across_runs_and_jobs():
         first_body["config"].pop("jobs")
         parallel_body["config"].pop("jobs")
         assert first_body == parallel_body
+
+
+def test_serial_runs_never_import_the_process_pool():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(paulisq.__file__)))
+    code = "import sys, paulisq, paulisq.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_lpn_determinism():

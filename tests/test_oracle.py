@@ -459,6 +459,39 @@ def test_depolarizing_round_trip_sampled_reference():
     assert abs(got - want) <= tau
 
 
+@pytest.mark.parametrize("samples", [0, -2])
+def test_non_positive_mixed_samples_fail_before_any_query(samples):
+    inner = StatisticalQueryOracle(
+        KET0, UniformPauli(1), OracleConfig(ExactPolicy(), DepolarizingNoise(0.1))
+    )
+    with pytest.raises(ValueError, match="at least 1"):
+        DepolarizingCorrectedOracle(inner, 0.1, mixed_samples=samples)
+    assert inner.query_count == 0 and inner.transcript == []
+    with pytest.raises(ValueError, match="at least 1"):
+        expectation_on_maximally_mixed(label_query, UniformPauli(1), 1, samples=samples)
+
+
+def test_seeded_empirical_answers_are_pinned():
+    """Sampled answers, bit for bit the values that PhasedPauli membership
+    signs and Fraction outcome thresholds gave."""
+    bits = 0b1011001110001101
+    state = StabilizerState(StabilizerGroup.basis_state(bits, 16))
+    config = OracleConfig(EmpiricalFromSamples(samples=500, seed=11), ClassificationNoise(0.1))
+    o = StatisticalQueryOracle(state, UniformParity(16), config)
+
+    def character(e, y):
+        return float(y) if (e.pauli.z & bits).bit_count() % 2 == 0 else -float(y)
+
+    assert o.query(SQQuery(character, 0.2)) == -0.812
+    assert o.query(SQQuery(label_query, 0.2)) == -0.004
+    product = ProductState((BlochVector(0.6, 0.0, 0.8), BlochVector(0.0, -0.28, 0.96)))
+    config = OracleConfig(EmpiricalFromSamples(samples=400, seed=5), NoNoise())
+    o = StatisticalQueryOracle(product, HaarSingleQubitProduct(2), config)
+    assert o.query(SQQuery(label_query, 0.2)) == 0.04
+    mixed = expectation_on_maximally_mixed(label_query, UniformPauli(3), 3, samples=300, rng=np.random.default_rng(7))
+    assert mixed == -0.02666666666666667
+
+
 def test_expectation_on_maximally_mixed_uses_no_state():
     d = UniformPauli(2)
     got = expectation_on_maximally_mixed(label_query, d, 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_ref import pauli_matrix
+from dense_ref import pauli_matrix, pauli_product_many
 from paulisq.pauli import (
     DimensionMismatch,
     PauliOperator,
@@ -14,7 +14,6 @@ from paulisq.pauli import (
     gf2_echelon,
     gf2_reduce,
     pauli_product,
-    pauli_product_many,
     pauli_trace_sign,
 )
 

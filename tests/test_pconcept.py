@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dense_ref import dense_f_value
+from dense_ref import all_signed_paulis, dense_f_value
 from paulisq.pauli import PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
     BlochVector,
@@ -136,6 +136,46 @@ def test_sample_outcome_deterministic_cases():
     assert all(sample_outcome(KET0, e_z, rng) == 1 for _ in range(50))
     ket1 = StabilizerState(StabilizerGroup.from_strings(["-Z"]))
     assert all(sample_outcome(ket1, e_z, rng) == -1 for _ in range(50))
+
+
+class FixedDraw:
+    """An rng stand-in whose every random() returns the same u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def assert_same_threshold(state, e):
+    """sample_outcome's threshold equals p = float(acceptance_probability):
+    a draw one ulp below p gives +1, and a draw at p gives -1."""
+    p = float(acceptance_probability(state, e))
+    assert sample_outcome(state, e, FixedDraw(math.nextafter(p, -math.inf))) == 1
+    assert sample_outcome(state, e, FixedDraw(p)) == -1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sample_outcome_threshold_on_every_small_stabilizer_state(n):
+    effects = [PauliMeasurement(p) for p in all_signed_paulis(n)]
+    for g in enumerate_stabilizer_groups(n):
+        for e in effects:
+            assert_same_threshold(StabilizerState(g), e)
+
+
+@pytest.mark.parametrize("n", [1, 52, 53, 54, 64])
+def test_sample_outcome_threshold_on_the_mixed_state(n):
+    for p in (PauliOperator.identity(n), PauliOperator.identity(n, -1), PauliOperator.single(n, n - 1, "Y")):
+        assert_same_threshold(MaximallyMixed(n), PauliMeasurement(p))
+
+
+def test_sample_outcome_threshold_on_product_states_under_haar_draws():
+    rng = substream(9, "threshold")
+    for n in (1, 3, 8):
+        d = HaarSingleQubitProduct(n)
+        for _ in range(50):
+            assert_same_threshold(random_product(rng, n), d.sample(rng))
 
 
 def test_sample_outcome_concentration():

@@ -17,14 +17,16 @@ from dense_ref import (
     group_state_matrix,
     matrix_key,
     pauli_matrix,
+    pauli_product_many,
 )
-from paulisq.pauli import PauliMeasurement, PauliOperator, commutes, gf2_echelon, pauli_product_many
+from paulisq.pauli import PauliMeasurement, PauliOperator, commutes, gf2_echelon
 from paulisq.pconcept import MaximallyMixed, StabilizerState, UniformPauli, inner_product, squared_loss
 from paulisq.stabilizer import (
     BudgetExceeded,
     Membership,
     StabilizerGroup,
     _isotropic_subspaces,
+    _product,
     _swapped,
     enumerate_stabilizer_groups,
     random_stabilizer_group,
@@ -90,6 +92,43 @@ def test_canonicalization_idempotent_and_basis_independent():
                 row = pauli_product(row, g.generators[i + 1]).to_operator()
             scrambled.append(row)
         assert StabilizerGroup.from_generators(scrambled) == g
+
+
+def reference_product(generators, tag):
+    """The same product through PhasedPauli objects, one pauli_product per factor."""
+    named = [g for i, g in enumerate(generators) if tag >> i & 1]
+    return pauli_product_many([PauliOperator.identity(generators[0].n), *named]).to_operator()
+
+
+def assert_products_match(generators, tags):
+    for tag in tags:
+        got, want = _product(generators, tag), reference_product(generators, tag)
+        assert (got.sign, got.x, got.z) == (want.sign, want.x, want.z), tag
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_product_matches_reference_on_every_small_group_and_tag(n):
+    groups = enumerate_stabilizer_groups(n)
+    assert len(groups) == {1: 6, 2: 60, 3: 1080}[n]
+    for g in groups:
+        assert_products_match(g.generators, range(1 << n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_product_matches_reference_at_large_n(n, seed):
+    g = random_stabilizer_group(n, np.random.default_rng(seed))
+    rnd = random.Random(seed)
+    assert_products_match(g.generators, [rnd.getrandbits(n) for _ in range(8)] + [(1 << n) - 1])
+
+
+@pytest.mark.parametrize("pair", [("X", "Z"), ("Z", "X"), ("-Y", "X"), ("XI", "ZZ"), ("IZY", "-XZZ")])
+def test_product_of_anticommuting_pair_raises_on_both_paths(pair):
+    generators = [PauliOperator.from_string(t) for t in pair]
+    with pytest.raises(ValueError, match="imaginary"):
+        _product(generators, 0b11)
+    with pytest.raises(ValueError, match="imaginary"):
+        reference_product(generators, 0b11)
 
 
 def test_signed_intersections_self():
