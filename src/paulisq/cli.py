@@ -57,6 +57,7 @@ from .oracle import (
 from .pauli import PauliMeasurement, PauliOperator
 from .pconcept import (
     EXACT,
+    EXACT_PAULI_ENUMERATION_LIMIT,
     BlochVector,
     FiniteWeighted,
     HaarSingleQubitProduct,
@@ -85,6 +86,9 @@ from .streams import substream
 STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080}
 # verify-lemmas and sda enumerate stabilizer states; noisy lpn sweeps 2^n secrets
 MAX_N = {"verify-lemmas": ENUMERATION_LIMIT, "sda": 2}
+# noise-demo's exact round trip enumerates the support: the uniform Pauli
+# budget, and 2^16 parities (2.6 s; 2^18 take 11.7 s)
+DISTRIBUTION_MAX_N = {"uniform_pauli": EXACT_PAULI_ENUMERATION_LIMIT, "uniform_parity": 16}
 
 
 # the JSON values accepted for each type named in ExperimentConfig's annotations
@@ -141,6 +145,8 @@ class ExperimentConfig:
             raise ValueError(f"{what} supports n <= {top}, got n = {n}")
         noise_from_descriptor(self.noise)
         policy_from_descriptor(self.policy, self.seed)
+        if self.distribution is not None:
+            distribution_from_descriptor(self.distribution)
         searchable = self.experiment == "learn-product" and self.target != "basis"
         if self.grid_search and not (searchable and (self.noise or {}).get("kind") == "depolarizing"):
             raise ValueError("grid_search runs only in learn-product with depolarizing noise and a non-basis target")
@@ -204,7 +210,21 @@ def _kind(desc: dict, table: dict, what: str) -> str:
 
 
 def distribution_from_descriptor(desc: dict):
-    return DISTRIBUTION_KINDS[_kind(desc, DISTRIBUTION_KINDS, "distribution")](desc)
+    kind = _kind(desc, DISTRIBUTION_KINDS, "distribution")
+    if kind == "finite":
+        try:
+            d = DISTRIBUTION_KINDS[kind](desc)
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"finite distribution items must be [measurement, weight] pairs: {exc!r}") from None
+        if len({e.n for e, _ in d.items}) != 1:
+            raise ValueError("finite distribution items must all act on one qubit count")
+        return d
+    n, top = desc.get("n"), DISTRIBUTION_MAX_N.get(kind)
+    if not _json_type_ok("int", n) or n < 1:
+        raise ValueError(f"distribution kind {kind!r} needs an int n >= 1, got {n!r}")
+    if top is not None and n > top:
+        raise ValueError(f"{kind} distribution supports n <= {top}, got n = {n}")
+    return DISTRIBUTION_KINDS[kind](desc)
 
 
 def noise_from_descriptor(desc: dict | None):

@@ -17,34 +17,33 @@ models act through this decomposition:
 
 Each noise model is a `NoiseModel` subclass that owns its behaviour and
 checks its own rate: `mean` and `label_weights` fold it into an oracle's
-atom table, `sample` draws one noisy example, `correct` undoes it,
+atom table, `draw` draws m noisy examples, `correct` undoes it,
 `learner_oracle` wraps a noisy oracle in the correction a learner queries
 through, and `adjoint` pushes it onto a measurement where a closed form
 exists.  Each `ResponsePolicy` owns its `answer` and the random `stream` an
 oracle opens for it once.  `StatisticalQueryOracle` only calls the pair.
 
-Expectations are computed deterministically from an atom table: the
+Every answer is evaluated on one kind of object, a measurement batch (see
+`pconcept`): m measurements held as arrays, or as indices into a tuple of
+measurement objects, whose f(state) gives f at all of them in one call.
+Exact answers come from an atom table, a batch with a weight per atom: the
 support of a finite distribution, or per-panel Gauss-Legendre quadrature
 over the sphere for Haar single-qubit measurement distributions (exact to
 roughly 1e-9 for queries that are smooth on each octant, which covers
-sign-threshold queries split along the coordinate planes).  Every query is
-evaluated in one place, `_values`, which checks |phi| <= 1 on each value an
-answer uses (each pair (E, y) of the table, or each drawn example).
+sign-threshold queries split along the coordinate planes).  The empirical
+policy draws one batch of m examples per answer, with the noisy labels
+drawn as an array against the noisy outcome mean.  The grid search's
+validation set is one batch labeled with f of the hidden state, and each
+hypothesis is scored on it with one more call.
 
 A query is any callable phi(E, y).  It may also have an array form,
 phi.on_projectors(qubits, directions) -> (phi(E, 1), phi(E, -1)) as two
-arrays over the atoms; a table whose atoms are all single-qubit projectors
-(every Haar table) is then evaluated in one call, with the same bound check.
-Otherwise, and for drawn examples, phi is called pair by pair.
-
-Seeded draws of many measurements are batches: `distribution.draw(rng, m)`
-returns the m measurements as arrays, and the batch's f(state) is f at all
-of them in one call.  The grid search's validation set is one batch labeled
-with f of the hidden state, and each hypothesis is scored on it with one
-more call.  The empirical policy still draws example by example, since its
-phi is a plain per-example function.  On a stabilizer state each example's
-outcome law is a membership sign, which is integer arithmetic on the
-tableau's packed rows, and the outcome is drawn against a float threshold.
+arrays over the projectors.  One helper, `_values`, evaluates every answer:
+on a batch of single-qubit projectors (every Haar table and Haar draw) a
+query with an array form is answered in one call, and otherwise phi is
+called pair by pair on measurements made from the batch one at a time.
+Either way it checks |phi| <= 1 on each value the answer uses: both labels
+of every atom of a table, or the drawn label of every example.
 """
 
 from __future__ import annotations
@@ -54,13 +53,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .pauli import DimensionMismatch, PauliMeasurement, PauliOperator
 from .pconcept import (
-    BlochVector,
+    FiniteWeighted,
     HaarSingleQubitProduct,
     MaximallyMixed,
     Measurement,
@@ -68,11 +67,11 @@ from .pconcept import (
     MeasurementDistribution,
     ProjectorBatch,
     QuantumState,
-    SingleQubitProjector,
     acceptance_probability,
+    batch_of,
+    concatenate,
     distribution_support,
-    f_value,
-    sample_outcome,
+    draw_outcomes,
 )
 from .streams import substream
 
@@ -170,7 +169,7 @@ class EmpiricalFromSamples(ResponsePolicy):
         if m is None:
             delta = self.delta_total / max(self.expected_queries, 1)
             m = math.ceil(2.0 * math.log(2.0 / delta) / (q.tau * q.tau))
-        return _sample_mean(q.phi, lambda: oracle.sample_noisy_example(rng), m)
+        return _sample_mean(q.phi, *oracle.draw_noisy_examples(rng, m))
 
 
 class DefaultAdversary:
@@ -193,15 +192,17 @@ class NoiseModel:
         return f
 
     def label_weights(self, atoms: "_Atoms") -> tuple:
-        """(measurements, accept, reject): the atoms' `_Measurements` and per-atom
+        """(batch, accept, reject): the atoms' measurement batch and per-atom
         weights of the outcomes +1 and -1 under this noise, so
         E[phi] = sum accept phi(E,1) + reject phi(E,-1)."""
         mean = self.mean(atoms.f, atoms.f_mixed)
-        return atoms.measurements, 0.5 * atoms.weight * (1.0 + mean), 0.5 * atoms.weight * (1.0 - mean)
+        return atoms.batch, 0.5 * atoms.weight * (1.0 + mean), 0.5 * atoms.weight * (1.0 - mean)
 
-    def sample(self, state: QuantumState, distribution: MeasurementDistribution, rng):
-        e = distribution.sample(rng)
-        return e, sample_outcome(state, e, rng)
+    def draw(self, state: QuantumState, distribution: MeasurementDistribution, rng, m: int) -> tuple:
+        """(batch, labels): m noisy examples, the measurements drawn from D as one
+        batch and each +-1 label drawn against the noisy outcome mean."""
+        batch = distribution.draw(rng, m)
+        return batch, draw_outcomes(self.mean(batch.f(state), batch.f(MaximallyMixed(state.n))), rng)
 
     def learner_oracle(self, oracle):
         return oracle
@@ -233,12 +234,6 @@ class ClassificationNoise(NoiseModel):
         label-free part is not damped by label flips and must not be rescaled."""
         return noisy_answer / (1.0 - 2.0 * self.eta)
 
-    def sample(self, state, distribution, rng):
-        e, y = super().sample(state, distribution, rng)
-        if rng.random() < self.eta:
-            y = -y
-        return e, y
-
     def learner_oracle(self, oracle):
         return ClassificationCorrectedOracle(oracle, self.eta)
 
@@ -258,32 +253,39 @@ class MaliciousNoise(NoiseModel):
             raise ValueError(f"malicious noise rate must lie in [0, 1], got {self.eta}")
 
     def label_weights(self, atoms) -> tuple:
-        measurements, accept, reject = super().label_weights(atoms)
+        batch, accept, reject = super().label_weights(atoms)
         keep = 1.0 - self.eta
         if self.corruption is None:
             # default corruption: E ~ D with a uniformly random label
-            corrupted = atoms.measurements
+            corrupted = atoms.batch
             bad_accept = bad_reject = 0.5 * self.eta * atoms.weight
         else:
-            corrupted = _Measurements.of(tuple(e for (e, _), _ in self.corruption))
+            corrupted = batch_of(tuple(e for (e, _), _ in self.corruption))
             labels = np.array([y for (_, y), _ in self.corruption])
             bad = self.eta * np.array([float(w) for _, w in self.corruption])
             bad_accept, bad_reject = np.where(labels == 1, bad, 0.0), np.where(labels == -1, bad, 0.0)
         return (
-            measurements + corrupted,
+            concatenate(batch, corrupted),
             np.concatenate([keep * accept, bad_accept]),
             np.concatenate([keep * reject, bad_reject]),
         )
 
-    def sample(self, state, distribution, rng):
-        if rng.random() < self.eta:
-            if self.corruption is not None:
-                weights = [float(w) for _, w in self.corruption]
-                idx = rng.choice(len(weights), p=np.asarray(weights) / sum(weights))
-                return self.corruption[int(idx)][0]
-            e = distribution.sample(rng)
-            return e, (1 if rng.random() < 0.5 else -1)
-        return super().sample(state, distribution, rng)
+    def draw(self, state, distribution, rng, m: int) -> tuple:
+        """Each example is corrupted with probability eta.  By default a corrupted
+        example keeps its draw from D and gets a uniform label.  An explicit
+        corruption draws the number k of corrupted examples, then m - k clean
+        examples, then k examples from the corruption's weights; the batch
+        lists the clean examples first, which leaves the law of the sample
+        mean unchanged."""
+        if self.corruption is None:
+            batch, labels = super().draw(state, distribution, rng, m)
+            corrupted = rng.random(m) < self.eta
+            return batch, np.where(corrupted, 1 - 2 * rng.integers(0, 2, size=m), labels)
+        k = int(rng.binomial(m, self.eta))
+        batch, labels = super().draw(state, distribution, rng, m - k)
+        picks = FiniteWeighted(tuple((e, w) for (e, _), w in self.corruption)).draw(rng, k)
+        bad_labels = np.array([y for (_, y), _ in self.corruption])[picks.indices]
+        return concatenate(batch, batch_of(tuple(picks))), np.concatenate([labels, bad_labels])
 
 
 @dataclass(frozen=True)
@@ -302,12 +304,6 @@ class DepolarizingNoise(NoiseModel):
     def correct(self, noisy_answer: float, phi_on_mixed: float) -> float:
         """Recover phi[rho] from phi[(1-eta) rho + eta I/2^n] and phi[I/2^n]."""
         return (noisy_answer - self.eta * phi_on_mixed) / (1.0 - self.eta)
-
-    def sample(self, state, distribution, rng):
-        # one uniform draw per example, against the noisy outcome mean
-        e = distribution.sample(rng)
-        f = self.mean(float(f_value(state, e)), float(f_value(MaximallyMixed(state.n), e)))
-        return e, (1 if rng.random() < 0.5 * (1.0 + f) else -1)
 
     def learner_oracle(self, oracle):
         return DepolarizingCorrectedOracle(oracle, self.eta)
@@ -343,9 +339,6 @@ class BoundedChannelNoise(NoiseModel):
     def mean(self, f, f_mixed):
         return self.channel.mean(f, f_mixed)
 
-    def sample(self, state, distribution, rng):
-        return self.channel.sample(state, distribution, rng)
-
     def learner_oracle(self, oracle):
         return BoundedChannelAbsorbingOracle(oracle, self.eta_diamond)
 
@@ -366,48 +359,10 @@ class OracleConfig:
 # atom tables for deterministic expectations
 
 
-class _Measurements:
-    """A table's measurements in atom order, iterable as them.  When every atom
-    is a single-qubit projector, `projectors` also holds them as the arrays
-    (qubits, directions), on which a query's array form answers; else None."""
-
-    def __init__(self, measurements: tuple, projectors: Optional[tuple] = None):
-        self.measurements = measurements
-        self.projectors = projectors
-        self._pairs: Optional[tuple] = None
-
-    @classmethod
-    def of(cls, measurements: tuple) -> "_Measurements":
-        if not all(isinstance(e, SingleQubitProjector) for e in measurements):
-            return cls(measurements)
-        qubits = np.array([e.qubit for e in measurements], dtype=int)
-        directions = np.array([e.axis.as_tuple() for e in measurements], dtype=float).reshape(-1, 3)
-        return cls(measurements, (qubits, directions))
-
-    def __iter__(self):
-        return iter(self.measurements)
-
-    def __len__(self) -> int:
-        return len(self.measurements)
-
-    def __add__(self, other: "_Measurements") -> "_Measurements":
-        projectors = None
-        if self.projectors is not None and other.projectors is not None:
-            projectors = tuple(np.concatenate(arrays) for arrays in zip(self.projectors, other.projectors))
-        return _Measurements(self.measurements + other.measurements, projectors)
-
-    def pairs(self) -> tuple:
-        """Each atom E as its pairs (E, 1), (E, -1), in phi's call order; built
-        on first use, which only a query evaluated pair by pair makes."""
-        if self._pairs is None:
-            self._pairs = tuple((e, y) for e in self.measurements for y in (1, -1))
-        return self._pairs
-
-
 @lru_cache(maxsize=16)
 def _haar_atoms(n: int) -> tuple:
     """Quadrature atoms of the Haar product distribution, qubit-major and
-    shared across oracles: (measurements, weights).
+    shared across oracles: (batch, weights).
 
     The nodes are Gauss-Legendre on the sphere, split into octant panels:
     splitting theta at pi/2 and phi at every quarter turn keeps sign-threshold
@@ -432,16 +387,16 @@ def _haar_atoms(n: int) -> tuple:
     weights = np.tile(np.array(ws) / n, n)
     directions = np.tile(np.array(us), (n, 1))
     qubits = np.repeat(np.arange(n), len(ws))
-    projectors = tuple(SingleQubitProjector(n, int(q), BlochVector(*u)) for q, u in zip(qubits, directions))
     for array in (weights, directions, qubits):
         array.setflags(write=False)
-    return _Measurements(projectors, (qubits, directions)), weights
+    return ProjectorBatch(n, qubits, directions), weights
 
 
 class _Atoms(NamedTuple):
-    """A distribution's atoms with f of one state and f_mixed of I/2^n at each."""
+    """A distribution's atoms as a batch, with their weights, f of one state and
+    f_mixed of I/2^n at each."""
 
-    measurements: _Measurements
+    batch: MeasurementBatch
     weight: np.ndarray
     f: np.ndarray
     f_mixed: np.ndarray
@@ -449,18 +404,12 @@ class _Atoms(NamedTuple):
 
 def _atoms(state: QuantumState, distribution: MeasurementDistribution) -> _Atoms:
     if isinstance(distribution, HaarSingleQubitProduct):
-        measurements, weights = _haar_atoms(state.n)
-        f = ProjectorBatch(state.n, *measurements.projectors).f(state)
-        return _Atoms(measurements, weights, f, np.zeros_like(f))
-    support = distribution_support(distribution)
-    measurements = tuple(e for e, _ in support)
-    mixed = MaximallyMixed(state.n)
-    return _Atoms(
-        _Measurements.of(measurements),
-        np.array([float(w) for _, w in support]),
-        np.array([float(f_value(state, e)) for e in measurements]),
-        np.array([float(f_value(mixed, e)) for e in measurements]),
-    )
+        batch, weights = _haar_atoms(state.n)
+    else:
+        support = distribution_support(distribution)
+        batch = batch_of(tuple(e for e, _ in support))
+        weights = np.array([float(w) for _, w in support])
+    return _Atoms(batch, weights, batch.f(state), batch.f(MaximallyMixed(state.n)))
 
 
 @lru_cache(maxsize=16)
@@ -476,32 +425,45 @@ def _check_bound(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _values(phi, count: int, pairs: Callable[[], Iterable], projectors: Optional[tuple] = None) -> np.ndarray:
-    """phi at `count` pairs (E, y) in the order pairs() yields them, each checked
-    against |phi| <= 1.  A query with an array form, phi.on_projectors(qubits,
-    directions) -> (phi(E, 1), phi(E, -1)) per atom, answers on a table's
-    `projectors` instead, and pairs() is not called."""
+def _values(phi, batch: MeasurementBatch, labels: Optional[np.ndarray] = None) -> np.ndarray:
+    """phi at the pairs an answer uses, each checked against |phi| <= 1: the
+    pairs (E, 1) and (E, -1) of every measurement E of the batch, in that
+    order, or with `labels` the pair (E, y) of each drawn example.
+
+    A query with an array form, phi.on_projectors(qubits, directions) ->
+    (phi(E, 1), phi(E, -1)) per projector, answers on a ProjectorBatch in one
+    call.  Otherwise phi is called pair by pair, on measurements made from
+    the batch one at a time.
+    """
     native = getattr(phi, "on_projectors", None)
-    if native is not None and projectors is not None:
-        values = np.empty(count)
-        values[0::2], values[1::2] = native(*projectors)
+    if native is not None and isinstance(batch, ProjectorBatch):
+        plus, minus = native(batch.qubits, batch.directions)
+        if labels is None:
+            values = np.empty(2 * len(batch))
+            values[0::2], values[1::2] = plus, minus
+        else:
+            values = np.where(labels == 1, plus, minus)
     else:
-        values = np.fromiter(itertools.starmap(phi, pairs()), float, count)
+        if labels is None:
+            pairs, count = ((e, y) for e in batch for y in (1, -1)), 2 * len(batch)
+        else:
+            pairs, count = zip(batch, labels.tolist()), len(labels)
+        values = np.fromiter(itertools.starmap(phi, pairs), float, count)
     return _check_bound(values)
 
 
 def _evaluate(table, phi) -> float:
     """sum_atoms accept phi(E, 1) + reject phi(E, -1), the terms summed in atom
     order from 0.0 as a loop would (np.sum and np.dot add pairwise)."""
-    measurements, accept, reject = table
-    values = _values(phi, 2 * len(measurements), measurements.pairs, measurements.projectors)
+    batch, accept, reject = table
+    values = _values(phi, batch)
     return float(np.cumsum(accept * values[0::2] + reject * values[1::2])[-1] + 0.0)
 
 
-def _sample_mean(phi, draw: Callable[[], tuple], m: int) -> float:
-    """Mean of phi over m examples (E, y) streamed from draw(), as a running total
-    in draw order (sum() compensates rounding from Python 3.12 on)."""
-    return float(np.cumsum(_values(phi, m, lambda: (draw() for _ in range(m))))[-1] + 0.0) / m
+def _sample_mean(phi, batch: MeasurementBatch, labels: np.ndarray) -> float:
+    """Mean of phi over the drawn examples (E, y), as a running total in draw
+    order (sum() compensates rounding from Python 3.12 on)."""
+    return float(np.cumsum(_values(phi, batch, labels))[-1] + 0.0) / len(labels)
 
 
 def _check_mixed_samples(samples: int) -> None:
@@ -525,9 +487,8 @@ def expectation_on_maximally_mixed(
     if samples is None:
         return _evaluate(_mixed_label_table(distribution, n), phi)
     _check_mixed_samples(samples)
-    mixed = MaximallyMixed(n)
     rng = rng if rng is not None else np.random.default_rng(0)
-    return _sample_mean(phi, lambda: NoNoise().sample(mixed, distribution, rng), samples)
+    return _sample_mean(phi, *NoNoise().draw(MaximallyMixed(n), distribution, rng, samples))
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +542,9 @@ class StatisticalQueryOracle:
             self._table = self.config.noise.label_weights(_atoms(self._state, self._distribution))
         return _evaluate(self._table, phi)
 
-    def sample_noisy_example(self, rng):
-        """One (E, y) example drawn under the configured noise model."""
-        return self.config.noise.sample(self._state, self._distribution, rng)
+    def draw_noisy_examples(self, rng, m: int) -> tuple:
+        """(batch, labels): m examples (E, y) drawn under the configured noise model."""
+        return self.config.noise.draw(self._state, self._distribution, rng, m)
 
     def query(self, q: SQQuery) -> float:
         """Answer within tau of the noisy expectation, per the response policy."""

@@ -5,17 +5,15 @@ An operator is stored as a sign in {+1, -1} plus two n-bit masks: bit i of
 I, X, Y, Z for (x_i, z_i) = (0,0), (1,0), (1,1), (0,1).  Qubit 0 is the
 leftmost tensor factor and the leftmost character of the string form.
 
-Products of signed Paulis can pick up imaginary phases, so products are
-returned as a :class:`PhasedPauli` carrying the full phase i^k; the
-real-signed subset (phase +1 or -1) is what stabilizer groups and Pauli
-measurements are built from.
+Only real-signed operators (phase +1 or -1) are represented: stabilizer
+groups and Pauli measurements are built from them.  Products of generators,
+whose phases i^k are tracked as integers, live in :mod:`paulisq.stabilizer`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-_PHASES = (1, 1j, -1, -1j)
 _KIND_FOR_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS_FOR_KIND = {v: k for k, v in _KIND_FOR_BITS.items()}
 _MINUS_CHARS = ("-", "−")
@@ -98,59 +96,6 @@ class PauliOperator:
     def __str__(self) -> str:
         letters = "".join(self.kind(i) for i in range(self.n))
         return ("+" if self.sign > 0 else "-") + letters
-
-
-@dataclass(frozen=True)
-class PhasedPauli:
-    """A Pauli string together with a phase in {+1, i, -1, -i}.
-
-    ``phase_exp`` is the exponent k of i^k relative to the plain letter
-    string (each Y counted as a single letter, not as iXZ).
-    """
-
-    n: int
-    phase_exp: int
-    x: int
-    z: int
-
-    @property
-    def phase(self) -> complex:
-        return _PHASES[self.phase_exp % 4]
-
-    @property
-    def is_real_signed(self) -> bool:
-        return self.phase_exp % 2 == 0
-
-    def to_operator(self) -> PauliOperator:
-        if not self.is_real_signed:
-            raise ValueError(f"phase i^{self.phase_exp} is imaginary, not in the real-signed set")
-        return PauliOperator(self.n, 1 if self.phase_exp % 4 == 0 else -1, self.x, self.z)
-
-    def __str__(self) -> str:
-        letters = "".join(_KIND_FOR_BITS[((self.x >> i) & 1, (self.z >> i) & 1)] for i in range(self.n))
-        return ("+", "+i", "-", "-i")[self.phase_exp % 4] + letters
-
-
-def as_phased(p: PauliOperator | PhasedPauli) -> PhasedPauli:
-    if isinstance(p, PhasedPauli):
-        return p
-    return PhasedPauli(p.n, (0 if p.sign > 0 else 2), p.x, p.z)
-
-
-def pauli_product(a: PauliOperator | PhasedPauli, b: PauliOperator | PhasedPauli) -> PhasedPauli:
-    """Matrix product a*b with exact phase tracking.
-
-    Writing each factor as i^k X^x Z^z, the product picks up (-1) for every
-    qubit where a Z of `a` moves past an X of `b`.
-    """
-    pa, pb = as_phased(a), as_phased(b)
-    n = _check_same_n(pa, pb)
-    ka = pa.phase_exp + (pa.x & pa.z).bit_count()
-    kb = pb.phase_exp + (pb.x & pb.z).bit_count()
-    x = pa.x ^ pb.x
-    z = pa.z ^ pb.z
-    k = ka + kb + 2 * (pa.z & pb.x).bit_count() - (x & z).bit_count()
-    return PhasedPauli(n, k % 4, x, z)
 
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:

@@ -2,7 +2,7 @@
 
 A state rho is identified with the conditional mean function
 f_rho(E) = 2 tr(E rho) - 1 of its +-1 measurement outcomes.  This module
-evaluates f, samples outcomes, and computes inner products / squared losses
+evaluates f, draws outcomes, and computes inner products / squared losses
 between two states' p-concepts, either exactly (rational arithmetic on the
 stabilizer fast paths, closed forms elsewhere) or by seeded Monte Carlo.
 
@@ -196,10 +196,6 @@ class HaarSingleQubitProduct:
 
     n: int
 
-    def sample(self, rng) -> SingleQubitProjector:
-        qubit = int(rng.integers(0, self.n))
-        return SingleQubitProjector(self.n, qubit, BlochVector.from_iterable(_sphere_point(rng)))
-
     def draw(self, rng, m: int) -> "ProjectorBatch":
         qubits = rng.integers(0, self.n, size=m)
         return ProjectorBatch(self.n, qubits, haar_directions(rng, m))
@@ -236,23 +232,16 @@ class FiniteWeighted:
         """m draws at once, against the same running-sum thresholds as `sample`."""
         ends = np.cumsum([float(w) for _, w in self.items])
         indices = np.searchsorted(ends, rng.random(m), side="right")
-        return IndexBatch(self.items, np.minimum(indices, len(self.items) - 1))
+        return IndexBatch(tuple(e for e, _ in self.items), np.minimum(indices, len(self.items) - 1))
 
 
 MeasurementDistribution = Union[UniformPauli, UniformParity, HaarSingleQubitProduct, FiniteWeighted]
 
 
-def _sphere_point(rng) -> tuple[float, float, float]:
-    # area-uniform: azimuth uniform on [0, 2pi), cos(polar) uniform on [-1, 1]
-    cos_theta = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
-    return (math.cos(phi) * sin_theta, math.sin(phi) * sin_theta, cos_theta)
-
-
 def haar_directions(rng, size: int) -> np.ndarray:
-    """`size` area-uniform unit vectors as rows: the vectorised _sphere_point,
-    drawing all cos(polar) values first and then all azimuths."""
+    """`size` area-uniform unit vectors as rows: cos(polar) uniform on [-1, 1]
+    and the azimuth uniform on [0, 2pi), all cos values drawn first and then
+    all azimuths."""
     cos_t = rng.uniform(-1.0, 1.0, size=size)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=size)
     sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
@@ -332,23 +321,25 @@ def acceptance_probability(state: QuantumState, e: Measurement):
     return (1.0 + f) / 2.0
 
 
-def sample_outcome(state: QuantumState, e: Measurement, rng) -> int:
-    """One +-1 measurement outcome: +1 with probability tr(E rho).
+def draw_outcomes(f: np.ndarray, rng) -> np.ndarray:
+    """One +-1 outcome per conditional mean f: +1 with probability (1 + f)/2,
+    each against one uniform draw.
 
     The threshold (1 + f)/2 is taken in floats.  It equals
     float(acceptance_probability) wherever f is exact as a float, as every
     Fraction f_value is (-1, 0 or 1): halving is exact, so rounding 1 + f
     and then halving rounds (1 + f)/2 once.
     """
-    return 1 if rng.random() < 0.5 * (1.0 + float(f_value(state, e))) else -1
+    return np.where(rng.random(len(f)) < 0.5 * (1.0 + f), 1, -1)
 
 
 # ---------------------------------------------------------------------------
-# batches of drawn measurements
+# batches of measurements
 #
-# `distribution.draw(rng, m)` returns m measurements as arrays, and the
-# batch's f(state) is f_state at every one of them, equal to float(f_value)
-# measurement by measurement; measurements() lists them as objects.
+# `distribution.draw(rng, m)` returns m measurements as arrays, and so does an
+# oracle's atom table.  A batch's f(state) is f_state at every one of them,
+# equal to float(f_value) measurement by measurement; iterating a batch makes
+# its measurements as objects, one at a time.
 
 
 @dataclass(frozen=True)
@@ -359,14 +350,20 @@ class ProjectorBatch:
     qubits: np.ndarray
     directions: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.qubits)
+
+    def __iter__(self):
+        for q, u in zip(self.qubits, self.directions):
+            yield SingleQubitProjector(self.n, int(q), BlochVector(*u))
+
     def f(self, state: QuantumState) -> np.ndarray:
         _check_dims(state, self)
+        if isinstance(state, MaximallyMixed):
+            return np.zeros(len(self))
         b = bloch_matrix(state)[self.qubits]
         u = self.directions
         return u[:, 0] * b[:, 0] + u[:, 1] * b[:, 1] + u[:, 2] * b[:, 2]
-
-    def measurements(self) -> list:
-        return [SingleQubitProjector(self.n, int(q), BlochVector(*u)) for q, u in zip(self.qubits, self.directions)]
 
 
 def _parity(v: np.ndarray) -> np.ndarray:
@@ -384,6 +381,13 @@ class PauliBatch:
     signs: np.ndarray
     x: np.ndarray
     z: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.signs)
+
+    def __iter__(self):
+        for s, x, z in zip(self.signs, self.x, self.z):
+            yield PauliMeasurement(PauliOperator(self.n, int(s), int(x), int(z)))
 
     def f(self, state: QuantumState) -> np.ndarray:
         _check_dims(state, self)
@@ -410,28 +414,52 @@ class PauliBatch:
         f[members] = self.signs[members] * plus[which.reshape(-1)]  # numpy 2.0.0 returns `which` as 2-D
         return f
 
-    def measurements(self) -> list:
-        return [
-            PauliMeasurement(PauliOperator(self.n, int(s), int(x), int(z)))
-            for s, x, z in zip(self.signs, self.x, self.z)
-        ]
-
 
 @dataclass(frozen=True)
 class IndexBatch:
-    """Draws from a finite support, as indices into its (measurement, weight) items."""
+    """Measurements given as objects: indices into a tuple of them."""
 
-    items: tuple
+    measurements: tuple
     indices: np.ndarray
 
-    def f(self, state: QuantumState) -> np.ndarray:
-        return np.array([float(f_value(state, e)) for e, _ in self.items])[self.indices]
+    def __len__(self) -> int:
+        return len(self.indices)
 
-    def measurements(self) -> list:
-        return [self.items[i][0] for i in self.indices]
+    def __iter__(self):
+        return (self.measurements[i] for i in self.indices)
+
+    def f(self, state: QuantumState) -> np.ndarray:
+        return np.array([float(f_value(state, e)) for e in self.measurements])[self.indices]
 
 
 MeasurementBatch = Union[ProjectorBatch, PauliBatch, IndexBatch]
+
+
+def batch_of(measurements: tuple) -> MeasurementBatch:
+    """The measurements in order as a batch: a ProjectorBatch when every one is a
+    single-qubit projector, and an IndexBatch over them otherwise."""
+    if measurements and all(isinstance(e, SingleQubitProjector) for e in measurements):
+        qubits = np.array([e.qubit for e in measurements])
+        directions = np.array([e.axis.as_tuple() for e in measurements], dtype=float)
+        return ProjectorBatch(measurements[0].n, qubits, directions)
+    return IndexBatch(measurements, np.arange(len(measurements)))
+
+
+def concatenate(first: MeasurementBatch, second: MeasurementBatch) -> MeasurementBatch:
+    """The measurements of `first`, then those of `second`.  Two projector
+    batches stay arrays, an empty batch leaves the other as it is, and any
+    other pair is joined as objects."""
+    if len(second) == 0:
+        return first
+    if len(first) == 0:
+        return second
+    if isinstance(first, ProjectorBatch) and isinstance(second, ProjectorBatch):
+        return ProjectorBatch(
+            first.n,
+            np.concatenate([first.qubits, second.qubits]),
+            np.concatenate([first.directions, second.directions]),
+        )
+    return IndexBatch(tuple(first) + tuple(second), np.arange(len(first) + len(second)))
 
 
 # ---------------------------------------------------------------------------

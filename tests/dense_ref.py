@@ -8,13 +8,15 @@ tautology.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from paulisq.pauli import PauliMeasurement, PauliOperator, PhasedPauli, as_phased, pauli_product
+from paulisq.pauli import DimensionMismatch, PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
     MaximallyMixed,
+    PauliBatch,
     ProductState,
     SingleQubitProjector,
     StabilizerState,
@@ -28,6 +30,60 @@ PAULI_MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+@dataclass(frozen=True)
+class PhasedPauli:
+    """A Pauli string together with a phase in {+1, i, -1, -i}.
+
+    ``phase_exp`` is the exponent k of i^k relative to the plain letter
+    string (each Y counted as a single letter, not as iXZ).
+    """
+
+    n: int
+    phase_exp: int
+    x: int
+    z: int
+
+    @property
+    def phase(self) -> complex:
+        return (1, 1j, -1, -1j)[self.phase_exp % 4]
+
+    @property
+    def is_real_signed(self) -> bool:
+        return self.phase_exp % 2 == 0
+
+    def to_operator(self) -> PauliOperator:
+        if not self.is_real_signed:
+            raise ValueError(f"phase i^{self.phase_exp} is imaginary, not in the real-signed set")
+        return PauliOperator(self.n, 1 if self.phase_exp % 4 == 0 else -1, self.x, self.z)
+
+    def __str__(self) -> str:
+        letters = str(PauliOperator(self.n, 1, self.x, self.z))[1:]
+        return ("+", "+i", "-", "-i")[self.phase_exp % 4] + letters
+
+
+def as_phased(p: PauliOperator | PhasedPauli) -> PhasedPauli:
+    if isinstance(p, PhasedPauli):
+        return p
+    return PhasedPauli(p.n, (0 if p.sign > 0 else 2), p.x, p.z)
+
+
+def pauli_product(a: PauliOperator | PhasedPauli, b: PauliOperator | PhasedPauli) -> PhasedPauli:
+    """Matrix product a*b with exact phase tracking, one factor pair at a time.
+
+    Writing each factor as i^k X^x Z^z, the product picks up (-1) for every
+    qubit where a Z of `a` moves past an X of `b`.
+    """
+    pa, pb = as_phased(a), as_phased(b)
+    if pa.n != pb.n:
+        raise DimensionMismatch(f"qubit counts differ: {pa.n} != {pb.n}")
+    ka = pa.phase_exp + (pa.x & pa.z).bit_count()
+    kb = pb.phase_exp + (pb.x & pb.z).bit_count()
+    x = pa.x ^ pb.x
+    z = pa.z ^ pb.z
+    k = ka + kb + 2 * (pa.z & pb.x).bit_count() - (x & z).bit_count()
+    return PhasedPauli(pa.n, k % 4, x, z)
 
 
 def kron_all(mats):
@@ -55,6 +111,17 @@ def pauli_product_many(ops) -> PhasedPauli:
     if not ops:
         raise ValueError("empty product")
     return reduce(pauli_product, ops[1:], as_phased(ops[0]))
+
+
+def pauli_batch(n: int, paulis) -> PauliBatch:
+    """The effects (I + P)/2 of the given Paulis, in order, as one batch."""
+    paulis = list(paulis)
+    return PauliBatch(
+        n,
+        np.array([p.sign for p in paulis]),
+        np.array([p.x for p in paulis], dtype=np.uint64),
+        np.array([p.z for p in paulis], dtype=np.uint64),
+    )
 
 
 def group_elements(group: StabilizerGroup):

@@ -1,5 +1,6 @@
-"""Queries with an array form answer on a projector table exactly as the same
-query does when it is evaluated pair by pair through the scalar adapter."""
+"""Queries with an array form answer on a projector batch (an atom table or a
+drawn sample) exactly as the same query does when it is evaluated pair by
+pair through the scalar adapter."""
 
 import math
 
@@ -14,6 +15,7 @@ from paulisq.oracle import (
     ClassificationCorrectedOracle,
     ClassificationNoise,
     DepolarizingNoise,
+    EmpiricalFromSamples,
     ExactPolicy,
     MaliciousNoise,
     NoNoise,
@@ -69,20 +71,20 @@ NOISES = {
 DISTRIBUTIONS = {"haar": HaarSingleQubitProduct, "finite-projectors": _projector_distribution}
 
 
-def _answers(state, distribution, noise, phi) -> tuple:
-    """The exact noisy expectation of phi, and the answer through the
-    wrapper a learner queries, each from a fresh oracle."""
+def _answers(state, distribution, noise, phi, policy=ExactPolicy()) -> tuple:
+    """The answer to phi under the noise, and the answer through the wrapper a
+    learner queries, each from a fresh oracle."""
     def fresh():
-        return StatisticalQueryOracle(state, distribution, OracleConfig(ExactPolicy(), noise))
+        return StatisticalQueryOracle(state, distribution, OracleConfig(policy, noise))
 
-    return fresh().true_noisy_expectation(phi), noise.learner_oracle(fresh()).query(SQQuery(phi, 0.5))
+    return fresh().query(SQQuery(phi, 0.5)), noise.learner_oracle(fresh()).query(SQQuery(phi, 0.5))
 
 
-def _assert_native_matches_adapter(n, qubit, axis, distribution, noise, seed):
+def _assert_native_matches_adapter(n, qubit, axis, distribution, noise, seed, policy=ExactPolicy()):
     state = _product_state(n, seed)
     q = _AxisSignQuery(qubit, axis)
-    native = _answers(state, distribution, noise, q)
-    adapted = _answers(state, distribution, noise, lambda e, y: q(e, y))
+    native = _answers(state, distribution, noise, q, policy)
+    adapted = _answers(state, distribution, noise, lambda e, y: q(e, y), policy)
     assert native == adapted  # bit for bit: == on floats, no tolerance
 
 
@@ -94,6 +96,20 @@ def test_native_query_answers_like_the_adapter(distribution, noise):
             for axis in range(3):
                 _assert_native_matches_adapter(
                     n, qubit, axis, DISTRIBUTIONS[distribution](n), NOISES[noise](n), seed=10 * n + qubit
+                )
+
+
+@pytest.mark.parametrize("distribution", list(DISTRIBUTIONS), ids=list(DISTRIBUTIONS))
+@pytest.mark.parametrize("noise", list(NOISES), ids=list(NOISES))
+def test_native_query_answers_like_the_adapter_on_drawn_examples(distribution, noise):
+    # the empirical policy draws one batch per answer; on Haar draws the array
+    # form answers, and its values at the drawn labels sum as the adapter's do
+    for n in (1, 2, 3):
+        for qubit in range(n):
+            for axis in range(3):
+                _assert_native_matches_adapter(
+                    n, qubit, axis, DISTRIBUTIONS[distribution](n), NOISES[noise](n), seed=10 * n + qubit,
+                    policy=EmpiricalFromSamples(samples=300, seed=n + axis),
                 )
 
 
@@ -129,6 +145,17 @@ def test_array_form_is_used_on_a_haar_table(noise):
             q = _AxisSignQuery(qubit, axis)
             got = _answers(state, distribution, NOISES[noise](n), _ArrayOnly(q.on_projectors))
             assert got == _answers(state, distribution, NOISES[noise](n), lambda e, y: q(e, y))
+
+
+@pytest.mark.parametrize("noise", ["none", "classification", "malicious", "malicious-projector"])
+def test_array_form_is_used_on_haar_draws(noise):
+    n = 3
+    state, distribution = _product_state(n, 8), HaarSingleQubitProduct(n)
+    policy = EmpiricalFromSamples(samples=500, seed=9)
+    for qubit in range(n):
+        q = _AxisSignQuery(qubit, 2)
+        got = _answers(state, distribution, NOISES[noise](n), _ArrayOnly(q.on_projectors), policy)
+        assert got == _answers(state, distribution, NOISES[noise](n), lambda e, y: q(e, y), policy)
 
 
 def _spike(value):

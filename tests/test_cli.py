@@ -320,6 +320,30 @@ def test_config_file_rejects_bad_values(data, message, tmp_path, capsys):
         assert "Traceback" not in err and message in err.splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "distribution, message",
+    [
+        ({"kind": "bogus", "n": 2}, "unknown distribution kind 'bogus'"),
+        ({"kind": "uniform_pauli", "n": 0}, "needs an int n >= 1, got 0"),
+        ({"kind": "finite", "items": [["Z", 0.5]]}, "weights sum to 0.5, not 1"),
+        ({"kind": "haar_product"}, "'haar_product' needs an int n >= 1, got None"),
+        ({"kind": "uniform_pauli", "n": 9}, "uniform_pauli distribution supports n <= 6, got n = 9"),
+        ({"kind": "uniform_parity", "n": 26}, "uniform_parity distribution supports n <= 16, got n = 26"),
+        ({"kind": "finite", "items": [["Z", 0.5], ["XX", 0.5]]}, "all act on one qubit count"),
+    ],
+    ids=["unknown-kind", "zero-qubits", "weights-sum-to-half", "haar-without-n", "pauli-over-budget",
+         "parity-over-cap", "mixed-qubit-counts"],
+)
+def test_noise_demo_distribution_is_checked_at_the_boundary(distribution, message, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"distribution": distribution}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["noise-demo", "--config", str(cfg)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err.splitlines()[-1]
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_empirical_policy_needs_a_sample(samples, tmp_path, capsys):
     from paulisq.oracle import EmpiricalFromSamples

@@ -44,7 +44,8 @@ from paulisq.pconcept import (
     SingleQubitProjector,
     StabilizerState,
     UniformPauli,
-    sample_outcome,
+    batch_of,
+    draw_outcomes,
     squared_loss,
 )
 from paulisq.stabilizer import StabilizerGroup
@@ -228,7 +229,7 @@ def test_lpn_embedding_example():
     assert label == 1  # x.y = 1*1 + 1*0 = 1
     state = StabilizerState(StabilizerGroup.basis_state(instance.secret, 2))
     rng = substream(54, "embed")
-    assert all(sample_outcome(state, e, rng) == label for _ in range(20))
+    assert draw_outcomes(batch_of((e,) * 20).f(state), rng).tolist() == [label] * 20
 
 
 def test_lpn_embedding_empty_parity():
@@ -237,7 +238,7 @@ def test_lpn_embedding_empty_parity():
     assert label == -1
     state = StabilizerState(StabilizerGroup.basis_state(instance.secret, 3))
     rng = substream(54, "embed0")
-    assert all(sample_outcome(state, e, rng) == -1 for _ in range(20))
+    assert draw_outcomes(batch_of((e,) * 20).f(state), rng).tolist() == [-1] * 20
 
 
 def test_lpn_embedding_round_trip_bijection():
@@ -278,10 +279,9 @@ def test_lpn_embedding_outcome_law_matches_noise_rate():
     instance = generate_lpn_instance(5, 4000, 0.3, rng)
     state = StabilizerState(StabilizerGroup.basis_state(instance.secret, 5))
     dataset = make_lpn_as_state_learning(instance)
-    flips = 0
-    for e, label in dataset:
-        clean = sample_outcome(state, e, rng)  # deterministic for parity effects
-        flips += int(clean != label)
+    # deterministic for parity effects
+    clean = draw_outcomes(batch_of(tuple(e for e, _ in dataset)).f(state), rng)
+    flips = int(np.count_nonzero(clean != np.array([label for _, label in dataset])))
     assert flips / len(dataset) == pytest.approx(0.3, abs=0.03)
 
 

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_ref import pauli_matrix, pauli_product_many
+from dense_ref import as_phased, pauli_matrix, pauli_product, pauli_product_many
 from paulisq.pauli import (
     DimensionMismatch,
     PauliOperator,
-    as_phased,
     commutes,
     gf2_echelon,
     gf2_reduce,
-    pauli_product,
     pauli_trace_sign,
 )
 

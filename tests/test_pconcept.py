@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dense_ref import all_signed_paulis, dense_f_value
+from dense_ref import all_signed_paulis, dense_f_value, pauli_batch
 from paulisq.pauli import PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
     BlochVector,
@@ -14,6 +14,7 @@ from paulisq.pconcept import (
     FiniteWeighted,
     HaarSingleQubitProduct,
     MaximallyMixed,
+    IndexBatch,
     MonteCarlo,
     ProductState,
     SingleQubitProjector,
@@ -26,8 +27,8 @@ from paulisq.pconcept import (
     parity_index,
     parity_measurement,
     random_bits,
+    draw_outcomes,
     reduced_bloch,
-    sample_outcome,
     squared_loss,
 )
 from paulisq.stabilizer import StabilizerGroup, enumerate_stabilizer_groups, random_stabilizer_group
@@ -130,58 +131,63 @@ def test_uniform_samplers_reject_more_than_64_qubits(d):
         d.sample(substream(4, "too-wide"))
 
 
+def repeated(e, m: int) -> IndexBatch:
+    return IndexBatch((e,), np.zeros(m, dtype=int))
+
+
 def test_sample_outcome_deterministic_cases():
     rng = substream(0, "det")
     e_z = PauliMeasurement(PauliOperator.from_string("Z"))
-    assert all(sample_outcome(KET0, e_z, rng) == 1 for _ in range(50))
+    assert draw_outcomes(repeated(e_z, 50).f(KET0), rng).tolist() == [1] * 50
     ket1 = StabilizerState(StabilizerGroup.from_strings(["-Z"]))
-    assert all(sample_outcome(ket1, e_z, rng) == -1 for _ in range(50))
+    assert draw_outcomes(repeated(e_z, 50).f(ket1), rng).tolist() == [-1] * 50
 
 
 class FixedDraw:
-    """An rng stand-in whose every random() returns the same u."""
+    """An rng stand-in whose random(size) returns the given uniform draws."""
 
     def __init__(self, u):
-        self.u = u
+        self.u = np.asarray(u, dtype=float)
 
-    def random(self):
+    def random(self, size):
+        assert size == len(self.u)
         return self.u
 
 
-def assert_same_threshold(state, e):
-    """sample_outcome's threshold equals p = float(acceptance_probability):
-    a draw one ulp below p gives +1, and a draw at p gives -1."""
-    p = float(acceptance_probability(state, e))
-    assert sample_outcome(state, e, FixedDraw(math.nextafter(p, -math.inf))) == 1
-    assert sample_outcome(state, e, FixedDraw(p)) == -1
+def assert_same_threshold(state, batch):
+    """The batch outcome draw's thresholds equal p = float(acceptance_probability)
+    at each measurement: a draw one ulp below p gives +1, and a draw at p gives -1."""
+    p = np.array([float(acceptance_probability(state, e)) for e in batch])
+    f = batch.f(state)
+    assert draw_outcomes(f, FixedDraw(np.nextafter(p, -np.inf))).tolist() == [1] * len(p)
+    assert draw_outcomes(f, FixedDraw(p)).tolist() == [-1] * len(p)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_sample_outcome_threshold_on_every_small_stabilizer_state(n):
-    effects = [PauliMeasurement(p) for p in all_signed_paulis(n)]
+    effects = pauli_batch(n, all_signed_paulis(n))
     for g in enumerate_stabilizer_groups(n):
-        for e in effects:
-            assert_same_threshold(StabilizerState(g), e)
+        assert_same_threshold(StabilizerState(g), effects)
 
 
 @pytest.mark.parametrize("n", [1, 52, 53, 54, 64])
 def test_sample_outcome_threshold_on_the_mixed_state(n):
-    for p in (PauliOperator.identity(n), PauliOperator.identity(n, -1), PauliOperator.single(n, n - 1, "Y")):
-        assert_same_threshold(MaximallyMixed(n), PauliMeasurement(p))
+    effects = (PauliOperator.identity(n), PauliOperator.identity(n, -1), PauliOperator.single(n, n - 1, "Y"))
+    assert_same_threshold(MaximallyMixed(n), pauli_batch(n, effects))
 
 
 def test_sample_outcome_threshold_on_product_states_under_haar_draws():
     rng = substream(9, "threshold")
     for n in (1, 3, 8):
         d = HaarSingleQubitProduct(n)
-        for _ in range(50):
-            assert_same_threshold(random_product(rng, n), d.sample(rng))
+        for _ in range(5):
+            assert_same_threshold(random_product(rng, n), d.draw(rng, 10))
 
 
 def test_sample_outcome_concentration():
     rng = substream(1, "conc")
     e_x = PauliMeasurement(PauliOperator.from_string("X"))
-    draws = [sample_outcome(KET0, e_x, rng) for _ in range(100_000)]
+    draws = draw_outcomes(repeated(e_x, 100_000).f(KET0), rng)
     assert abs(float(np.mean(draws))) < 0.02
 
 
@@ -280,7 +286,7 @@ def test_haar_sampling_isotropy():
     d = HaarSingleQubitProduct(1)
     rng = substream(15, "iso")
     m = 50_000
-    us = np.array([d.sample(rng).axis.as_tuple() for _ in range(m)])
+    us = d.draw(rng, m).directions
     assert np.allclose(np.mean(us, axis=0), 0, atol=4 / math.sqrt(m))
     assert np.mean(np.sum(us**2, axis=1)) == pytest.approx(1.0, abs=1e-9)
 

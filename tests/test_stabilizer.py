@@ -17,6 +17,7 @@ from dense_ref import (
     group_state_matrix,
     matrix_key,
     pauli_matrix,
+    pauli_product,
     pauli_product_many,
 )
 from paulisq.pauli import PauliMeasurement, PauliOperator, commutes, gf2_echelon
@@ -87,8 +88,6 @@ def test_canonicalization_idempotent_and_basis_independent():
         for i in range(n):
             row = g.generators[i]
             if i + 1 < n and rng.integers(0, 2):
-                from paulisq.pauli import pauli_product
-
                 row = pauli_product(row, g.generators[i + 1]).to_operator()
             scrambled.append(row)
         assert StabilizerGroup.from_generators(scrambled) == g
