@@ -339,7 +339,9 @@ def draw_outcomes(f: np.ndarray, rng) -> np.ndarray:
 # `distribution.draw(rng, m)` returns m measurements as arrays, and so does an
 # oracle's atom table.  A batch's f(state) is f_state at every one of them,
 # equal to float(f_value) measurement by measurement; iterating a batch makes
-# its measurements as objects, one at a time.
+# its measurements as objects, one at a time.  A PauliBatch on a stabilizer
+# state takes every string's sign from one array solve of the group
+# (StabilizerGroup.trace_paulis).
 
 
 @dataclass(frozen=True)
@@ -364,13 +366,6 @@ class ProjectorBatch:
         b = bloch_matrix(state)[self.qubits]
         u = self.directions
         return u[:, 0] * b[:, 0] + u[:, 1] * b[:, 1] + u[:, 2] * b[:, 2]
-
-
-def _parity(v: np.ndarray) -> np.ndarray:
-    """The parity of the set bits of each uint64, by XOR-folding to bit 0."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        v = v ^ (v >> np.uint64(shift))
-    return (v & np.uint64(1)).astype(bool)
 
 
 @dataclass(frozen=True)
@@ -401,18 +396,7 @@ class PauliBatch:
                 kind = ((self.x >> bit) & 1) * 2 + ((self.z >> bit) & 1)
                 value = value * np.array([1.0, b.z, b.x, b.y])[kind]
             return value
-        # +-P lies in S iff P commutes with every generator (S is maximal);
-        # only those draws need the GF(2) solve that fixes the sign, once per
-        # distinct Pauli string
-        anticommutes = np.zeros(len(self.x), dtype=bool)
-        for g in state.group.generators:
-            anticommutes |= _parity(self.x & np.uint64(g.z) ^ self.z & np.uint64(g.x))
-        members = np.flatnonzero(~anticommutes)
-        strings, which = np.unique(np.stack([self.x[members], self.z[members]], axis=1), axis=0, return_inverse=True)
-        plus = np.array([state.group.trace_pauli(PauliOperator(self.n, 1, int(x), int(z))) for x, z in strings])
-        f = np.zeros(len(self.x))
-        f[members] = self.signs[members] * plus[which.reshape(-1)]  # numpy 2.0.0 returns `which` as 2-D
-        return f
+        return (self.signs * state.group.trace_paulis(self.x, self.z)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -531,7 +515,7 @@ def _mc_f_arrays(rho, sigma, d, mode):
         return batch.f(rho), batch.f(sigma)
     # per sample: a batch here makes the benchmark's stab-corr items 4.4x
     # faster, and its per-item records then raise peak RSS past its bound
-    # (ROADMAP item 1)
+    # (ROADMAP item 4)
     fr = np.empty(m)
     fs = np.empty(m)
     for k in range(m):

@@ -2,6 +2,7 @@
 scalar `sample` and `f_value`, measurement by measurement."""
 
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from paulisq.pconcept import (
     haar_directions,
     parity_measurement,
 )
-from paulisq.stabilizer import enumerate_stabilizer_groups, random_stabilizer_group
+from paulisq.stabilizer import StabilizerGroup, enumerate_stabilizer_groups, random_stabilizer_group
 from paulisq.streams import substream
 
 
@@ -39,7 +40,7 @@ def states_of(n: int) -> list:
     return [StabilizerState(g) for g in enumerate_stabilizer_groups(n)] + [product, MaximallyMixed(n)]
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_batch_f_matches_f_value_on_every_pauli_and_parity(n):
     every_pauli = pauli_batch(n, (e.pauli for e, _ in UniformPauli(n).support()))
     every_parity = pauli_batch(n, (e.pauli for e, _ in UniformParity(n).support()))
@@ -98,6 +99,46 @@ def test_stabilizer_membership_batch_up_to_64_qubits(n, seed):
     assert sorted(f[-9:-1]) == [-1.0] * 4 + [1.0] * 4
     if n == 64:
         assert (batch.x | batch.z).max() >> np.uint64(63) == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**16))
+def test_stabilizer_batch_of_members_only_up_to_64_qubits(n, seed):
+    rng = substream(seed, "members")
+    group = random_stabilizer_group(n, rng)
+    top = 1 << (n - 1)
+    # 100 products of random generator subsets, the first acting on the top
+    # qubit (bit 63 at n = 64); then 200 draws of them with random signs, so
+    # strings repeat with both signs
+    products = [next(g for g in group.generators if (g.x | g.z) & top)] + [
+        pauli_product_many([PauliOperator.identity(n), *compress(group.generators, rng.integers(0, 2, size=n))])
+        .to_operator()
+        for _ in range(99)
+    ]
+    picks = np.concatenate([[0], rng.integers(0, len(products), size=199)])
+    negated = rng.integers(0, 2, size=200)
+    batch = pauli_batch(n, (products[i].negated() if neg else products[i] for i, neg in zip(picks, negated)))
+    state = StabilizerState(group)
+    f = batch.f(state)
+    assert f.tolist() == [-1.0 if neg else 1.0 for neg in negated]
+    assert f.tolist() == scalar_f(state, batch)
+    if n == 64:
+        assert (batch.x | batch.z).max() >> np.uint64(63) == 1
+
+
+def test_stabilizer_batch_needs_no_bitwise_count(monkeypatch):
+    """pyproject allows numpy 1.24, and np.bitwise_count came with numpy 2.0."""
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    rng = substream(8, "numpy-floor")
+    cases = [
+        (StabilizerState(random_stabilizer_group(3, rng)), UniformPauli(3).draw(rng, 400)),
+        (StabilizerState(random_stabilizer_group(64, rng)), UniformPauli(64).draw(rng, 50)),
+        (StabilizerState(StabilizerGroup.basis_state(0b1011, 16)), UniformParity(16).draw(rng, 400)),
+    ]
+    for state, batch in cases:
+        assert batch.f(state).tolist() == scalar_f(state, batch)
+    state, batch = cases[0]
+    assert set(batch.f(state).tolist()) == {-1.0, 0.0, 1.0}
 
 
 def test_haar_draw_is_qubits_then_haar_directions():

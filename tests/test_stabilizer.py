@@ -121,6 +121,23 @@ def test_product_matches_reference_at_large_n(n, seed):
     assert_products_match(g.generators, [rnd.getrandbits(n) for _ in range(8)] + [(1 << n) - 1])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trace_paulis_matches_contains_on_every_small_group_and_string(n):
+    strings = [(x, z) for x in range(1 << n) for z in range(1 << n)]
+    x = np.array([a for a, _ in strings], dtype=np.uint64)
+    z = np.array([b for _, b in strings], dtype=np.uint64)
+    groups = enumerate_stabilizer_groups(n)
+    assert len(groups) == {1: 6, 2: 60, 3: 1080}[n]
+    for g in groups:
+        want = [g.contains(PauliOperator(n, 1, a, b)).value for a, b in strings]
+        assert g.trace_paulis(x, z).tolist() == want
+
+
+def test_trace_paulis_of_no_strings_is_empty():
+    g = StabilizerGroup.from_strings(["XX", "ZZ"])
+    assert g.trace_paulis(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64)).tolist() == []
+
+
 @pytest.mark.parametrize("pair", [("X", "Z"), ("Z", "X"), ("-Y", "X"), ("XI", "ZZ"), ("IZY", "-XZZ")])
 def test_product_of_anticommuting_pair_raises_on_both_paths(pair):
     generators = [PauliOperator.from_string(t) for t in pair]
