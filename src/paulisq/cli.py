@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .learners import (
+    EXACT_SWEEP_EXAMPLES,
     SWEEP_LIMIT,
     decode_state_learning_dataset,
     exhaustive_lpn_solver,
@@ -139,8 +140,10 @@ class ExperimentConfig:
         if self.experiment == "learn-product" and self.target == "basis":
             top, what = 64, "basis target"
         if self.experiment == "lpn":
-            n, eta = _lpn_size(self)
+            n, m, eta = _lpn_size(self)
             top, what = (SWEEP_LIMIT, "noisy lpn") if eta > 0 else (64, "lpn")
+            if eta > 0 and m >= EXACT_SWEEP_EXAMPLES:
+                raise ValueError(f"noisy lpn supports fewer than 2^24 examples, got m = {m}")
         if top is not None and n > top:
             raise ValueError(f"{what} supports n <= {top}, got n = {n}")
         noise_from_descriptor(self.noise)
@@ -439,16 +442,19 @@ def _load_lpn_instance(path: str):
         raise ValueError(f"cannot read LPN instance {path}: {type(exc).__name__}: {exc}") from None
 
 
-def _lpn_size(config: ExperimentConfig) -> tuple[int, float]:
-    """n and noise rate of an lpn run: the --lpn-file instance's own, else the flags'."""
+def _lpn_size(config: ExperimentConfig) -> tuple[int, int, float]:
+    """n, example count and noise rate of an lpn run: the --lpn-file
+    instance's own, else the flags'."""
     fixed = config.lpn_instance
-    return (fixed.n, fixed.eta) if fixed is not None else (config.n, config.lpn_eta)
+    if fixed is not None:
+        return fixed.n, len(fixed.examples), fixed.eta
+    n, eta = config.n, config.lpn_eta
+    return n, config.lpn_m or (4 * n if eta == 0 else 50 * n), eta
 
 
 def _lpn_trial(config: ExperimentConfig, trial: int) -> dict:
     fixed = config.lpn_instance
-    n, eta = _lpn_size(config)
-    m = len(fixed.examples) if fixed is not None else config.lpn_m or (4 * n if eta == 0 else 50 * n)
+    n, m, eta = _lpn_size(config)
     rng = substream(config.seed, "lpn", trial)
     retries = 0
     while True:
@@ -490,7 +496,7 @@ def cmd_lpn(config: ExperimentConfig) -> dict:
         {"name": "round_trip_bijection", "passed": all(r["round_trip"] for r in rows)},
     ]
     secrets_known = all(r["recovered"] is not None for r in rows)
-    _, eta = _lpn_size(config)
+    _, _, eta = _lpn_size(config)
     if secrets_known and eta < 0.45:
         threshold = 0.99 if eta == 0 else 0.95
         assertions.append(

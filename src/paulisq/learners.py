@@ -9,7 +9,7 @@ wide enough to survive worst-case within-tolerance answers.
 The parity side: a planted learning-parity-with-noise instance maps
 bijectively onto labeled parity measurements of a computational basis state,
 and is solved by GF(2) Gaussian elimination (noiseless) or an exhaustive
-maximum-likelihood sweep (noisy, small n) as the classical baselines.
+maximum-likelihood sweep (noisy, n <= 24) as the classical baselines.
 """
 
 from __future__ import annotations
@@ -293,38 +293,69 @@ class MaximumLikelihoodSecret:
     ties: tuple[int, ...]
 
 
-def _walsh_hadamard_inplace(v: np.ndarray):
-    """Unnormalised Walsh-Hadamard transform of a contiguous power-of-two
-    length vector: at each level the blocks pair up as rows of a reshape."""
-    h = 1
-    while h < len(v):
-        w = v.reshape(-1, 2, h)
-        low = w[:, 0].copy()
-        w[:, 0] += w[:, 1]
-        np.subtract(low, w[:, 1], out=w[:, 1])
-        h *= 2
+def _hadamard_blocks(top: int) -> tuple[np.ndarray, ...]:
+    blocks = [np.ones((1, 1), dtype=np.float32)]
+    for _ in range(top):
+        h = blocks[-1]
+        blocks.append(np.block([[h, h], [h, -h]]))
+    return tuple(blocks)
 
 
-SWEEP_LIMIT = 20
+# H_2^{(x)k} for k = 0..4: one 16 x 16 block covers four bits per pass
+_HADAMARD = _hadamard_blocks(4)
+
+
+def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of a contiguous float32 vector of
+    length 2^n; consumes v and returns the result, in v or in one new buffer.
+
+    Each pass applies a Hadamard block to the next k <= 4 index bits: the
+    first is one matrix product on the low bits, each later one a batched
+    product on the axis between the bits done and the bits to come.  The
+    passes alternate between v and the new buffer.  On integer entries whose
+    absolute values sum below 2^24 every partial sum is an exact float32
+    integer, so the result does not depend on the order of summation.
+    """
+    n = len(v).bit_length() - 1
+    src, dst = v, None
+    done = 0
+    while done < n:
+        k = min(4, n - done)
+        h = _HADAMARD[k]
+        if dst is None:
+            dst = np.matmul(src.reshape(-1, 1 << k), h).reshape(-1)
+        else:
+            low = 1 << done
+            np.matmul(h, src.reshape(-1, 1 << k, low), out=dst.reshape(-1, 1 << k, low))
+        src, dst = dst, src
+        done += k
+    return src
+
+
+SWEEP_LIMIT = 24
+# float32 holds every integer of magnitude below 2^24 exactly
+EXACT_SWEEP_EXAMPLES = 1 << 24
 
 
 def exhaustive_lpn_solver(instance: LPNInstance, budget: int = SWEEP_LIMIT) -> MaximumLikelihoodSecret:
     """Minimum-disagreement secret over all 2^n candidates.
 
-    Disagreement counts for every candidate at once come from one
-    Walsh-Hadamard transform of the signed example histogram, so the sweep
-    costs O(2^n n + m) rather than O(2^n m).
+    Agreement minus disagreement counts for every candidate at once come from
+    one Walsh-Hadamard transform of the signed example histogram, so the
+    sweep costs O(2^n n + m) rather than O(2^n m).  The histogram and the
+    transform are float32, exact while there are fewer than 2^24 examples.
     """
     n = instance.n
     if n > budget:
         raise BudgetExceeded(f"2^{n} sweep exceeds budget 2^{budget}")
     m = len(instance.examples)
-    hist = np.zeros(1 << n, dtype=np.int64)
+    if m >= EXACT_SWEEP_EXAMPLES:
+        raise BudgetExceeded(f"the float32 sweep is exact below 2^24 examples, got {m}")
+    hist = np.zeros(1 << n, dtype=np.float32)
     examples = np.array(instance.examples, dtype=np.int64).reshape(-1, 2)
-    np.add.at(hist, examples[:, 0], 1 - 2 * (examples[:, 1] & 1))
-    _walsh_hadamard_inplace(hist)
-    # hist[y] = sum_i (-1)^{b_i + x_i.y}, so disagreements(y) = (m - hist[y])/2
-    disagreements = (m - hist) // 2
-    best_count = int(disagreements.min())
-    ties = tuple(int(y) for y in np.flatnonzero(disagreements == best_count))
-    return MaximumLikelihoodSecret(ties[0], best_count, ties)
+    np.add.at(hist, examples[:, 0], (1 - 2 * (examples[:, 1] & 1)).astype(np.float32))
+    # hist[y] = sum_i (-1)^{b_i + x_i.y} = m - 2 disagreements(y)
+    hist = _walsh_hadamard(hist)
+    top = int(hist.max())
+    ties = tuple(int(y) for y in np.flatnonzero(hist == top))
+    return MaximumLikelihoodSecret(ties[0], (m - top) // 2, ties)

@@ -670,7 +670,8 @@ class DepolarizingCorrectedOracle(_WrapperOracle):
         self.noise = DepolarizingNoise(eta)
         self.eta = eta
         self.mixed_samples = mixed_samples
-        self._rng = substream(seed, "mixed-reference")
+        # only a sampled reference reads a stream
+        self._rng = None if mixed_samples is None else substream(seed, "mixed-reference")
 
     def query(self, q: SQQuery) -> float:
         sub_tau = q.tau * (1.0 - self.eta) / 2.0

@@ -20,6 +20,7 @@ from paulisq.cli import (
     noise_from_descriptor,
     run_experiment,
 )
+from paulisq.learners import EXACT_SWEEP_EXAMPLES, SWEEP_LIMIT, LPNInstance
 from paulisq.oracle import BoundedChannelNoise, ClassificationNoise, NoNoise
 from paulisq.pconcept import HaarSingleQubitProduct, UniformParity, UniformPauli
 
@@ -219,7 +220,7 @@ def test_lpn_instance_file_round_trip(tmp_path):
         (["lpn", "--jobs", "0"], "jobs must be at least 1"),
         (["verify-lemmas", "--n", "4"], "verify-lemmas supports n <= 3"),
         (["sda", "--n", "3"], "sda supports n <= 2"),
-        (["lpn", "--n", "21", "--lpn-eta", "0.1"], "noisy lpn supports n <= 20"),
+        (["lpn", "--n", str(SWEEP_LIMIT + 1), "--lpn-eta", "0.1"], f"noisy lpn supports n <= {SWEEP_LIMIT}"),
         (["lpn", "--n", "65"], "lpn supports n <= 64"),
         (["learn-product", "--target", "basis", "--n", "65"], "basis target supports n <= 64"),
         (["verify-lemmas", "--samples", "0"], "samples must be at least 1, got 0"),
@@ -241,11 +242,12 @@ def test_basis_target_learns_at_64_qubits():
     assert report["results"]["trials"][0]["queries"] == 64
 
 
-def _noisy_21_qubit_file():
+def _noisy_over_cap_file():
     from paulisq.learners import generate_lpn_instance, lpn_instance_to_json
     from paulisq.streams import substream
 
-    return json.dumps(lpn_instance_to_json(generate_lpn_instance(21, 5, 0.1, substream(3, "fixture"))))
+    instance = generate_lpn_instance(SWEEP_LIMIT + 1, 5, 0.1, substream(3, "fixture"))
+    return json.dumps(lpn_instance_to_json(instance))
 
 
 @pytest.mark.parametrize(
@@ -255,9 +257,9 @@ def _noisy_21_qubit_file():
         ('{"n": 3, "eta": 0.0, "examples": [["0101", 1]]}', "'0101' is not an 3-bit string"),
         ('{"n": 3, "eta": 0.0, "examples": [["010", 1]', "JSONDecodeError"),
         (json.dumps({"n": 65, "eta": 0.0, "examples": [["1" * 65, 1]]}), "lpn supports n <= 64, got n = 65"),
-        (_noisy_21_qubit_file(), "noisy lpn supports n <= 20, got n = 21"),
+        (_noisy_over_cap_file(), f"noisy lpn supports n <= {SWEEP_LIMIT}, got n = {SWEEP_LIMIT + 1}"),
     ],
-    ids=["missing", "bad-bits", "bad-json", "n65", "noisy-n21"],
+    ids=["missing", "bad-bits", "bad-json", "n65", "noisy-over-cap"],
 )
 def test_lpn_file_is_checked_at_the_boundary(content, message, tmp_path, capsys):
     path = tmp_path / "instance.json"
@@ -286,6 +288,35 @@ def test_empty_lpn_file_is_a_usage_error(eta, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if message in line] == [err.splitlines()[-1]]
+
+
+def test_noisy_lpn_example_count_is_checked_at_the_boundary(monkeypatch, capsys):
+    # the float32 sweep is exact below 2^24 examples; elimination has no such bound
+    import paulisq.cli as cli
+
+    message = f"noisy lpn supports fewer than 2^24 examples, got m = {EXACT_SWEEP_EXAMPLES}"
+    ExperimentConfig(experiment="lpn", n=4, lpn_eta=0.1, lpn_m=EXACT_SWEEP_EXAMPLES - 1)
+    ExperimentConfig(experiment="lpn", n=4, lpn_m=EXACT_SWEEP_EXAMPLES)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(experiment="lpn", n=4, lpn_eta=0.1, lpn_m=EXACT_SWEEP_EXAMPLES)
+    # a file's example count is checked from its length; a range is never built
+    monkeypatch.setattr(cli, "_load_lpn_instance", lambda path: LPNInstance(4, 0.1, range(EXACT_SWEEP_EXAMPLES)))
+    for argv in (
+        ["lpn", "--n", "4", "--lpn-eta", "0.1", "--lpn-m", str(EXACT_SWEEP_EXAMPLES)],
+        ["lpn", "--lpn-file", "instance.json"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("paulisq") and message in err.splitlines()[-1]
+
+
+def test_noisy_lpn_recovers_the_secret_at_24_qubits():
+    report = run_experiment(ExperimentConfig(experiment="lpn", n=24, lpn_eta=0.1, lpn_m=2000, seed=5, trials=1))
+    assert report["passed"]
+    assert report["results"]["recovered"] == 1
 
 
 def test_cli_noise_none_needs_no_eta():

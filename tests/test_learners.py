@@ -11,11 +11,13 @@ from dense_ref import kron_all, measurement_matrix, PAULI_MATS, I2
 from paulisq.learners import (
     AffineSolutionSpace,
     BudgetExceeded,
+    EXACT_SWEEP_EXAMPLES,
     InconsistentSystem,
     LPNInstance,
     PromiseViolation,
+    SWEEP_LIMIT,
     _AxisSignQuery,
-    _walsh_hadamard_inplace,
+    _walsh_hadamard,
     decode_state_learning_dataset,
     exhaustive_lpn_solver,
     gaussian_elimination_parity,
@@ -365,7 +367,7 @@ def test_exhaustive_solver_empty_instance_ties_everything():
 
 
 def _walsh_hadamard_block_loop(v):
-    """The per-block loop the reshape butterfly replaced, kept as its reference."""
+    """A per-block int64 butterfly loop, the reference for the float32 transform."""
     h = 1
     m = len(v)
     while h < m:
@@ -377,14 +379,31 @@ def _walsh_hadamard_block_loop(v):
         h *= 2
 
 
+def _signed_histogram(rng, n, total):
+    """A signed example histogram on 2^n entries whose absolute values sum to
+    `total`, inside the float32 kernel's exact domain when total < 2^24."""
+    hist = np.zeros(1 << n, dtype=np.int64)
+    x = rng.integers(0, 1 << n, size=min(total, 1 << 20))
+    np.add.at(hist, x, rng.choice([-1, 1], size=len(x)))
+    # pile the rest onto three entries, away from zero, to reach the total
+    rest = total - int(np.abs(hist).sum())
+    for y, share in zip(rng.integers(0, 1 << n, size=3), (rest // 2, rest // 3, rest - rest // 2 - rest // 3)):
+        hist[y] += share if hist[y] >= 0 else -share
+    return hist
+
+
 def test_walsh_hadamard_matches_block_loop_for_every_n_up_to_20():
+    # entries are example counts: every partial sum is an integer bounded by
+    # sum |v| < 2^24, where float32 is exact whatever the summation order
     rng = np.random.default_rng(61)
     for n in range(21):
-        v = rng.integers(-1000, 1000, size=1 << n, dtype=np.int64)
-        want, got = v.copy(), v.copy()
+        total = int(rng.integers(0, EXACT_SWEEP_EXAMPLES)) if n != 20 else EXACT_SWEEP_EXAMPLES - 1
+        want = _signed_histogram(rng, n, total)
+        assert np.abs(want).sum() == total
+        got = _walsh_hadamard(want.astype(np.float32))
         _walsh_hadamard_block_loop(want)
-        _walsh_hadamard_inplace(got)
-        assert np.array_equal(got, want), n
+        assert got.dtype == np.float32 and len(got) == 1 << n
+        assert np.array_equal(got.astype(np.int64), want), n
 
 
 def test_exhaustive_solver_matches_per_candidate_count_with_repeated_examples():
@@ -400,6 +419,61 @@ def test_exhaustive_solver_budget():
     instance = LPNInstance(25, 0.0, ((1, 1),))
     with pytest.raises(BudgetExceeded):
         exhaustive_lpn_solver(instance, budget=20)
+
+
+class _UnbuiltExamples:
+    """A sequence that has a length but whose examples were never built."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+    def __iter__(self):
+        raise AssertionError("the examples were read")
+
+    __getitem__ = __iter__
+
+
+def test_exhaustive_solver_refuses_inexact_example_counts_before_reading_them(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the sweep allocated")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    instance = LPNInstance(SWEEP_LIMIT, 0.1, _UnbuiltExamples(EXACT_SWEEP_EXAMPLES))
+    with pytest.raises(BudgetExceeded, match="2\\^24"):
+        exhaustive_lpn_solver(instance)
+
+
+def _brute_force_sweep(n, examples):
+    """Disagreement count of every candidate secret, counted example by example."""
+    y = np.arange(1 << n, dtype=np.int64)
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for x, b in examples:
+        parity = x & y
+        for shift in (8, 4, 2, 1):
+            parity ^= parity >> shift
+        counts += (parity & 1) != b
+    return counts
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_exhaustive_solver_matches_brute_force_with_repeats_and_ties(data):
+    n = data.draw(st.integers(0, 10), label="n")
+    # a small pool of example vectors makes repeats and ties common
+    pool = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6), label="pool")
+    xs = st.sampled_from(pool) | st.integers(0, (1 << n) - 1)
+    examples = tuple(data.draw(st.lists(st.tuples(xs, st.integers(0, 1)), max_size=300), label="examples"))
+    counts = _brute_force_sweep(n, examples)
+    ml = exhaustive_lpn_solver(LPNInstance(n, 0.1, examples))
+    best = int(counts.min())
+    assert ml.disagreements == best
+    assert ml.ties == tuple(int(y) for y in np.flatnonzero(counts == best))
+    assert ml.best == ml.ties[0]
+    if not examples:
+        assert ml.ties == tuple(range(1 << n))
 
 
 def test_solving_embedded_dataset_equals_solving_raw():
