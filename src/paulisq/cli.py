@@ -130,8 +130,11 @@ class ExperimentConfig:
         for name in ("n", "trials", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.samples is not None and self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        for name in ("samples", "lpn_m"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0 < self.epsilon <= 1:
+            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         # an --lpn-file instance is read here, so its size is checked like --n
         self.lpn_instance = None if self.lpn_file is None else _load_lpn_instance(self.lpn_file)
         if self.lpn_instance is not None and not self.lpn_instance.examples:
@@ -141,6 +144,8 @@ class ExperimentConfig:
             top, what = 64, "basis target"
         if self.experiment == "lpn":
             n, m, eta = _lpn_size(self)
+            if not 0 <= eta < 0.5:
+                raise ValueError(f"lpn_eta must lie in [0, 1/2), got {eta}")
             top, what = (SWEEP_LIMIT, "noisy lpn") if eta > 0 else (64, "lpn")
             if eta > 0 and m >= EXACT_SWEEP_EXAMPLES:
                 raise ValueError(f"noisy lpn supports fewer than 2^24 examples, got m = {m}")
@@ -449,7 +454,7 @@ def _lpn_size(config: ExperimentConfig) -> tuple[int, int, float]:
     if fixed is not None:
         return fixed.n, len(fixed.examples), fixed.eta
     n, eta = config.n, config.lpn_eta
-    return n, config.lpn_m or (4 * n if eta == 0 else 50 * n), eta
+    return n, config.lpn_m if config.lpn_m is not None else (4 * n if eta == 0 else 50 * n), eta
 
 
 def _lpn_trial(config: ExperimentConfig, trial: int) -> dict:
@@ -695,6 +700,8 @@ def config_from_args(args) -> ExperimentConfig:
     for key in _OVERRIDES:
         if getattr(args, key) is not None:
             data[key] = getattr(args, key)
+    if args.eta is not None and args.noise is None:
+        raise ValueError("--eta needs --noise")
     if args.noise is not None:
         if args.noise != "none" and args.eta is None:
             raise ValueError(f"--eta is required with --noise {args.noise}")

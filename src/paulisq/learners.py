@@ -335,6 +335,8 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
 SWEEP_LIMIT = 24
 # float32 holds every integer of magnitude below 2^24 exactly
 EXACT_SWEEP_EXAMPLES = 1 << 24
+# candidates per tie test in exhaustive_lpn_solver: a 64 KB mask, not 2^n bytes
+TIE_CHUNK = 1 << 16
 
 
 def exhaustive_lpn_solver(instance: LPNInstance, budget: int = SWEEP_LIMIT) -> MaximumLikelihoodSecret:
@@ -357,5 +359,9 @@ def exhaustive_lpn_solver(instance: LPNInstance, budget: int = SWEEP_LIMIT) -> M
     # hist[y] = sum_i (-1)^{b_i + x_i.y} = m - 2 disagreements(y)
     hist = _walsh_hadamard(hist)
     top = int(hist.max())
-    ties = tuple(int(y) for y in np.flatnonzero(hist == top))
+    ties = tuple(
+        start + int(y)
+        for start in range(0, len(hist), TIE_CHUNK)
+        for y in np.flatnonzero(hist[start:start + TIE_CHUNK] == top)
+    )
     return MaximumLikelihoodSecret(ties[0], (m - top) // 2, ties)

@@ -188,21 +188,22 @@ class NoiseModel:
     """Base of the noise models (see the module docstring); by itself, no noise."""
 
     def mean(self, f, f_mixed):
-        """Noisy outcome mean from the clean one and the mixed state's (elementwise)."""
+        """Noisy outcome mean from the clean one, elementwise; f_mixed() gives
+        the mixed state's, and only the models that read it call it."""
         return f
 
     def label_weights(self, atoms: "_Atoms") -> tuple:
         """(batch, accept, reject): the atoms' measurement batch and per-atom
         weights of the outcomes +1 and -1 under this noise, so
         E[phi] = sum accept phi(E,1) + reject phi(E,-1)."""
-        mean = self.mean(atoms.f, atoms.f_mixed)
+        mean = self.mean(atoms.f, lambda: atoms.f_mixed)
         return atoms.batch, 0.5 * atoms.weight * (1.0 + mean), 0.5 * atoms.weight * (1.0 - mean)
 
     def draw(self, state: QuantumState, distribution: MeasurementDistribution, rng, m: int) -> tuple:
         """(batch, labels): m noisy examples, the measurements drawn from D as one
         batch and each +-1 label drawn against the noisy outcome mean."""
         batch = distribution.draw(rng, m)
-        return batch, draw_outcomes(self.mean(batch.f(state), batch.f(MaximallyMixed(state.n))), rng)
+        return batch, draw_outcomes(self.mean(batch.f(state), lambda: batch.f(MaximallyMixed(state.n))), rng)
 
     def learner_oracle(self, oracle):
         return oracle
@@ -299,7 +300,7 @@ class DepolarizingNoise(NoiseModel):
             raise ValueError(f"depolarizing rate must lie in [0, 1), got {self.eta}")
 
     def mean(self, f, f_mixed):
-        return (1.0 - self.eta) * f + self.eta * f_mixed
+        return (1.0 - self.eta) * f + self.eta * f_mixed()
 
     def correct(self, noisy_answer: float, phi_on_mixed: float) -> float:
         """Recover phi[rho] from phi[(1-eta) rho + eta I/2^n] and phi[I/2^n]."""
@@ -359,10 +360,9 @@ class OracleConfig:
 # atom tables for deterministic expectations
 
 
-@lru_cache(maxsize=16)
 def _haar_atoms(n: int) -> tuple:
-    """Quadrature atoms of the Haar product distribution, qubit-major and
-    shared across oracles: (batch, weights).
+    """Quadrature atoms of the Haar product distribution, qubit-major:
+    (batch, weights).
 
     The nodes are Gauss-Legendre on the sphere, split into octant panels:
     splitting theta at pi/2 and phi at every quarter turn keeps sign-threshold
@@ -402,19 +402,26 @@ class _Atoms(NamedTuple):
     f_mixed: np.ndarray
 
 
-def _atoms(state: QuantumState, distribution: MeasurementDistribution) -> _Atoms:
+@lru_cache(maxsize=16)
+def _mixed_atoms(distribution: MeasurementDistribution) -> tuple:
+    """The distribution's atoms with f of I/2^n as both f and f_mixed, and their
+    noiseless label table: built once per distribution, shared read-only."""
     if isinstance(distribution, HaarSingleQubitProduct):
-        batch, weights = _haar_atoms(state.n)
+        batch, weights = _haar_atoms(distribution.n)
     else:
         support = distribution_support(distribution)
         batch = batch_of(tuple(e for e, _ in support))
         weights = np.array([float(w) for _, w in support])
-    return _Atoms(batch, weights, batch.f(state), batch.f(MaximallyMixed(state.n)))
+    f_mixed = batch.f(MaximallyMixed(distribution.n))
+    for array in (weights, f_mixed):
+        array.setflags(write=False)
+    atoms = _Atoms(batch, weights, f_mixed, f_mixed)
+    return atoms, NoNoise().label_weights(atoms)
 
 
-@lru_cache(maxsize=16)
-def _mixed_label_table(distribution: MeasurementDistribution, n: int) -> tuple:
-    return NoNoise().label_weights(_atoms(MaximallyMixed(n), distribution))
+def _atoms(state: QuantumState, distribution: MeasurementDistribution) -> _Atoms:
+    atoms = _mixed_atoms(distribution)[0]
+    return atoms._replace(f=atoms.batch.f(state))
 
 
 def _check_bound(values: np.ndarray) -> np.ndarray:
@@ -485,7 +492,7 @@ def expectation_on_maximally_mixed(
     mixed-state outcome law).
     """
     if samples is None:
-        return _evaluate(_mixed_label_table(distribution, n), phi)
+        return _evaluate(_mixed_atoms(distribution)[1], phi)
     _check_mixed_samples(samples)
     rng = rng if rng is not None else np.random.default_rng(0)
     return _sample_mean(phi, *NoNoise().draw(MaximallyMixed(n), distribution, rng, samples))
@@ -622,9 +629,7 @@ class _LabelPart:
 
     def __call__(self, e, y: int) -> float:
         plus, minus = self.phi(e, 1), self.phi(e, -1)
-        for value in (plus, minus):
-            if not abs(value) <= 1.0 + _BOUND_SLACK:
-                raise UnboundedQuery(f"query returned {value}, outside [-1, 1]")
+        _check_bound(np.array([plus, minus], dtype=float))
         return 0.5 * y * (plus - minus) if self.odd else 0.5 * (plus + minus)
 
     def _on_projectors(self, qubits: np.ndarray, directions: np.ndarray) -> tuple:

@@ -27,12 +27,6 @@ class BudgetExceeded(ValueError):
     """Raised when an exhaustive operation is asked beyond its size budget."""
 
 
-def _check_same_n(a, b) -> int:
-    if a.n != b.n:
-        raise DimensionMismatch(f"qubit counts differ: {a.n} != {b.n}")
-    return a.n
-
-
 @dataclass(frozen=True)
 class PauliOperator:
     """A real-signed Pauli: sign * (tensor product of I/X/Y/Z per qubit)."""
@@ -100,7 +94,8 @@ class PauliOperator:
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     """True iff the symplectic form <a.x, b.z> + <a.z, b.x> vanishes over GF(2)."""
-    _check_same_n(a, b)
+    if a.n != b.n:
+        raise DimensionMismatch(f"qubit counts differ: {a.n} != {b.n}")
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
 
@@ -136,13 +131,6 @@ def gf2_echelon(rows) -> tuple[dict[int, tuple[int, int]], list[int]]:
                 pivots[col] = (row ^ bits, row_tag ^ tag)
         pivots[low.bit_length() - 1] = (bits, tag)
     return dict(sorted(pivots.items())), zeros
-
-
-def pauli_trace_sign(p: PauliOperator) -> int:
-    """tr(P): +-2^n for the signed identity, 0 for every other Pauli string."""
-    if p.is_identity:
-        return p.sign << p.n
-    return 0
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ evaluates f, draws outcomes, and computes inner products / squared losses
 between two states' p-concepts, either exactly (rational arithmetic on the
 stabilizer fast paths, closed forms elsewhere) or by seeded Monte Carlo.
 
-Supported states: stabilizer pure states, products of single-qubit Bloch
-vectors, and the maximally mixed state.  Supported measurements: Pauli
+Supported states: stabilizer states of any rank r <= n (pure at r = n, and
+the maximally mixed state I/2^n at r = 0, see `MaximallyMixed`), and
+products of single-qubit Bloch vectors.  Supported measurements: Pauli
 effects (I+P)/2 and single-qubit projectors embedded in identities.
 """
 
@@ -20,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .pauli import DimensionMismatch, PauliMeasurement, PauliOperator, pauli_trace_sign
+from .pauli import DimensionMismatch, PauliMeasurement, PauliOperator
 from .stabilizer import StabilizerGroup, signed_intersection_counts
 
 EXACT_PAULI_ENUMERATION_LIMIT = 6
@@ -57,11 +58,6 @@ class BlochVector:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
-    @classmethod
-    def from_iterable(cls, coords) -> "BlochVector":
-        x, y, z = coords
-        return cls(float(x), float(y), float(z))
-
 
 @dataclass(frozen=True)
 class StabilizerState:
@@ -85,12 +81,12 @@ class ProductState:
         return len(self.blochs)
 
 
-@dataclass(frozen=True)
-class MaximallyMixed:
-    n: int
+def MaximallyMixed(n: int) -> StabilizerState:
+    """I/2^n, the state of the rank-0 stabilizer group {I}."""
+    return StabilizerState(StabilizerGroup(n, ()))
 
 
-QuantumState = Union[StabilizerState, ProductState, MaximallyMixed]
+QuantumState = Union[StabilizerState, ProductState]
 
 
 # ---------------------------------------------------------------------------
@@ -265,26 +261,20 @@ def distribution_support(d: MeasurementDistribution):
 # f_rho evaluation
 
 
-def _check_dims(state: QuantumState, e: Measurement):
-    if state.n != e.n:
-        raise DimensionMismatch(f"state on {state.n} qubits, measurement on {e.n}")
+def _check_dims(a, b):
+    """Raise DimensionMismatch unless states or measurements a and b share n."""
+    if a.n != b.n:
+        raise DimensionMismatch(f"qubit counts differ: {a.n} != {b.n}")
 
 
 def reduced_bloch(state: QuantumState, qubit: int) -> tuple:
     """Bloch vector of the reduced single-qubit state; exact ints for stabilizers."""
-    if isinstance(state, MaximallyMixed):
-        return (0, 0, 0)
     if isinstance(state, ProductState):
         return state.blochs[qubit].as_tuple()
     return tuple(
         state.group.trace_pauli(PauliOperator.single(state.n, qubit, kind))
         for kind in ("X", "Y", "Z")
     )
-
-
-def bloch_matrix(state: QuantumState) -> np.ndarray:
-    """The reduced Bloch vectors of every qubit, as the rows of an n x 3 float array."""
-    return np.array([reduced_bloch(state, i) for i in range(state.n)], dtype=float)
 
 
 def _product_pauli_trace(state: ProductState, p: PauliOperator) -> float:
@@ -306,8 +296,6 @@ def f_value(state: QuantumState, e: Measurement):
         p = e.pauli
         if isinstance(state, StabilizerState):
             return Fraction(state.group.trace_pauli(p))
-        if isinstance(state, MaximallyMixed):
-            return Fraction(pauli_trace_sign(p), 2**state.n)
         return _product_pauli_trace(state, p)
     bloch = reduced_bloch(state, e.qubit)
     u = e.axis
@@ -315,10 +303,8 @@ def f_value(state: QuantumState, e: Measurement):
 
 
 def acceptance_probability(state: QuantumState, e: Measurement):
-    f = f_value(state, e)
-    if isinstance(f, Fraction):
-        return (1 + f) / 2
-    return (1.0 + f) / 2.0
+    """tr(E rho) = (1 + f_rho(E))/2, a Fraction where f_value is one."""
+    return (1 + f_value(state, e)) / 2
 
 
 def draw_outcomes(f: np.ndarray, rng) -> np.ndarray:
@@ -361,9 +347,7 @@ class ProjectorBatch:
 
     def f(self, state: QuantumState) -> np.ndarray:
         _check_dims(state, self)
-        if isinstance(state, MaximallyMixed):
-            return np.zeros(len(self))
-        b = bloch_matrix(state)[self.qubits]
+        b = np.array([reduced_bloch(state, i) for i in range(state.n)], dtype=float)[self.qubits]
         u = self.directions
         return u[:, 0] * b[:, 0] + u[:, 1] * b[:, 1] + u[:, 2] * b[:, 2]
 
@@ -386,8 +370,6 @@ class PauliBatch:
 
     def f(self, state: QuantumState) -> np.ndarray:
         _check_dims(state, self)
-        if isinstance(state, MaximallyMixed):
-            return np.where((self.x | self.z) == 0, self.signs, 0).astype(float)
         if isinstance(state, ProductState):
             value = self.signs.astype(float)
             for i, b in enumerate(state.blochs):
@@ -476,11 +458,6 @@ class MonteCarloEstimate:
         return self.value
 
 
-def _check_state_dims(rho: QuantumState, sigma: QuantumState):
-    if rho.n != sigma.n:
-        raise DimensionMismatch(f"states on {rho.n} and {sigma.n} qubits")
-
-
 def _exact_inner(rho: QuantumState, sigma: QuantumState, d: MeasurementDistribution):
     n = rho.n
     if isinstance(d, HaarSingleQubitProduct):
@@ -493,18 +470,33 @@ def _exact_inner(rho: QuantumState, sigma: QuantumState, d: MeasurementDistribut
             return Fraction(total, 3 * n)
         return total / (3.0 * n)
     if isinstance(d, UniformPauli):
-        if isinstance(rho, MaximallyMixed) or isinstance(sigma, MaximallyMixed):
-            # f of the mixed state vanishes except at E=0 and E=I, where every
-            # state's f is -1 and +1; those two atoms contribute 2/(2*4^n)
-            return Fraction(1, 4**n)
         if isinstance(rho, StabilizerState) and isinstance(sigma, StabilizerState):
             plus, minus = signed_intersection_counts(rho.group, sigma.group)
             return Fraction(plus - minus, 4**n)
+        if isinstance(sigma, StabilizerState):
+            rho, sigma = sigma, rho
+        if isinstance(rho, StabilizerState):
+            # f_rho is +-1 on +-S and 0 elsewhere, so each member M of S and its
+            # negation add f_sigma(M) - f_sigma(-M) = 2 f_sigma(M) times 1/(2*4^n)
+            return math.ldexp(math.fsum(_member_batch(rho.group).f(sigma)), -2 * n)
     total = None
     for e, w in distribution_support(d):
         term = w * f_value(rho, e) * f_value(sigma, e)
         total = term if total is None else total + term
     return total
+
+
+def _member_batch(group: StabilizerGroup) -> PauliBatch:
+    """The 2^r signed members of a rank-r group as one batch, held to the
+    2*4^EXACT_PAULI_ENUMERATION_LIMIT terms of support enumeration."""
+    r = len(group.generators)
+    if r > 2 * EXACT_PAULI_ENUMERATION_LIMIT + 1 or group.n > 64:
+        raise ExactUnavailable(f"a rank-{r} group on {group.n} qubits is over the member-sum budget")
+    x = z = np.zeros(1, dtype=np.uint64)
+    for g in group.generators:
+        x = np.concatenate([x, x ^ np.uint64(g.x)])
+        z = np.concatenate([z, z ^ np.uint64(g.z)])
+    return PauliBatch(group.n, group.trace_paulis(x, z), x, z)
 
 
 def _mc_f_arrays(rho, sigma, d, mode):
@@ -539,7 +531,7 @@ def inner_product(rho: QuantumState, sigma: QuantumState, d: MeasurementDistribu
     and support enumeration for finite distributions.  Monte Carlo mode
     returns a seeded estimate with its standard error.
     """
-    _check_state_dims(rho, sigma)
+    _check_dims(rho, sigma)
     if isinstance(mode, Exact):
         return _exact_inner(rho, sigma, d)
     fr, fs = _mc_f_arrays(rho, sigma, d, mode)
@@ -552,7 +544,7 @@ def squared_loss(rho: QuantumState, sigma: QuantumState, d: MeasurementDistribut
     Under Haar single-qubit measurements this reduces per qubit to
     |a_i - b_i|^2 / (3n), equivalently (4/3n) * trace-distance^2.
     """
-    _check_state_dims(rho, sigma)
+    _check_dims(rho, sigma)
     if isinstance(mode, Exact):
         if isinstance(d, HaarSingleQubitProduct):
             total = None

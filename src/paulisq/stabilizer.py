@@ -1,7 +1,7 @@
 """Stabilizer groups as canonical GF(2) tableaux.
 
-A group is held as n signed generator rows in reduced row echelon form over
-GF(2) of the packed rows x | z << n (see :func:`paulisq.pauli.gf2_echelon`).
+A group of rank r <= n is held as r signed generator rows in reduced row
+echelon form over GF(2) of the packed rows x | z << n (see gf2_echelon).
 The RREF basis of the (x|z) row space is unique, and each row's sign is fixed
 by group membership, so equal groups produce bit-identical tableaux.
 
@@ -63,8 +63,8 @@ def _packed_rows(generators):
     return [(g.x | g.z << g.n, 1 << i) for i, g in enumerate(generators)]
 
 
-def _product(generators, tag: int) -> PauliOperator:
-    """The product of the generators named by the set bits of `tag`, in index order.
+def _product(n: int, generators, tag: int) -> PauliOperator:
+    """The n-qubit product of the generators named by `tag`'s set bits, in index order.
 
     Each factor is i^k X^x Z^z with k counting its Y letters and a sign of -1
     as 2; moving a Z of the product so far past an X of the next factor adds 2,
@@ -81,7 +81,7 @@ def _product(generators, tag: int) -> PauliOperator:
     k -= (x & z).bit_count()
     if k & 1:
         raise ValueError(f"phase i^{k % 4} is imaginary, not in the real-signed set")
-    return PauliOperator(generators[0].n, 1 if k % 4 == 0 else -1, x, z)
+    return PauliOperator(n, 1 if k % 4 == 0 else -1, x, z)
 
 
 def _popcount(v: np.ndarray) -> np.ndarray:
@@ -109,7 +109,8 @@ def canonical_rows(generators) -> tuple[PauliOperator, ...]:
                 raise ValueError(f"generators {a} and {b} anticommute")
     pivots, dependencies = gf2_echelon(_packed_rows(rows))
     # each dependency multiplies to +I or -I, and no stabilizer group holds -I
-    if any(_product(rows, tag).sign < 0 for tag in dependencies):
+    n = rows[0].n
+    if any(_product(n, rows, tag).sign < 0 for tag in dependencies):
         raise ValueError("generators produce -I: not a stabilizer group")
     if dependencies:
         raise ValueError("generators are dependent over GF(2)")
@@ -117,21 +118,22 @@ def canonical_rows(generators) -> tuple[PauliOperator, ...]:
     # tuple is built from a list: tuple(<generator>) over-allocates and then
     # shrinks, which leaves a free-list block behind per group
     return tuple([
-        rows[tag.bit_length() - 1] if tag & (tag - 1) == 0 else _product(rows, tag)
+        rows[tag.bit_length() - 1] if tag & (tag - 1) == 0 else _product(n, rows, tag)
         for _, tag in pivots.values()
     ])
 
 
 @dataclass(frozen=True)
 class StabilizerGroup:
-    """Abelian group of 2^n real-signed Paulis without -I, in canonical form."""
+    """Abelian group of 2^r real-signed Paulis without -I, in canonical form:
+    r <= n generator rows, none for the group {I} of the maximally mixed state."""
 
     n: int
     generators: tuple[PauliOperator, ...]
 
     def __post_init__(self):
-        if len(self.generators) != self.n:
-            raise ValueError(f"need exactly {self.n} generators, got {len(self.generators)}")
+        if len(self.generators) > self.n:
+            raise ValueError(f"need at most {self.n} generators, got {len(self.generators)}")
 
     @classmethod
     def from_generators(cls, generators) -> "StabilizerGroup":
@@ -171,25 +173,26 @@ class StabilizerGroup:
         rest, tag = gf2_reduce(p.x | p.z << self.n, 0, self._pivots)
         if rest:
             return Membership.ABSENT
-        return Membership.PLUS if _product(self.generators, tag).sign == p.sign else Membership.MINUS
+        return Membership.PLUS if _product(self.n, self.generators, tag).sign == p.sign else Membership.MINUS
 
     def trace_pauli(self, p: PauliOperator) -> int:
-        """tr(P rho) for the stabilized pure state: +1, -1 or 0."""
+        """tr(P rho) for the stabilized state rho = 2^-n sum_{Q in S} Q: +1, -1 or 0."""
         return self.contains(p).value
 
     @cached_property
     def _sign_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pivot columns, and one n x (3n + 1) matrix over the pivot rows:
-        their 2n bits, the strictly upper B and the column c of trace_paulis."""
+        """The pivot columns, and one r x (2n + r + 1) matrix over the r pivot
+        rows: their 2n bits, the strictly upper B and the column c of trace_paulis."""
         n = self.n
-        rows = [_product(self.generators, tag) for _, tag in self._pivots.values()]
+        rows = [_product(n, self.generators, tag) for _, tag in self._pivots.values()]
         form = [
             [(a.x | a.z << n) >> col & 1 for col in range(2 * n)]
             + [j > i and (a.z & b.x).bit_count() & 1 for j, b in enumerate(rows)]
             + [(1 - a.sign) + (a.x & a.z).bit_count()]
             for i, a in enumerate(rows)
         ]
-        return np.array(list(self._pivots)), np.array(form, dtype=np.float32)
+        shape = (len(rows), 2 * n + len(rows) + 1)
+        return np.array(list(self._pivots), dtype=np.intp), np.array(form, dtype=np.float32).reshape(shape)
 
     def trace_paulis(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """tr(P rho) for +P at every (x, z) pair of uint64 arrays: +1, -1 or 0.
@@ -231,23 +234,22 @@ class StabilizerGroup:
 def signed_intersection_counts(s: StabilizerGroup, t: StabilizerGroup) -> tuple[int, int]:
     """(|S meet T|, |S meet -T|) by row-space intersection in O(n^3) bit operations.
 
-    T's (x|z) row space is its own symplectic complement, so the intersection V
-    is the null space of the anticommutation matrix of S's and T's generators.
-    The ratio of S's and T's signs is a character on V: the counts are (2^k, 0)
-    if it is trivial on a basis of V, else (2^(k-1), 2^(k-1)), k = dim V
-    (Garcia, Markov & Cross, arXiv:1210.6646).
+    Reducing T's (x|z) rows against S's pivots and echeloning the rest, as one
+    echelon of the stacked rows would, yields a basis of their dependencies:
+    each names a member of S and one of T with the same letters, and they
+    span the intersection V of the row spaces, at any ranks.  The ratio of
+    S's and T's signs is a character on V, read off each dependency as the sign
+    of the product of its two members, +-I: the counts are (2^k, 0) if it is
+    trivial on that basis, else (2^(k-1), 2^(k-1)), k = dim V (Garcia, Markov
+    & Cross, arXiv:1210.6646).
     """
     if s.n != t.n:
         raise DimensionMismatch(f"qubit counts differ: {s.n} != {t.n}")
-    n = s.n
-    swapped = [_swapped(h, n) for h, _ in _packed_rows(t.generators)]
-    anticommute = [
-        (sum(((bits & h).bit_count() & 1) << j for j, h in enumerate(swapped)), tag)
-        for bits, tag in _packed_rows(s.generators)
-    ]
-    _, null = gf2_echelon(anticommute)
-    k = len(null)
-    if all(t.contains(_product(s.generators, a)) is Membership.PLUS for a in null):
+    r = len(s.generators)
+    rows = (gf2_reduce(bits, tag << r, s._pivots) for bits, tag in _packed_rows(t.generators))
+    _, dependencies = gf2_echelon(rows)
+    k = len(dependencies)
+    if all(_product(s.n, s.generators + t.generators, tag).sign > 0 for tag in dependencies):
         return 1 << k, 0
     return 1 << (k - 1), 1 << (k - 1)
 

@@ -15,13 +15,12 @@ import numpy as np
 
 from paulisq.pauli import DimensionMismatch, PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
-    MaximallyMixed,
     PauliBatch,
     ProductState,
     SingleQubitProjector,
     StabilizerState,
 )
-from paulisq.stabilizer import StabilizerGroup
+from paulisq.stabilizer import StabilizerGroup, canonical_rows, random_stabilizer_group
 
 I2 = np.eye(2, dtype=complex)
 PAULI_MATS = {
@@ -125,13 +124,44 @@ def pauli_batch(n: int, paulis) -> PauliBatch:
 
 
 def group_elements(group: StabilizerGroup):
-    """Yield all 2^n group elements (Gray-code order over generator subsets)."""
+    """Yield all 2^r elements of a rank-r group (Gray-code order over generator subsets)."""
     current = as_phased(PauliOperator.identity(group.n))
     yield current.to_operator()
-    for k in range(1, 1 << group.n):
+    for k in range(1, 1 << len(group.generators)):
         flip = (k & -k).bit_length() - 1
         current = pauli_product(current, group.generators[flip])
         yield current.to_operator()
+
+
+def subgroup(group: StabilizerGroup, tags) -> StabilizerGroup:
+    """The subgroup generated by the products of `group`'s generators that the
+    independent `tags` name (bit i for generator i), made canonical.  No tags
+    give the rank-0 group {I}."""
+    n = group.n
+    identity = PauliOperator.identity(n)
+    gens = [
+        pauli_product_many([identity, *(g for i, g in enumerate(group.generators) if tag >> i & 1)]).to_operator()
+        for tag in tags
+    ]
+    return StabilizerGroup(n, canonical_rows(gens) if gens else ())
+
+
+def random_subgroup(group: StabilizerGroup, r: int, rng) -> StabilizerGroup:
+    """A rank-r subgroup of `group`, from r uniform products of its generators
+    redrawn until they are independent."""
+    n = len(group.generators)
+    while True:
+        tags = [int(t) for t in rng.integers(0, 1 << n, size=r, dtype=np.uint64)]
+        try:
+            return subgroup(group, tags)
+        except ValueError:
+            continue
+
+
+def lower_rank_groups(n: int, rng) -> list:
+    """The rank-0 group and one random rank-r subgroup of a random group per 0 < r < n."""
+    group = random_stabilizer_group(n, rng)
+    return [random_subgroup(group, r, rng) for r in range(n)]
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +170,7 @@ def element_set(group: StabilizerGroup) -> frozenset:
 
 
 def element_intersection_counts(s: StabilizerGroup, t: StabilizerGroup) -> tuple[int, int]:
-    """(|S meet T|, |S meet -T|) by listing both groups' 2^n elements."""
+    """(|S meet T|, |S meet -T|) by listing both groups' elements."""
     s_elements, t_elements = element_set(s), element_set(t)
     return len(s_elements & t_elements), sum(e.negated() in t_elements for e in s_elements)
 
@@ -165,8 +195,6 @@ def state_matrix(state) -> np.ndarray:
         return group_state_matrix(state.group)
     if isinstance(state, ProductState):
         return kron_all([bloch_qubit_matrix(b) for b in state.blochs])
-    if isinstance(state, MaximallyMixed):
-        return np.eye(2**state.n, dtype=complex) / 2**state.n
     raise TypeError(f"unknown state {state!r}")
 
 

@@ -225,6 +225,13 @@ def test_lpn_instance_file_round_trip(tmp_path):
         (["learn-product", "--target", "basis", "--n", "65"], "basis target supports n <= 64"),
         (["verify-lemmas", "--samples", "0"], "samples must be at least 1, got 0"),
         (["verify-lemmas", "--samples", "-5"], "samples must be at least 1, got -5"),
+        (["learn-product", "--n", "2", "--eta", "0.3"], "--eta needs --noise"),
+        (["learn-product", "--epsilon", "0"], "epsilon must lie in (0, 1], got 0.0"),
+        (["learn-product", "--epsilon", "2"], "epsilon must lie in (0, 1], got 2.0"),
+        (["lpn", "--n", "40", "--lpn-eta", "-0.1"], "lpn_eta must lie in [0, 1/2), got -0.1"),
+        (["lpn", "--lpn-eta", "0.5"], "lpn_eta must lie in [0, 1/2), got 0.5"),
+        (["lpn", "--lpn-m", "0"], "lpn_m must be at least 1, got 0"),
+        (["lpn", "--lpn-m", "-5"], "lpn_m must be at least 1, got -5"),
     ],
 )
 def test_cli_rejects_bad_input_with_usage_error(argv, message, capsys):

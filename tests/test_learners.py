@@ -364,6 +364,20 @@ def test_exhaustive_solver_empty_instance_ties_everything():
     ml = exhaustive_lpn_solver(instance)
     assert ml.disagreements == 0
     assert len(ml.ties) == 16
+    # 2^17 candidates span two tie chunks
+    assert exhaustive_lpn_solver(LPNInstance(17, 0.0, ())).ties == tuple(range(1 << 17))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_exhaustive_solver_ties_do_not_depend_on_the_chunk(chunk, monkeypatch):
+    import paulisq.learners as learners
+
+    instance = generate_lpn_instance(8, 12, 0.3, substream(63, "chunks"))
+    counts = _brute_force_sweep(8, instance.examples)
+    monkeypatch.setattr(learners, "TIE_CHUNK", chunk)
+    ml = exhaustive_lpn_solver(instance)
+    assert len(ml.ties) > 1
+    assert ml.ties == tuple(int(y) for y in np.flatnonzero(counts == counts.min()))
 
 
 def _walsh_hadamard_block_loop(v):

@@ -12,7 +12,6 @@ from paulisq.pauli import (
     commutes,
     gf2_echelon,
     gf2_reduce,
-    pauli_trace_sign,
 )
 
 
@@ -101,19 +100,6 @@ def test_product_associative_and_phase_consistent():
         right = pauli_product(a, pauli_product(b, c))
         assert left == right
         assert pauli_product_many([a, b, c]) == left
-
-
-def test_trace_sign():
-    assert pauli_trace_sign(PauliOperator.identity(3)) == 8
-    assert pauli_trace_sign(PauliOperator.identity(2, sign=-1)) == -4
-    assert pauli_trace_sign(PauliOperator.from_string("XZY")) == 0
-
-
-def test_trace_sign_matches_dense():
-    rng = np.random.default_rng(23)
-    for _ in range(60):
-        p = random_pauli(rng, 3)
-        assert pauli_trace_sign(p) == pytest.approx(np.trace(pauli_matrix(p)).real)
 
 
 def test_dimension_mismatch():

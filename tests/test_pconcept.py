@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dense_ref import all_signed_paulis, dense_f_value, pauli_batch
+from dense_ref import all_signed_paulis, dense_f_value, lower_rank_groups, pauli_batch
 from paulisq.pauli import PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
     BlochVector,
@@ -209,6 +209,31 @@ def test_inner_product_with_mixed_is_quarter_power():
         assert inner_product(MaximallyMixed(n), MaximallyMixed(n), d) == Fraction(1, 4**n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_member_sum_matches_enumeration_at_every_rank(n):
+    rng = substream(47, "members", n)
+    d = UniformPauli(n)
+    product = random_product(rng, n)
+    # a GHZ-type group, whose canonical rows share X letters (XIX and IXX at n = 3)
+    ghz = StabilizerGroup.from_strings(["I" * i + "XX" + "I" * (n - 2 - i) for i in range(n - 1)] + ["Z" * n])
+    for g in [random_stabilizer_group(n, rng), *lower_rank_groups(n, rng), *([ghz] if n > 1 else [])]:
+        s = StabilizerState(g)
+        brute = sum(w * f_value(s, e) * f_value(product, e) for e, w in d.support())
+        assert inner_product(s, product, d) == pytest.approx(brute, abs=1e-12)
+        assert inner_product(product, s, d) == pytest.approx(brute, abs=1e-12)
+
+
+def test_member_sum_runs_past_the_enumeration_limit():
+    rng = substream(48, "members")
+    for n in (7, 13, 64):
+        assert inner_product(random_product(rng, n), MaximallyMixed(n), UniformPauli(n)) == 4.0**-n
+    # the 2^13 members of |0...0> are the Z strings, where f_product is a product of z's
+    product = random_product(rng, 13)
+    basis = StabilizerState(StabilizerGroup.basis_state(0, 13))
+    want = math.prod(1 + b.z for b in product.blochs) / 4**13
+    assert inner_product(basis, product, UniformPauli(13)) == pytest.approx(want, rel=1e-12)
+
+
 def test_fast_path_matches_enumeration():
     n = 2
     d = UniformPauli(n)
@@ -296,6 +321,10 @@ def test_exact_unavailable_paths():
     a = ProductState((BlochVector(0, 0, 1),) * 9)
     with pytest.raises(ExactUnavailable):
         inner_product(a, a, big)
+    # 2^14 members are over the 2*4^6 terms of support enumeration
+    wide = ProductState((BlochVector(0, 0, 1),) * 14)
+    with pytest.raises(ExactUnavailable):
+        inner_product(StabilizerState(StabilizerGroup.basis_state(0, 14)), wide, UniformPauli(14))
 
 
 def test_finite_weighted_distribution():

@@ -15,10 +15,13 @@ from dense_ref import (
     element_intersection_counts,
     group_elements,
     group_state_matrix,
+    lower_rank_groups,
     matrix_key,
     pauli_matrix,
     pauli_product,
     pauli_product_many,
+    random_subgroup,
+    state_matrix,
 )
 from paulisq.pauli import PauliMeasurement, PauliOperator, commutes, gf2_echelon
 from paulisq.pconcept import MaximallyMixed, StabilizerState, UniformPauli, inner_product, squared_loss
@@ -101,7 +104,7 @@ def reference_product(generators, tag):
 
 def assert_products_match(generators, tags):
     for tag in tags:
-        got, want = _product(generators, tag), reference_product(generators, tag)
+        got, want = _product(generators[0].n, generators, tag), reference_product(generators, tag)
         assert (got.sign, got.x, got.z) == (want.sign, want.x, want.z), tag
 
 
@@ -128,7 +131,7 @@ def test_trace_paulis_matches_contains_on_every_small_group_and_string(n):
     z = np.array([b for _, b in strings], dtype=np.uint64)
     groups = enumerate_stabilizer_groups(n)
     assert len(groups) == {1: 6, 2: 60, 3: 1080}[n]
-    for g in groups:
+    for g in groups + lower_rank_groups(n, substream(41, "ranks", n)):
         want = [g.contains(PauliOperator(n, 1, a, b)).value for a, b in strings]
         assert g.trace_paulis(x, z).tolist() == want
 
@@ -142,7 +145,7 @@ def test_trace_paulis_of_no_strings_is_empty():
 def test_product_of_anticommuting_pair_raises_on_both_paths(pair):
     generators = [PauliOperator.from_string(t) for t in pair]
     with pytest.raises(ValueError, match="imaginary"):
-        _product(generators, 0b11)
+        _product(generators[0].n, generators, 0b11)
     with pytest.raises(ValueError, match="imaginary"):
         reference_product(generators, 0b11)
 
@@ -286,7 +289,7 @@ def sign_flipped(group: StabilizerGroup, i: int) -> StabilizerGroup:
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_intersection_counts_match_elements_on_all_ordered_pairs(n):
-    groups = enumerate_stabilizer_groups(n)
+    groups = enumerate_stabilizer_groups(n) + lower_rank_groups(n, substream(43, "ranks", n))
     for s in groups:
         for t in groups:
             assert signed_intersection_counts(s, t) == element_intersection_counts(s, t)
@@ -294,9 +297,39 @@ def test_intersection_counts_match_elements_on_all_ordered_pairs(n):
 
 def test_intersection_counts_match_elements_at_n3():
     groups = enumerate_stabilizer_groups(3)
-    for s in groups[::27]:
-        for t in groups:
+    lower = lower_rank_groups(3, substream(43, "ranks", 3))
+    for s in groups[::27] + lower:
+        for t in groups + lower:
             assert signed_intersection_counts(s, t) == element_intersection_counts(s, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_maximally_mixed_state_is_the_identity_over_2_to_the_n(n):
+    state = MaximallyMixed(n)
+    assert state.group.generators == ()
+    assert np.allclose(state_matrix(state), np.eye(2**n) / 2**n, atol=1e-15)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 64), r=st.integers(0, 10), seed=st.integers(0, 2**32 - 1), kind=st.integers(0, 2))
+def test_intersection_counts_of_rank_r_subgroups_match_their_members(n, r, seed, kind):
+    """S is a rank-r subgroup of a random group G; T is G itself, another
+    subgroup of G with one sign flipped, or an independent random group."""
+    rng = np.random.default_rng(seed)
+    g = random_stabilizer_group(n, rng)
+    s = random_subgroup(g, min(r, n), rng)
+    if kind == 0:
+        t = g
+    elif kind == 1:
+        t = random_subgroup(sign_flipped(g, int(rng.integers(0, n))), int(rng.integers(0, n + 1)), rng)
+    else:
+        t = random_stabilizer_group(n, rng)
+    members = list(group_elements(s))
+    assert len(members) == 2 ** len(s.generators)
+    x = np.array([m.x for m in members], dtype=np.uint64)
+    z = np.array([m.z for m in members], dtype=np.uint64)
+    traces = np.array([m.sign for m in members]) * t.trace_paulis(x, z)
+    assert signed_intersection_counts(s, t) == (int((traces == 1).sum()), int((traces == -1).sum()))
 
 
 @pytest.mark.parametrize("n", range(4, 11))
