@@ -16,8 +16,8 @@ models act through this decomposition:
   diamond-norm distance from the identity, and is absorbed into tolerance.
 
 Each noise model is a `NoiseModel` subclass that owns its behaviour and
-checks its own rate: `mean` and `label_weights` fold it into an oracle's
-atom table, `draw` draws m noisy examples, `correct` undoes it,
+checks its own rate: `mean` and `label_weights` fold it into an atom
+table, `draw` draws m noisy examples, `correct` undoes it,
 `learner_oracle` wraps a noisy oracle in the correction a learner queries
 through, and `adjoint` pushes it onto a measurement where a closed form
 exists.  Each `ResponsePolicy` owns its `answer` and the random `stream` an
@@ -30,7 +30,12 @@ Exact answers come from an atom table, a batch with a weight per atom: the
 support of a finite distribution, or per-panel Gauss-Legendre quadrature
 over the sphere for Haar single-qubit measurement distributions (exact to
 roughly 1e-9 for queries that are smooth on each octant, which covers
-sign-threshold queries split along the coordinate planes).  The empirical
+sign-threshold queries split along the coordinate planes).  There is one
+table per (state, distribution, noise), shared by every oracle over them,
+and one per distribution for the maximally mixed state.  A query is a
+function of (E, y), so its answer on a table never changes: each table
+evaluates a hashable query once and keeps the answer, while every oracle
+still counts and logs each query it is asked.  The empirical
 policy draws one batch of m examples per answer, with the noisy labels
 drawn as an array against the noisy outcome mean.  The grid search's
 validation set is one batch labeled with f of the hidden state, and each
@@ -75,8 +80,19 @@ from .pconcept import (
 )
 from .streams import substream
 
-_QUAD_ORDER = 6
+# the 6-point Gauss-Legendre rule on [-1, 1], as np.polynomial.legendre.leggauss(6)
+# returns it (importing numpy.polynomial costs ~0.8 MB and ~5 ms)
+_GAUSS_NODES = np.array([
+    -0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+    0.2386191860831969, 0.6612093864662645, 0.9324695142031519,
+])
+_GAUSS_WEIGHTS = np.array([
+    0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+    0.46791393457269104, 0.3607615730481387, 0.17132449237917027,
+])
 _BOUND_SLACK = 1e-9
+# answers a table keeps before it starts over
+_ANSWER_CAP = 1024
 
 
 class UnboundedQuery(ValueError):
@@ -368,7 +384,7 @@ def _haar_atoms(n: int) -> tuple:
     splitting theta at pi/2 and phi at every quarter turn keeps sign-threshold
     integrands smooth on each panel.  The weights sum to 1.
     """
-    nodes, node_weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
+    nodes, node_weights = _GAUSS_NODES, _GAUSS_WEIGHTS
     theta_panels = [(0.0, math.pi / 2), (math.pi / 2, math.pi)]
     phi_panels = [(k * math.pi / 2, (k + 1) * math.pi / 2) for k in range(4)]
     us = []
@@ -403,9 +419,9 @@ class _Atoms(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def _mixed_atoms(distribution: MeasurementDistribution) -> tuple:
-    """The distribution's atoms with f of I/2^n as both f and f_mixed, and their
-    noiseless label table: built once per distribution, shared read-only."""
+def _support(distribution: MeasurementDistribution) -> _Atoms:
+    """The distribution's atoms with f of I/2^n as both f and f_mixed: built
+    once per distribution, shared read-only."""
     if isinstance(distribution, HaarSingleQubitProduct):
         batch, weights = _haar_atoms(distribution.n)
     else:
@@ -415,13 +431,55 @@ def _mixed_atoms(distribution: MeasurementDistribution) -> tuple:
     f_mixed = batch.f(MaximallyMixed(distribution.n))
     for array in (weights, f_mixed):
         array.setflags(write=False)
-    atoms = _Atoms(batch, weights, f_mixed, f_mixed)
-    return atoms, NoNoise().label_weights(atoms)
+    return _Atoms(batch, weights, f_mixed, f_mixed)
 
 
 def _atoms(state: QuantumState, distribution: MeasurementDistribution) -> _Atoms:
-    atoms = _mixed_atoms(distribution)[0]
+    atoms = _support(distribution)
     return atoms._replace(f=atoms.batch.f(state))
+
+
+class _Table:
+    """An atom table: `weights` is (batch, accept, reject) as
+    NoiseModel.label_weights gives it, and `answer` reads a query off it.
+
+    The table keeps the answer to every hashable query it has evaluated; its
+    weights never change, and neither does the answer.  A query that cannot
+    be hashed is evaluated every time.  A query that fails its bound check
+    raises and is not kept, so it fails again when asked again.  The kept
+    answers start over after _ANSWER_CAP of them.
+    """
+
+    __slots__ = ("weights", "_answers")
+
+    def __init__(self, weights: tuple):
+        self.weights = weights
+        self._answers: dict = {}
+
+    def answer(self, phi) -> float:
+        try:
+            value = self._answers.get(phi)
+        except TypeError:
+            return _evaluate(self.weights, phi)
+        if value is None:
+            value = _evaluate(self.weights, phi)
+            if len(self._answers) >= _ANSWER_CAP:
+                self._answers.clear()
+            self._answers[phi] = value
+        return value
+
+
+@lru_cache(maxsize=4)
+def _table(state: QuantumState, distribution: MeasurementDistribution, noise: NoiseModel) -> _Table:
+    """The atom table of a state under a distribution and a noise model,
+    shared by every oracle over the three."""
+    return _Table(noise.label_weights(_atoms(state, distribution)))
+
+
+@lru_cache(maxsize=16)
+def _mixed_table(distribution: MeasurementDistribution) -> _Table:
+    """The noiseless atom table of I/2^n under the distribution."""
+    return _Table(NoNoise().label_weights(_support(distribution)))
 
 
 def _check_bound(values: np.ndarray) -> np.ndarray:
@@ -492,7 +550,7 @@ def expectation_on_maximally_mixed(
     mixed-state outcome law).
     """
     if samples is None:
-        return _evaluate(_mixed_atoms(distribution)[1], phi)
+        return _mixed_table(distribution).answer(phi)
     _check_mixed_samples(samples)
     rng = rng if rng is not None else np.random.default_rng(0)
     return _sample_mean(phi, *NoNoise().draw(MaximallyMixed(n), distribution, rng, samples))
@@ -527,7 +585,7 @@ class StatisticalQueryOracle:
         self.transcript: list[dict] = []
         self._transcript_path = transcript_path
         self._count = 0
-        self._table: Optional[tuple] = None
+        self._exact: Optional[_Table] = None
         self._policy_rng = config.policy.stream()
 
     @property
@@ -543,11 +601,15 @@ class StatisticalQueryOracle:
         return self._count
 
     def true_noisy_expectation(self, phi) -> float:
-        """E[phi] under the configured noise model, computed deterministically
-        from the atom table, which is built on the first call."""
-        if self._table is None:
-            self._table = self.config.noise.label_weights(_atoms(self._state, self._distribution))
-        return _evaluate(self._table, phi)
+        """E[phi] under the configured noise model, read deterministically off
+        the atom table, which is fetched on the first call."""
+        if self._exact is None:
+            key = (self._state, self._distribution, self.config.noise)
+            try:
+                self._exact = _table(*key)
+            except TypeError:  # an unhashable state or noise model gets a table of its own
+                self._exact = _table.__wrapped__(*key)
+        return self._exact.answer(phi)
 
     def draw_noisy_examples(self, rng, m: int) -> tuple:
         """(batch, labels): m examples (E, y) drawn under the configured noise model."""
@@ -618,7 +680,8 @@ class _LabelPart:
 
     A query outside [-1, 1] can have bounded parts, so phi itself is checked
     on both labels of every atom or example the part is evaluated at.  The
-    part has an array form exactly when phi has one.
+    part has an array form exactly when phi has one.  Parts are equal when
+    their (phi, odd) are, so an atom table reads each part once.
     """
 
     def __init__(self, phi, odd: bool):
@@ -626,6 +689,12 @@ class _LabelPart:
         self.odd = odd
         if hasattr(phi, "on_projectors"):
             self.on_projectors = self._on_projectors
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _LabelPart) and (self.phi, self.odd) == (other.phi, other.odd)
+
+    def __hash__(self) -> int:
+        return hash((self.phi, self.odd))
 
     def __call__(self, e, y: int) -> float:
         plus, minus = self.phi(e, 1), self.phi(e, -1)

@@ -347,9 +347,11 @@ class ProjectorBatch:
 
     def f(self, state: QuantumState) -> np.ndarray:
         _check_dims(state, self)
-        b = np.array([reduced_bloch(state, i) for i in range(state.n)], dtype=float)[self.qubits]
-        u = self.directions
-        return u[:, 0] * b[:, 0] + u[:, 1] * b[:, 1] + u[:, 2] * b[:, 2]
+        # one 1-D gather per Bloch coordinate; the products, and the order they
+        # are summed in, are f_value's
+        bx, by, bz = np.array([reduced_bloch(state, i) for i in range(state.n)], dtype=float).T.copy()
+        q, u = self.qubits, self.directions
+        return u[:, 0] * bx[q] + u[:, 1] * by[q] + u[:, 2] * bz[q]
 
 
 @dataclass(frozen=True)

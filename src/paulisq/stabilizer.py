@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress
-from operator import xor
+from operator import or_, xor
 
 import numpy as np
 
@@ -194,6 +194,14 @@ class StabilizerGroup:
         shape = (len(rows), 2 * n + len(rows) + 1)
         return np.array(list(self._pivots), dtype=np.intp), np.array(form, dtype=np.float32).reshape(shape)
 
+    @cached_property
+    def _support(self) -> tuple[np.uint64, np.uint64]:
+        """The OR of the rows' x bits and of their z bits: every member lies inside."""
+        return (
+            np.uint64(reduce(or_, (g.x for g in self.generators), 0)),
+            np.uint64(reduce(or_, (g.z for g in self.generators), 0)),
+        )
+
     def trace_paulis(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """tr(P rho) for +P at every (x, z) pair of uint64 arrays: +1, -1 or 0.
 
@@ -205,11 +213,18 @@ class StabilizerGroup:
         (Dehaene & De Moor, PRA 68, 042318 (2003)): the sum _product takes.
         One float matrix product gives all three terms' parts; its entries
         are integers below 2^13, so exact.  Blocks of TRACE_BLOCK strings
-        bound the memory of the unpacked bits.
+        bound the memory of the unpacked bits.  A string with a bit outside
+        the rows' support is no member and is never unpacked: at rank 0
+        only the identity is solved.
         """
         n = self.n
         cols, form = self._sign_form
         out = np.zeros(len(x), dtype=np.int64)
+        support_x, support_z = self._support
+        inside = ((x & ~support_x) | (z & ~support_z)) == 0
+        if not inside.all():
+            out[inside] = self.trace_paulis(x[inside], z[inside])  # all inside now
+            return out
         for start in range(0, len(x), TRACE_BLOCK):
             bx = x[start:start + TRACE_BLOCK]
             bz = z[start:start + TRACE_BLOCK]

@@ -30,10 +30,12 @@ from paulisq.pconcept import (
     FiniteWeighted,
     HaarSingleQubitProduct,
     ProductState,
+    ProjectorBatch,
     SingleQubitProjector,
     StabilizerState,
+    f_value,
 )
-from paulisq.stabilizer import StabilizerGroup
+from paulisq.stabilizer import StabilizerGroup, random_stabilizer_group
 from paulisq.streams import substream
 
 
@@ -197,3 +199,21 @@ def test_classification_correction_checks_the_query_itself():
         with pytest.raises(UnboundedQuery):
             wrapped.query(SQQuery(phi, 0.1))
         assert (inner.query_count, inner.transcript, wrapped.query_count) == (0, [], 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**16))
+def test_projector_batch_f_is_f_value_bit_for_bit(n, seed):
+    # Haar directions and the six axes (signed zeros included), on product
+    # states and on stabilizer states with integer Bloch vectors
+    rng = substream(seed, "projector-f", n)
+    drawn = HaarSingleQubitProduct(n).draw(rng, 64)
+    axes = np.array([[1.0, 0.0, 0.0], [-1.0, -0.0, 0.0], [0.0, 1.0, -0.0], [0.0, -1.0, 0.0], [-0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    batch = ProjectorBatch(
+        n,
+        np.concatenate([drawn.qubits, rng.integers(0, n, size=len(axes))]),
+        np.concatenate([drawn.directions, axes]),
+    )
+    for state in (_product_state(n, seed), StabilizerState(random_stabilizer_group(n, rng))):
+        want = np.array([float(f_value(state, e)) for e in batch])
+        assert batch.f(state).tobytes() == want.tobytes()

@@ -828,3 +828,146 @@ def test_rates_and_margins_are_checked_when_a_wrapper_is_built():
     ):
         with pytest.raises(ValueError):
             build()
+
+
+# --- shared atom tables -------------------------------------------------------
+
+
+def test_gauss_legendre_constants_are_leggauss_6():
+    from paulisq.oracle import _GAUSS_NODES, _GAUSS_WEIGHTS
+
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    assert _GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert _GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def test_oracles_over_one_table_evaluate_each_query_once():
+    """31 fresh oracles over the same state, distribution and noise, as the
+    grid search builds them: phi is read once per atom and label in all,
+    while every oracle counts and logs each of its own queries."""
+    state = StabilizerState(random_stabilizer_group(2, substream(66, "shared")))
+    d = UniformPauli(2)
+    calls = []
+
+    def phi(e, y):
+        calls.append((e, y))
+        return 0.5 * y
+
+    oracles = [StatisticalQueryOracle(state, d, OracleConfig(ExactPolicy(), DepolarizingNoise(0.3))) for _ in range(31)]
+    for oracle in oracles:
+        answers = [oracle.query(SQQuery(phi, 0.01 * (k + 1))) for k in range(12)]
+        assert oracle.query_count == 12
+        assert [(row["query"], row["tau"], row["answer"]) for row in oracle.transcript] == [
+            (k + 1, 0.01 * (k + 1), answers[k]) for k in range(12)
+        ]
+    assert len(calls) == 2 * len(list(d.support()))
+    # the classification wrapper's label parts are equal whenever their (phi, odd) are
+    calls.clear()
+    for _ in range(31):
+        inner = StatisticalQueryOracle(state, d, OracleConfig(ExactPolicy(), ClassificationNoise(0.2)))
+        wrapped = ClassificationCorrectedOracle(inner, 0.2)
+        for _ in range(6):
+            wrapped.query(SQQuery(phi, 0.1))
+        assert (wrapped.query_count, inner.query_count) == (6, 12)
+    assert len(calls) == 2 * 2 * 2 * len(list(d.support()))  # two parts, each reading phi at both labels
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_eta_grid_search_matches_a_memo_free_reference(n, monkeypatch):
+    import paulisq.oracle as oracle_module
+    from paulisq.learners import learn_product_state
+    from paulisq.oracle import _atoms, _evaluate, draw_validation_set, eta_grid_search
+
+    rng = substream(67, "grid", n)
+    target = ProductState(tuple(BlochVector(*(v / np.linalg.norm(v) * 0.8)) for v in rng.normal(size=(n, 3))))
+    d = HaarSingleQubitProduct(n)
+    noise = DepolarizingNoise(0.3)
+
+    class MemoFreeOracle(StatisticalQueryOracle):
+        def true_noisy_expectation(self, phi):
+            return _evaluate(self.config.noise.label_weights(_atoms(target, d)), phi)
+
+    def search(oracle_class):
+        def run(guess):
+            inner = oracle_class(target, d, OracleConfig(ExactPolicy(), noise))
+            return learn_product_state(DepolarizingCorrectedOracle(inner, guess), 0.01)
+
+        validation = draw_validation_set(target, d, 2000, substream(67, "val", n))
+        guess, hypothesis = eta_grid_search(run, 0.6, 0.05, validation)
+        return guess, hypothesis.state.blochs
+
+    shared = search(StatisticalQueryOracle)
+    monkeypatch.setattr(
+        oracle_module,
+        "expectation_on_maximally_mixed",
+        lambda phi, dist, n, samples=None, rng=None: _evaluate(NoNoise().label_weights(_atoms(MaximallyMixed(n), dist)), phi),
+    )
+    assert search(MemoFreeOracle) == shared
+    assert shared[0] == pytest.approx(0.3)
+
+
+def test_an_unbounded_query_fails_on_every_ask_and_is_not_kept():
+    from paulisq.oracle import _mixed_table, _table
+
+    phi = _spike(5.0)
+    oracle = StatisticalQueryOracle(KET0, RARE_X)
+    for _ in range(3):
+        with pytest.raises(UnboundedQuery):
+            oracle.query(SQQuery(phi, 0.1))
+        with pytest.raises(UnboundedQuery):
+            expectation_on_maximally_mixed(phi, RARE_X, 1)
+    assert oracle.query_count == 0
+    assert phi not in _table(KET0, RARE_X, NoNoise())._answers
+    assert phi not in _mixed_table(RARE_X)._answers
+
+
+class _UnhashableQuery:
+    """A query with value equality and no hash."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __eq__(self, other):
+        return isinstance(other, _UnhashableQuery)
+
+    __hash__ = None
+
+    def __call__(self, e, y):
+        self.calls += 1
+        return 0.5 * y
+
+
+def test_an_unhashable_query_is_answered_every_time():
+    phi = _UnhashableQuery()
+    oracle = StatisticalQueryOracle(KET0, RARE_X)
+    want = StatisticalQueryOracle(KET0, RARE_X).query(SQQuery(lambda e, y: 0.5 * y, 0.1))
+    assert [oracle.query(SQQuery(phi, 0.1)) for _ in range(3)] == [want] * 3
+    assert phi.calls == 3 * 2 * len(list(RARE_X.support()))
+    wrapped = ClassificationCorrectedOracle(StatisticalQueryOracle(KET0, RARE_X, OracleConfig(ExactPolicy(), ClassificationNoise(0.1))), 0.1)
+    assert wrapped.query(SQQuery(phi, 0.1)) == pytest.approx(want)
+
+
+def test_an_unhashable_state_or_noise_model_gets_a_table_of_its_own():
+    from dataclasses import dataclass
+
+    from paulisq.oracle import NoiseModel
+
+    @dataclass
+    class PlainNoise(NoiseModel):  # eq without frozen: no hash
+        pass
+
+    blochs = (BlochVector(0.6, 0.0, 0.8),)
+    d = HaarSingleQubitProduct(1)
+    want = StatisticalQueryOracle(ProductState(blochs), d).query(SQQuery(label_query, 0.1))
+    for state, noise in ((ProductState(list(blochs)), NoNoise()), (ProductState(blochs), PlainNoise())):
+        oracle = StatisticalQueryOracle(state, d, OracleConfig(ExactPolicy(), noise))
+        assert [oracle.query(SQQuery(label_query, 0.1)) for _ in range(2)] == [want, want]
+
+
+def test_kept_answers_stay_within_the_cap():
+    from paulisq.oracle import _ANSWER_CAP, _table
+
+    oracle = StatisticalQueryOracle(KET0, POINT_MASS_Z)
+    for k in range(10_000):
+        assert oracle.query(SQQuery(lambda e, y, k=k: (k % 7) / 7 * y, 0.1)) == (k % 7) / 7
+    assert 0 < len(_table(KET0, POINT_MASS_Z, NoNoise())._answers) <= _ANSWER_CAP

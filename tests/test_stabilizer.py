@@ -136,6 +136,26 @@ def test_trace_paulis_matches_contains_on_every_small_group_and_string(n):
         assert g.trace_paulis(x, z).tolist() == want
 
 
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 64), r=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_trace_paulis_matches_contains_at_large_n(n, r, seed):
+    """Members of a rank-r subgroup, their negations, members with one bit
+    flipped (inside or outside the rows' support) and uniform strings."""
+    rng = np.random.default_rng(seed)
+    g = random_subgroup(random_stabilizer_group(n, rng), min(r, n), rng)
+    ops = [m for m in group_elements(g)][:64]
+    ops += [m.negated() for m in ops[:8]]
+    for m in ops[:32]:
+        bit = 1 << int(rng.integers(0, n))
+        ops += [PauliOperator(n, m.sign, m.x ^ bit, m.z), PauliOperator(n, m.sign, m.x, m.z ^ bit)]
+    words = rng.integers(0, 1 << min(n, 63), size=(32, 2), dtype=np.uint64)
+    ops += [PauliOperator(n, 1, int(x), int(z)) for x, z in words]
+    x = np.array([p.x for p in ops], dtype=np.uint64)
+    z = np.array([p.z for p in ops], dtype=np.uint64)
+    signs = np.array([p.sign for p in ops])
+    assert (signs * g.trace_paulis(x, z)).tolist() == [g.contains(p).value for p in ops]
+
+
 def test_trace_paulis_of_no_strings_is_empty():
     g = StabilizerGroup.from_strings(["XX", "ZZ"])
     assert g.trace_paulis(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64)).tolist() == []
