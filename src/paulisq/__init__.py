@@ -57,10 +57,6 @@ from .oracle import (
     StatisticalQueryOracle,
     ToleranceExhausted,
     UnboundedQuery,
-    absorb_bounded_channel,
-    adjoint_measurement,
-    correct_classification,
-    correct_depolarizing,
     draw_validation_set,
     eta_grid_search,
 )

@@ -47,10 +47,6 @@ from .oracle import (
     RandomWithinTau,
     SQQuery,
     StatisticalQueryOracle,
-    absorb_bounded_channel,
-    adjoint_measurement,
-    correct_classification,
-    correct_depolarizing,
     draw_validation_set,
     eta_grid_search,
     mixture_acceptance,
@@ -58,6 +54,7 @@ from .oracle import (
 from .pauli import PauliMeasurement, PauliOperator
 from .pconcept import (
     EXACT,
+    EXACT_PARITY_ENUMERATION_LIMIT,
     EXACT_PAULI_ENUMERATION_LIMIT,
     BlochVector,
     FiniteWeighted,
@@ -87,9 +84,8 @@ from .streams import substream
 STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080}
 # verify-lemmas and sda enumerate stabilizer states; noisy lpn sweeps 2^n secrets
 MAX_N = {"verify-lemmas": ENUMERATION_LIMIT, "sda": 2}
-# noise-demo's exact round trip enumerates the support: the uniform Pauli
-# budget, and 2^16 parities (2.6 s; 2^18 take 11.7 s)
-DISTRIBUTION_MAX_N = {"uniform_pauli": EXACT_PAULI_ENUMERATION_LIMIT, "uniform_parity": 16}
+# noise-demo's exact round trip enumerates the support, within pconcept's budgets
+DISTRIBUTION_MAX_N = {"uniform_pauli": EXACT_PAULI_ENUMERATION_LIMIT, "uniform_parity": EXACT_PARITY_ENUMERATION_LIMIT}
 
 
 # the JSON values accepted for each type named in ExperimentConfig's annotations
@@ -135,6 +131,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0 < self.epsilon <= 1:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+        if self.tau is not None and not self.tau > 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
         # an --lpn-file instance is read here, so its size is checked like --n
         self.lpn_instance = None if self.lpn_file is None else _load_lpn_instance(self.lpn_file)
         if self.lpn_instance is not None and not self.lpn_instance.examples:
@@ -368,13 +366,17 @@ def cmd_verify_lemmas(config: ExperimentConfig) -> dict:
 
 
 def _run_trials(trial, config: ExperimentConfig) -> list[dict]:
-    """trial(config, index) for every trial, pooled when jobs > 1; rows sorted by trial."""
+    """trial(config, index) for every trial, pooled when jobs > 1; rows sorted by trial.
+
+    A fork-started pool starts all its workers at the first submit, so it is
+    asked for no more workers than there are trials."""
     args = ([config] * config.trials, range(config.trials))
-    if config.jobs > 1:
+    workers = min(config.jobs, config.trials)
+    if workers > 1:
         # imported here: the pool machinery costs memory that a serial run never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(trial, *args))
     else:
         rows = list(map(trial, *args))
@@ -579,18 +581,21 @@ def cmd_noise_demo(config: ExperimentConfig) -> dict:
     point_mass = FiniteWeighted(((PauliMeasurement(PauliOperator.from_string("Z")), 1.0),))
     label_query = lambda e, y: float(y)  # noqa: E731
 
-    def answer(noise):
-        oracle = StatisticalQueryOracle(state, point_mass, OracleConfig(noise=noise))
-        return oracle.query(SQQuery(label_query, 0.01))
+    probe = SQQuery(label_query, 0.01)
+
+    def oracle(noise):
+        return StatisticalQueryOracle(state, point_mass, OracleConfig(noise=noise))
 
     eta_c, eta_d, eta_m = 0.1, 0.5, 0.2
-    clean = answer(NoNoise())
-    noisy_c = answer(ClassificationNoise(eta_c))
-    noisy_d = answer(DepolarizingNoise(eta_d))
-    noisy_m = answer(MaliciousNoise(eta_m))
+    classification, depolarizing = ClassificationNoise(eta_c), DepolarizingNoise(eta_d)
+    clean = oracle(NoNoise()).query(probe)
+    noisy_c = oracle(classification).query(probe)
+    noisy_d = oracle(depolarizing).query(probe)
+    noisy_m = oracle(MaliciousNoise(eta_m)).query(probe)
     results["clean"] = clean
-    results["classification"] = {"noisy": noisy_c, "corrected": correct_classification(noisy_c, eta_c)}
-    results["depolarizing"] = {"noisy": noisy_d, "corrected": correct_depolarizing(noisy_d, 0.0, eta_d)}
+    # each correction is its noise model's reduction to a clean oracle, run end to end
+    results["classification"] = {"noisy": noisy_c, "corrected": classification.learner_oracle(oracle(classification)).query(probe)}
+    results["depolarizing"] = {"noisy": noisy_d, "corrected": depolarizing.learner_oracle(oracle(depolarizing)).query(probe)}
     results["malicious"] = {"noisy": noisy_m, "perturbation_bound": 2 * eta_m}
     assertions.append({"name": "classification_expectation", "passed": abs(noisy_c - (1 - 2 * eta_c)) < 1e-12})
     assertions.append({"name": "classification_corrected", "passed": abs(results["classification"]["corrected"] - clean) < 1e-12})
@@ -598,7 +603,8 @@ def cmd_noise_demo(config: ExperimentConfig) -> dict:
     assertions.append({"name": "depolarizing_corrected", "passed": abs(results["depolarizing"]["corrected"] - clean) < 1e-12})
     assertions.append({"name": "malicious_within_2eta", "passed": abs(noisy_m - clean) <= 2 * eta_m + 1e-12})
 
-    results["absorb"] = {"tau": 0.1, "eta": 0.02, "effective": absorb_bounded_channel(0.1, 0.02)}
+    bounded = BoundedChannelNoise(0.02, DepolarizingNoise(0.01))
+    results["absorb"] = {"tau": 0.1, "eta": 0.02, "effective": bounded.learner_oracle(oracle(bounded)).tightened(0.1)}
     assertions.append({"name": "absorb_arithmetic", "passed": abs(results["absorb"]["effective"] - 0.06) < 1e-15})
 
     # adjoint identity: tr(adj(E) rho) == tr(E (1-eta) rho + eta I/2^n) on a
@@ -610,7 +616,7 @@ def cmd_noise_demo(config: ExperimentConfig) -> dict:
     mixed = MaximallyMixed(n)
     worst = 0.0
     for e, _ in UniformPauli(n).support():
-        lhs = mixture_acceptance(rho, adjoint_measurement(e, channel))
+        lhs = mixture_acceptance(rho, channel.adjoint(e))
         rhs = (1 - eta) * float(acceptance_probability(rho, e)) + eta * float(
             acceptance_probability(mixed, e)
         )
@@ -625,7 +631,7 @@ def cmd_noise_demo(config: ExperimentConfig) -> dict:
         clean = StatisticalQueryOracle(target, d)
         noise = ClassificationNoise(eta_c)
         wrapped = noise.learner_oracle(StatisticalQueryOracle(target, d, OracleConfig(noise=noise)))
-        tau = config.tau or 0.01
+        tau = config.tau if config.tau is not None else 0.01
         probe = SQQuery(label_query, tau)
         gap = abs(wrapped.query(probe) - clean.query(probe))
         results["custom_distribution_round_trip_gap"] = gap

@@ -29,6 +29,7 @@ from .pconcept import (
     QuantumState,
     SingleQubitProjector,
     StabilizerState,
+    _mc_estimate,
     haar_directions,
     parity_index,
     parity_measurement,
@@ -169,8 +170,7 @@ def haar_sign_moment_mc(
         raise ValueError("reference state must be pure (unit Bloch vector)")
     u = haar_directions(rng, samples)
     vals = np.sign(u @ np.array(reference.as_tuple())) * (u @ np.array(target.as_tuple())) / 2.0
-    std = float(vals.std(ddof=1))
-    return MonteCarloEstimate(float(vals.mean()), std / math.sqrt(samples), samples)
+    return _mc_estimate(vals)
 
 
 # ---------------------------------------------------------------------------

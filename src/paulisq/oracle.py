@@ -17,17 +17,23 @@ models act through this decomposition:
 
 Each noise model is a `NoiseModel` subclass that owns its behaviour and
 checks its own rate: `mean` and `label_weights` fold it into an atom
-table, `draw` draws m noisy examples, `correct` undoes it,
-`learner_oracle` wraps a noisy oracle in the correction a learner queries
-through, and `adjoint` pushes it onto a measurement where a closed form
-exists.  Each `ResponsePolicy` owns its `answer` and the random `stream` an
-oracle opens for it once.  `StatisticalQueryOracle` only calls the pair.
+table, `draw` draws m noisy examples, `correct` undoes it on one answer,
+and `adjoint` pushes it onto a measurement where a closed form exists.
+`learner_oracle` wraps a noisy oracle in the reduction that simulates a
+clean one, and is the one entry point to a correction: Kearns'
+split-and-rescale for classification noise, subtracting the I/2^n
+reference for depolarizing noise, and a tolerance tightened by the
+channel's margin for a bounded channel.  Each `ResponsePolicy` owns its
+`answer` and the random `stream` an oracle opens for it once.
+`StatisticalQueryOracle` only calls the pair.
 
 Every answer is evaluated on one kind of object, a measurement batch (see
 `pconcept`): m measurements held as arrays, or as indices into a tuple of
 measurement objects, whose f(state) gives f at all of them in one call.
 Exact answers come from an atom table, a batch with a weight per atom: the
-support of a finite distribution, or per-panel Gauss-Legendre quadrature
+support of a finite distribution (`distribution.support()`, which refuses a
+uniform distribution over its enumeration budget before it builds an atom),
+or per-panel Gauss-Legendre quadrature
 over the sphere for Haar single-qubit measurement distributions (exact to
 roughly 1e-9 for queries that are smooth on each octant, which covers
 sign-threshold queries split along the coordinate planes).  There is one
@@ -75,7 +81,6 @@ from .pconcept import (
     acceptance_probability,
     batch_of,
     concatenate,
-    distribution_support,
     draw_outcomes,
 )
 from .streams import substream
@@ -425,7 +430,7 @@ def _support(distribution: MeasurementDistribution) -> _Atoms:
     if isinstance(distribution, HaarSingleQubitProduct):
         batch, weights = _haar_atoms(distribution.n)
     else:
-        support = distribution_support(distribution)
+        support = distribution.support()
         batch = batch_of(tuple(e for e, _ in support))
         weights = np.array([float(w) for _, w in support])
     f_mixed = batch.f(MaximallyMixed(distribution.n))
@@ -631,25 +636,6 @@ class StatisticalQueryOracle:
 # noise-correction wrappers
 
 
-def correct_classification(noisy_answer: float, eta: float) -> float:
-    """ClassificationNoise(eta).correct: undo the label-flip attenuation."""
-    return ClassificationNoise(eta).correct(noisy_answer)
-
-
-def correct_depolarizing(noisy_answer: float, phi_on_mixed: float, eta: float) -> float:
-    """DepolarizingNoise(eta).correct: recover phi[rho] from the depolarized answer."""
-    return DepolarizingNoise(eta).correct(noisy_answer, phi_on_mixed)
-
-
-def absorb_bounded_channel(tau_requested: float, eta: float) -> float:
-    """Tolerance to issue against a channel within eta of the identity.
-
-    A bounded channel moves any query expectation by at most 2 eta, so a
-    noisy answer within tau - 2 eta is a clean answer within tau.
-    """
-    return BoundedChannelAbsorbingOracle(None, eta).tightened(tau_requested)
-
-
 class _WrapperOracle:
     """Common plumbing for oracles layered on top of another oracle."""
 
@@ -808,12 +794,7 @@ class MaliciousAbsorbingOracle(_AbsorbingOracle):
 
 
 # ---------------------------------------------------------------------------
-# adjoint channel action on measurements
-
-
-def adjoint_measurement(e: Measurement, channel: NoiseModel):
-    """Push a channel from the state onto the effect, as a convex mixture."""
-    return channel.adjoint(e)
+# adjoint channel action on measurements (see NoiseModel.adjoint)
 
 
 def mixture_acceptance(state: QuantumState, mixture) -> float:

@@ -24,7 +24,10 @@ import numpy as np
 from .pauli import DimensionMismatch, PauliMeasurement, PauliOperator
 from .stabilizer import StabilizerGroup, signed_intersection_counts
 
+# the largest n whose uniform distribution `support()` enumerates, one object
+# per atom: 2*4^6 Pauli effects and 2^16 parities
 EXACT_PAULI_ENUMERATION_LIMIT = 6
+EXACT_PARITY_ENUMERATION_LIMIT = 16
 
 
 class ExactUnavailable(RuntimeError):
@@ -134,6 +137,12 @@ def parity_index(e: PauliMeasurement) -> int:
 # distributions
 
 
+def _check_budget(n: int, limit: int, what: str) -> None:
+    """Raise ExactUnavailable, before anything is built, when n > limit."""
+    if n > limit:
+        raise ExactUnavailable(f"{what}, over the enumeration budget of n <= {limit}")
+
+
 def random_bits(rng, n: int, size: Optional[int] = None):
     """A uniform n-bit int for n <= 64, drawn as uint64; for n <= 62 this is
     the same draw, and the same stream use, as numpy's default int64 draw.
@@ -150,12 +159,16 @@ class UniformPauli:
 
     n: int
 
-    def support(self):
+    def support(self) -> list:
+        """The (effect, weight) pairs, for n <= EXACT_PAULI_ENUMERATION_LIMIT."""
+        _check_budget(self.n, EXACT_PAULI_ENUMERATION_LIMIT, f"uniform Pauli support has 2*4^{self.n} elements")
         weight = Fraction(1, 2 * 4**self.n)
-        for sign in (1, -1):
-            for x in range(1 << self.n):
-                for z in range(1 << self.n):
-                    yield PauliMeasurement(PauliOperator(self.n, sign, x, z)), weight
+        return [
+            (PauliMeasurement(PauliOperator(self.n, sign, x, z)), weight)
+            for sign in (1, -1)
+            for x in range(1 << self.n)
+            for z in range(1 << self.n)
+        ]
 
     def sample(self, rng) -> PauliMeasurement:
         sign = 1 if rng.integers(0, 2) == 0 else -1
@@ -174,10 +187,11 @@ class UniformParity:
 
     n: int
 
-    def support(self):
+    def support(self) -> list:
+        """The (effect, weight) pairs, for n <= EXACT_PARITY_ENUMERATION_LIMIT."""
+        _check_budget(self.n, EXACT_PARITY_ENUMERATION_LIMIT, f"uniform parity support has 2^{self.n} elements")
         weight = Fraction(1, 2**self.n)
-        for x in range(1 << self.n):
-            yield parity_measurement(x, self.n), weight
+        return [(parity_measurement(x, self.n), weight) for x in range(1 << self.n)]
 
     def sample(self, rng) -> PauliMeasurement:
         return parity_measurement(random_bits(rng, self.n), self.n)
@@ -212,8 +226,8 @@ class FiniteWeighted:
     def n(self) -> int:
         return self.items[0][0].n
 
-    def support(self):
-        yield from self.items
+    def support(self) -> tuple:
+        return self.items
 
     def sample(self, rng):
         threshold = rng.random()
@@ -242,19 +256,6 @@ def haar_directions(rng, size: int) -> np.ndarray:
     phi = rng.uniform(0.0, 2.0 * math.pi, size=size)
     sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
     return np.stack([np.cos(phi) * sin_t, np.sin(phi) * sin_t, cos_t], axis=1)
-
-
-def distribution_support(d: MeasurementDistribution):
-    """(measurement, weight) pairs for finite distributions; error otherwise."""
-    if isinstance(d, (UniformParity, FiniteWeighted)):
-        return list(d.support())
-    if isinstance(d, UniformPauli):
-        if d.n > EXACT_PAULI_ENUMERATION_LIMIT:
-            raise ExactUnavailable(
-                f"uniform Pauli support has 2*4^{d.n} elements, over the enumeration budget"
-            )
-        return list(d.support())
-    raise ExactUnavailable(f"{type(d).__name__} has no finite support")
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +483,7 @@ def _exact_inner(rho: QuantumState, sigma: QuantumState, d: MeasurementDistribut
             # negation add f_sigma(M) - f_sigma(-M) = 2 f_sigma(M) times 1/(2*4^n)
             return math.ldexp(math.fsum(_member_batch(rho.group).f(sigma)), -2 * n)
     total = None
-    for e, w in distribution_support(d):
+    for e, w in d.support():
         term = w * f_value(rho, e) * f_value(sigma, e)
         total = term if total is None else total + term
     return total

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress
 from operator import or_, xor
@@ -33,7 +32,6 @@ import numpy as np
 from .pauli import (
     BudgetExceeded,
     DimensionMismatch,
-    PauliMeasurement,
     PauliOperator,
     commutes,
     gf2_echelon,
@@ -237,10 +235,6 @@ class StabilizerGroup:
             k = p[:, -1] + 2 * np.einsum("ij,ij->i", p[:, 2 * n:-1], t) - _popcount(bx & bz)
             out[start:start + TRACE_BLOCK] = np.where(member, 1 - k % 4, 0)
         return out
-
-    def trace_measurement(self, e: PauliMeasurement) -> Fraction:
-        """tr(E rho) = (1 + tr(P rho))/2, exactly one of 0, 1/2, 1."""
-        return Fraction(1 + self.trace_pauli(e.pauli), 2)
 
     def __str__(self) -> str:
         return "\n".join(str(g) for g in self.generators)

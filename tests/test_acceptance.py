@@ -36,7 +36,6 @@ from paulisq.oracle import (
     OracleConfig,
     RandomWithinTau,
     StatisticalQueryOracle,
-    adjoint_measurement,
     draw_validation_set,
     eta_grid_search,
     mixture_acceptance,
@@ -232,7 +231,7 @@ def test_criterion_08_adjoint_identity():
         state = StabilizerState(random_stabilizer_group(n, substream(SEED, "adj", k)))
         noisy_rho = (1 - eta) * state_matrix(state) + eta * identity
         for e, _ in UniformPauli(n).support():
-            lhs = mixture_acceptance(state, adjoint_measurement(e, channel))
+            lhs = mixture_acceptance(state, channel.adjoint(e))
             rhs = float(np.trace(measurement_matrix(e) @ noisy_rho).real)
             worst = max(worst, abs(lhs - rhs))
     report(f"criterion 8: adjoint identity, worst |err| {worst:.2e} <= 1e-12", worst <= 1e-12)

@@ -343,6 +343,8 @@ def test_cli_noise_none_needs_no_eta():
         ({"trials": "3"}, "config field 'trials' must be int, got '3'"),
         ({"n": None}, "config field 'n' must be int, got None"),
         ({"samples": 2.5}, "config field 'samples' must be int or None, got 2.5"),
+        ({"tau": 0}, "tau must be positive, got 0"),
+        ({"tau": -0.5}, "tau must be positive, got -0.5"),
     ],
 )
 def test_config_file_rejects_bad_values(data, message, tmp_path, capsys):
@@ -350,7 +352,8 @@ def test_config_file_rejects_bad_values(data, message, tmp_path, capsys):
         ExperimentConfig.from_dict({"experiment": "learn-product", **data})
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(data))
-    for command in ("learn-product", "verify-lemmas"):
+    # noise-demo once ran a zero tau as its 0.01 default
+    for command in ("learn-product", "verify-lemmas", "noise-demo"):
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--config", str(cfg)])
         assert exit_info.value.code == 2
@@ -380,6 +383,52 @@ def test_noise_demo_distribution_is_checked_at_the_boundary(distribution, messag
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and message in err.splitlines()[-1]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_one_sample_verify_lemmas_prints_strict_json(capsys):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        main(["verify-lemmas", "--n", "1", "--samples", "1"])
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert all(row["std_error"] == 0.0 for row in report["results"]["haar_moment"])
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in-process."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs, trials, workers", [(64, 2, [2]), (3, 5, [3]), (8, 1, [])])
+def test_the_pool_asks_for_no_more_workers_than_trials(jobs, trials, workers, monkeypatch):
+    import concurrent.futures
+
+    from paulisq.cli import _run_trials
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    config = ExperimentConfig(experiment="learn-product", trials=trials, jobs=jobs)
+    rows = _run_trials(lambda config, trial: {"trial": trial}, config)
+    assert rows == [{"trial": k} for k in range(trials)]
+    assert _RecordingPool.workers == workers
 
 
 @pytest.mark.parametrize("samples", [0, -3])

@@ -41,10 +41,6 @@ from paulisq.oracle import (
     StatisticalQueryOracle,
     ToleranceExhausted,
     UnboundedQuery,
-    absorb_bounded_channel,
-    adjoint_measurement,
-    correct_classification,
-    correct_depolarizing,
     expectation_on_maximally_mixed,
     mixture_acceptance,
 )
@@ -393,20 +389,20 @@ def test_exact_haar_quadrature_matches_closed_form():
 # --- corrections ------------------------------------------------------------
 
 
-def test_correct_classification_values():
+def test_classification_correct_values():
     eta = 0.1
-    assert correct_classification(1 - 2 * eta, eta) == pytest.approx(1.0)
-    assert correct_classification(0.42, 0.0) == 0.42
+    assert ClassificationNoise(eta).correct(1 - 2 * eta) == pytest.approx(1.0)
+    assert ClassificationNoise(0.0).correct(0.42) == 0.42
     with pytest.raises(ValueError):
-        correct_classification(0.5, 0.5)
+        ClassificationNoise(0.5).correct(0.5)
 
 
-def test_correct_depolarizing_values():
+def test_depolarizing_correct_values():
     eta = 0.4
-    assert correct_depolarizing(1 - eta, 0.0, eta) == pytest.approx(1.0)
-    assert correct_depolarizing(0.3, 0.1, 0.0) == 0.3
+    assert DepolarizingNoise(eta).correct(1 - eta, 0.0) == pytest.approx(1.0)
+    assert DepolarizingNoise(0.0).correct(0.3, 0.1) == 0.3
     with pytest.raises(ValueError):
-        correct_depolarizing(0.5, 0.0, 1.0)
+        DepolarizingNoise(1.0).correct(0.5, 0.0)
 
 
 @pytest.mark.parametrize("eta", [0.1, 0.25, 0.4])
@@ -474,6 +470,39 @@ def test_non_positive_mixed_samples_fail_before_any_query(samples):
     assert inner.query_count == 0 and inner.transcript == []
     with pytest.raises(ValueError, match="at least 1"):
         expectation_on_maximally_mixed(label_query, UniformPauli(1), 1, samples=samples)
+
+
+@pytest.mark.parametrize("n", [17, 64])
+def test_exact_policy_refuses_uniform_parity_over_its_budget(n, monkeypatch):
+    import time
+
+    import paulisq.pconcept as pconcept
+    from paulisq.pconcept import ExactUnavailable
+
+    def enumerated(*args):
+        raise AssertionError("a parity measurement was built past the budget")
+
+    # a regression fails at the first atom instead of enumerating 2^n of them
+    monkeypatch.setattr(pconcept, "parity_measurement", enumerated)
+    oracle = StatisticalQueryOracle(StabilizerState(StabilizerGroup.basis_state(1, n)), UniformParity(n))
+    start = time.perf_counter()
+    with pytest.raises(ExactUnavailable, match="over the enumeration budget of n <= 16"):
+        oracle.query(SQQuery(label_query, 0.1))
+    with pytest.raises(ExactUnavailable):
+        expectation_on_maximally_mixed(label_query, UniformParity(n), n)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_exact_policy_answers_uniform_parity_at_its_budget():
+    # E[y chi_b(x)] = -1 on |b>: the label is -(-1)^(x.b), noiseless
+    bits = 0b1011001110001101
+    oracle = StatisticalQueryOracle(StabilizerState(StabilizerGroup.basis_state(bits, 16)), UniformParity(16))
+
+    def character(e, y):
+        return float(y) if (e.pauli.z & bits).bit_count() % 2 == 0 else -float(y)
+
+    assert oracle.query(SQQuery(character, 0.1)) == -1.0
+    assert oracle.query(SQQuery(label_query, 0.1)) == 0.0
 
 
 def test_seeded_empirical_answers_are_pinned():
@@ -561,11 +590,16 @@ def test_expectation_on_maximally_mixed_uses_no_state():
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_absorb_bounded_channel_arithmetic():
-    assert absorb_bounded_channel(0.1, 0.02) == pytest.approx(0.06)
-    assert absorb_bounded_channel(0.3, 0.0) == 0.3
+def test_bounded_channel_tightened_arithmetic():
+    def tightened(tau, eta_diamond):
+        noise = BoundedChannelNoise(eta_diamond, DepolarizingNoise(eta_diamond / 2))
+        inner = StatisticalQueryOracle(KET0, POINT_MASS_Z, OracleConfig(ExactPolicy(), noise))
+        return noise.learner_oracle(inner).tightened(tau)
+
+    assert tightened(0.1, 0.02) == pytest.approx(0.06)
+    assert tightened(0.3, 0.0) == 0.3
     with pytest.raises(ToleranceExhausted):
-        absorb_bounded_channel(0.04, 0.02)
+        tightened(0.04, 0.02)
 
 
 def test_bounded_channel_absorbing_oracle():
@@ -728,30 +762,30 @@ def test_adjoint_identity_dense_exhaustive_n2():
         rho = state_matrix(state)
         noisy_rho = (1 - eta) * rho + eta * identity
         for e, _ in UniformPauli(n).support():
-            lhs = mixture_acceptance(state, adjoint_measurement(e, channel))
+            lhs = mixture_acceptance(state, channel.adjoint(e))
             rhs = float(np.trace(measurement_matrix(e) @ noisy_rho).real)
             assert abs(lhs - rhs) < 1e-12
 
 
 def test_adjoint_eta_zero_is_identity():
-    assert adjoint_measurement(E_Z, DepolarizingNoise(0.0)) == ((E_Z, 1.0),)
+    assert DepolarizingNoise(0.0).adjoint(E_Z) == ((E_Z, 1.0),)
 
 
 def test_adjoint_fixes_identity_effects():
     for sign in (1, -1):
         e = PauliMeasurement(PauliOperator.identity(2, sign))
-        assert adjoint_measurement(e, DepolarizingNoise(0.6)) == ((e, 1.0),)
+        assert DepolarizingNoise(0.6).adjoint(e) == ((e, 1.0),)
 
 
 def test_adjoint_weights_form_convex_mixture():
-    mix = adjoint_measurement(E_Z, DepolarizingNoise(0.3))
+    mix = DepolarizingNoise(0.3).adjoint(E_Z)
     assert sum(w for _, w in mix) == pytest.approx(1.0)
     assert mix[0] == (E_Z, 0.7)
 
 
 def test_adjoint_rejects_unknown_channel():
     with pytest.raises(ValueError):
-        adjoint_measurement(E_Z, ClassificationNoise(0.1))
+        ClassificationNoise(0.1).adjoint(E_Z)
 
 
 @pytest.mark.parametrize(
@@ -824,7 +858,7 @@ def test_rates_and_margins_are_checked_when_a_wrapper_is_built():
         lambda: DepolarizingCorrectedOracle(inner, 1.0),
         lambda: BoundedChannelAbsorbingOracle(inner, -0.01),
         lambda: MaliciousAbsorbingOracle(inner, -0.1),
-        lambda: absorb_bounded_channel(0.1, -0.01),
+        lambda: BoundedChannelNoise(-0.01, DepolarizingNoise(0.0)),
     ):
         with pytest.raises(ValueError):
             build()

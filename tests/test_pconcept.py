@@ -327,6 +327,38 @@ def test_exact_unavailable_paths():
         inner_product(StabilizerState(StabilizerGroup.basis_state(0, 14)), wide, UniformPauli(14))
 
 
+@pytest.mark.parametrize("n", [17, 64])
+def test_uniform_parity_refuses_exact_work_over_its_budget(n, monkeypatch):
+    import time
+
+    import paulisq.pconcept as pconcept
+
+    def enumerated(*args):
+        raise AssertionError("a parity measurement was built past the budget")
+
+    # a regression fails at the first atom instead of enumerating 2^n of them
+    monkeypatch.setattr(pconcept, "parity_measurement", enumerated)
+    basis = StabilizerState(StabilizerGroup.basis_state(1, n))
+    start = time.perf_counter()
+    with pytest.raises(ExactUnavailable, match=f"2\\^{n} elements, over the enumeration budget of n <= 16"):
+        inner_product(basis, basis, UniformParity(n))
+    with pytest.raises(ExactUnavailable):
+        squared_loss(basis, MaximallyMixed(n), UniformParity(n))
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_uniform_parity_inner_products_within_the_budget(n):
+    # f(E_x) = -(-1)^(x.b) on the basis state |b>, so <f_b, f_c> = [b == c]
+    rng = substream(49, "parity-inner", n)
+    b, c = random_bits(rng, n), random_bits(rng, n) | 1
+    states = [StabilizerState(StabilizerGroup.basis_state(bits, n)) for bits in (b, c, c ^ 1)]
+    d = UniformParity(n)
+    assert [inner_product(states[0], t, d) for t in states] == [Fraction(int(b == bits)) for bits in (b, c, c ^ 1)]
+    # f of I/2^n is -1 at x = 0 and 0 elsewhere
+    assert inner_product(MaximallyMixed(n), states[0], d) == Fraction(1, 2**n)
+
+
 def test_finite_weighted_distribution():
     e1 = PauliMeasurement(PauliOperator.from_string("Z"))
     e2 = PauliMeasurement(PauliOperator.from_string("X"))
