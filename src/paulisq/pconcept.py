@@ -252,10 +252,18 @@ def haar_directions(rng, size: int) -> np.ndarray:
     """`size` area-uniform unit vectors as rows: cos(polar) uniform on [-1, 1]
     and the azimuth uniform on [0, 2pi), all cos values drawn first and then
     all azimuths."""
+    directions = np.empty((size, 3))
     cos_t = rng.uniform(-1.0, 1.0, size=size)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=size)
-    sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
-    return np.stack([np.cos(phi) * sin_t, np.sin(phi) * sin_t, cos_t], axis=1)
+    directions[:, 2] = cos_t
+    # each column is written once, with no stacked copy, and sin(polar) =
+    # sqrt(max(1 - cos^2, 0)) and sin(azimuth) reuse their inputs' buffers
+    sin_t = np.square(cos_t, out=cos_t)
+    np.subtract(1.0, sin_t, out=sin_t)
+    np.sqrt(np.clip(sin_t, 0.0, None, out=sin_t), out=sin_t)
+    np.multiply(np.cos(phi), sin_t, out=directions[:, 0])
+    np.multiply(np.sin(phi, out=phi), sin_t, out=directions[:, 1])
+    return directions
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +490,23 @@ def _exact_inner(rho: QuantumState, sigma: QuantumState, d: MeasurementDistribut
             # f_rho is +-1 on +-S and 0 elsewhere, so each member M of S and its
             # negation add f_sigma(M) - f_sigma(-M) = 2 f_sigma(M) times 1/(2*4^n)
             return math.ldexp(math.fsum(_member_batch(rho.group).f(sigma)), -2 * n)
+    if isinstance(d, UniformParity) and isinstance(rho, StabilizerState) and isinstance(sigma, StabilizerState):
+        # E_x = (I - Z^x)/2, so f_rho(E_x) is -+1 where +-Z^x is in the group and
+        # 0 elsewhere: the sum runs over the Z-type members the groups share
+        plus, minus = signed_intersection_counts(_z_subgroup(rho.group), _z_subgroup(sigma.group))
+        return Fraction(plus - minus, 2**n)
     total = None
     for e, w in d.support():
         term = w * f_value(rho, e) * f_value(sigma, e)
         total = term if total is None else total + term
     return total
+
+
+def _z_subgroup(group: StabilizerGroup) -> StabilizerGroup:
+    """The group's Z-type members, spanned by its canonical rows with x = 0: a
+    row with x != 0 pivots on an x bit, which no other row has set, so any
+    product that takes it has x != 0 (see gf2_echelon)."""
+    return StabilizerGroup(group.n, tuple(g for g in group.generators if g.x == 0))
 
 
 def _member_batch(group: StabilizerGroup) -> PauliBatch:
@@ -510,7 +530,7 @@ def _mc_f_arrays(rho, sigma, d, mode):
         return batch.f(rho), batch.f(sigma)
     # per sample: a batch here makes the benchmark's stab-corr items 4.4x
     # faster, and its per-item records then raise peak RSS past its bound
-    # (ROADMAP item 4)
+    # (ROADMAP item 6)
     fr = np.empty(m)
     fs = np.empty(m)
     for k in range(m):
@@ -530,8 +550,9 @@ def inner_product(rho: QuantumState, sigma: QuantumState, d: MeasurementDistribu
     """<f_rho, f_sigma>_D = E_{E~D}[f_rho(E) f_sigma(E)].
 
     Exact mode uses the stabilizer intersection fast path under uniform Pauli
-    measurements, the per-qubit closed form under Haar product measurements,
-    and support enumeration for finite distributions.  Monte Carlo mode
+    measurements, and under uniform parity that of the Z-type subgroups for
+    two stabilizer states, the per-qubit closed form under Haar product
+    measurements, and support enumeration otherwise.  Monte Carlo mode
     returns a seeded estimate with its standard error.
     """
     _check_dims(rho, sigma)

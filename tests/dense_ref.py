@@ -19,6 +19,7 @@ from paulisq.pconcept import (
     ProductState,
     SingleQubitProjector,
     StabilizerState,
+    f_value,
 )
 from paulisq.stabilizer import StabilizerGroup, canonical_rows, random_stabilizer_group
 
@@ -215,6 +216,18 @@ def dense_acceptance(state, e) -> float:
 
 def dense_f_value(state, e) -> float:
     return 2.0 * dense_acceptance(state, e) - 1.0
+
+
+def enumerated_inner(rho, sigma, d):
+    """<f_rho, f_sigma>_D summed atom by atom over d.support(), with the
+    one-Pauli f_value: the exact path before any closed form."""
+    return sum(w * f_value(rho, e) * f_value(sigma, e) for e, w in d.support())
+
+
+def per_example_loss(validation, hypothesis) -> float:
+    """A validation set's mean squared error, example by example: f of the
+    hypothesis at every drawn measurement against its label."""
+    return float(np.mean((validation.batch.f(hypothesis) - validation.labels) ** 2))
 
 
 def all_signed_paulis(n: int):

@@ -8,8 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dense_ref import measurement_matrix, state_matrix
-from paulisq.pauli import PauliMeasurement, PauliOperator
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dense_ref import measurement_matrix, per_example_loss, state_matrix
+from paulisq.pauli import DimensionMismatch, PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
     BlochVector,
     FiniteWeighted,
@@ -21,6 +24,7 @@ from paulisq.pconcept import (
     UniformParity,
     UniformPauli,
     f_value,
+    random_bits,
 )
 from paulisq.oracle import (
     AdversarialCallback,
@@ -41,6 +45,9 @@ from paulisq.oracle import (
     StatisticalQueryOracle,
     ToleranceExhausted,
     UnboundedQuery,
+    ValidationSet,
+    draw_validation_set,
+    eta_grid_search,
     expectation_on_maximally_mixed,
     mixture_acceptance,
 )
@@ -694,12 +701,96 @@ def test_validation_loss_packed_and_generic_paths_agree():
     assert len(projectors) == len(drawn) == 500
     assert projectors.labels.tolist() == [float(f_value(target, e)) for e in drawn]
     generic = np.mean([(float(f_value(hypothesis, e)) - y) ** 2 for e, y in zip(drawn, projectors.labels)])
-    assert projectors.loss(hypothesis) == generic
+    # a projector loss is summed from per-qubit moments, in another order
+    assert abs(projectors.loss(hypothesis) - generic) <= 1e-12
     # a Pauli validation set: exact mean labels score 0 on the target
     state = StabilizerState(random_stabilizer_group(2, substream(43, "state")))
     paulis = draw_validation_set(state, UniformPauli(2), 200, substream(43, "paulis"))
     assert paulis.labels.tolist() == [float(f_value(state, e)) for e in paulis.batch]
     assert paulis.loss(state) == 0.0 and paulis.loss(MaximallyMixed(2)) > 0
+
+
+def _random_product(rng, n, pure=False):
+    vectors = rng.normal(size=(n, 3))
+    scales = np.ones(n) if pure else rng.uniform(0, 1, size=n)
+    return ProductState(tuple(BlochVector(*(v / np.linalg.norm(v) * r)) for v, r in zip(vectors, scales)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_moment_loss_matches_the_per_example_loss(n):
+    rng = substream(70, "moments", n)
+    target = _random_product(rng, n)
+    validation = draw_validation_set(target, HaarSingleQubitProduct(n), 20_000, rng)
+    hypotheses = {
+        "product": _random_product(rng, n),
+        "pure product": _random_product(rng, n, pure=True),
+        "stabilizer": StabilizerState(random_stabilizer_group(n, rng)),
+        "basis": StabilizerState(StabilizerGroup.basis_state(random_bits(rng, n), n)),
+        "mixed": MaximallyMixed(n),
+        "identical": ProductState(tuple(BlochVector(*b.as_tuple()) for b in target.blochs)),
+        "target": target,
+    }
+    for name, hypothesis in hypotheses.items():
+        loss = validation.loss(hypothesis)
+        assert 0.0 <= loss <= 4.0 and abs(loss - per_example_loss(validation, hypothesis)) <= 1e-12, name
+    assert validation.loss(target) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    m=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    labeled=st.sampled_from(["target", "uniform", "signs"]),
+)
+def test_moment_loss_matches_the_per_example_loss_property(n, m, seed, labeled):
+    # any labels in [-1, 1], not only f of a state: the moments assume no form of y
+    rng = np.random.default_rng(seed)
+    batch = HaarSingleQubitProduct(n).draw(rng, m)
+    labels = {
+        "target": lambda: batch.f(_random_product(rng, n)),
+        "uniform": lambda: rng.uniform(-1, 1, size=m),
+        "signs": lambda: 1.0 - 2.0 * rng.integers(0, 2, size=m),
+    }[labeled]()
+    validation = ValidationSet(batch, labels)
+    for hypothesis in (_random_product(rng, n), _random_product(rng, n, pure=True), StabilizerState(random_stabilizer_group(n, rng))):
+        assert abs(validation.loss(hypothesis) - per_example_loss(validation, hypothesis)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_moment_loss_resolves_hypotheses_near_the_fit(n):
+    # next to exact labels, a loss reads ~1e-16 over the per-example sum's
+    # ~1e-20, the rounding of the moments; that offset is the same for every
+    # hypothesis, and the gaps between them, which pick the search's winner,
+    # keep the per-example sum's digits (about 0, they would be rounding too)
+    rng = substream(73, "near", n)
+    target = _random_product(rng, n)
+    validation = draw_validation_set(target, HaarSingleQubitProduct(n), 20_000, rng)
+    losses, wants = [], []
+    for delta in (0.0, 1e-10, 1e-9, 1e-8):
+        hypothesis = ProductState(tuple(BlochVector(*(np.array(b.as_tuple()) * (1 - delta))) for b in target.blochs))
+        losses.append(validation.loss(hypothesis))
+        wants.append(per_example_loss(validation, hypothesis))
+    gaps, want_gaps = np.diff(losses), np.diff(wants)
+    assert (gaps > 0).all() and (np.abs(gaps - want_gaps) <= 1e-3 * want_gaps).all()
+    assert max(np.abs(np.array(losses) - wants)) <= 1e-12
+
+
+def test_moment_loss_sums_its_moments_once_and_checks_its_input(monkeypatch):
+    target = _grid_target()
+    validation = draw_validation_set(target, HaarSingleQubitProduct(2), 300, substream(71, "val"))
+    first = validation.loss(MaximallyMixed(2))
+
+    def summed_again(*args, **kwargs):
+        raise AssertionError("the moments were summed again")
+
+    monkeypatch.setattr(np, "bincount", summed_again)
+    assert [validation.loss(MaximallyMixed(2)) for _ in range(3)] == [first] * 3
+    assert validation.loss(target) <= 1e-12
+    with pytest.raises(DimensionMismatch):
+        validation.loss(MaximallyMixed(3))
+    with pytest.raises(ValueError, match="empty"):
+        draw_validation_set(target, HaarSingleQubitProduct(2), 0, substream(71, "empty")).loss(target)
 
 
 def _validation_digest(validation) -> str:
@@ -938,6 +1029,39 @@ def test_eta_grid_search_matches_a_memo_free_reference(n, monkeypatch):
     )
     assert search(MemoFreeOracle) == shared
     assert shared[0] == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_eta_grid_search_matches_a_reference_scored_search(n, monkeypatch):
+    # scored by the per-example loss in place of the moments, the search picks
+    # the same guess and hypothesis
+    from paulisq.learners import learn_product_state
+
+    d = HaarSingleQubitProduct(n)
+
+    def search(target, eta, case):
+        def run(guess):
+            inner = StatisticalQueryOracle(target, d, OracleConfig(ExactPolicy(), DepolarizingNoise(eta)))
+            return learn_product_state(DepolarizingCorrectedOracle(inner, guess), 0.01)
+
+        validation = draw_validation_set(target, d, 20_000, substream(72, "val", n, case))
+        guess, hypothesis = eta_grid_search(run, 0.6, 0.05, validation)
+        return guess, np.array([b.as_tuple() for b in hypothesis.state.blochs])
+
+    # mixed targets, one true rate on the 0.05 grid and two off it
+    cases = [(_random_product(substream(72, "grid", n, case), n), eta, case) for case, eta in enumerate((0.3, 0.17, 0.42))]
+    # a pure target: every guess over the true rate scales its Bloch vectors
+    # out of the ball and back onto the sphere, so those hypotheses agree to
+    # their last bits and the pick among them is rounding in either loss
+    pure = (_random_product(substream(72, "grid", n, 3), n, pure=True), 0.3, 3)
+    moments = [search(*case) for case in (*cases, pure)]
+    monkeypatch.setattr(ValidationSet, "loss", per_example_loss)
+    reference = [search(*case) for case in (*cases, pure)]
+    for (guess, blochs), (want_guess, want_blochs) in zip(moments[:-1], reference[:-1]):
+        assert guess == want_guess and (blochs == want_blochs).all()
+    assert moments[0][0] == pytest.approx(0.3)
+    assert moments[-1][0] >= 0.3 - 1e-12 and reference[-1][0] >= 0.3 - 1e-12
+    assert np.abs(moments[-1][1] - reference[-1][1]).max() <= 1e-9
 
 
 def test_an_unbounded_query_fails_on_every_ask_and_is_not_kept():

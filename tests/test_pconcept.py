@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dense_ref import all_signed_paulis, dense_f_value, lower_rank_groups, pauli_batch
+from dense_ref import all_signed_paulis, dense_f_value, enumerated_inner, lower_rank_groups, pauli_batch
 from paulisq.pauli import PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
     BlochVector,
@@ -336,15 +336,89 @@ def test_uniform_parity_refuses_exact_work_over_its_budget(n, monkeypatch):
     def enumerated(*args):
         raise AssertionError("a parity measurement was built past the budget")
 
-    # a regression fails at the first atom instead of enumerating 2^n of them
+    # a regression fails at the first atom instead of enumerating 2^n of them;
+    # stabilizer pairs have a polynomial path, so each pair here has a product state
     monkeypatch.setattr(pconcept, "parity_measurement", enumerated)
     basis = StabilizerState(StabilizerGroup.basis_state(1, n))
+    product = ProductState((BlochVector(0, 0, 1),) * n)
     start = time.perf_counter()
     with pytest.raises(ExactUnavailable, match=f"2\\^{n} elements, over the enumeration budget of n <= 16"):
-        inner_product(basis, basis, UniformParity(n))
+        inner_product(product, basis, UniformParity(n))
     with pytest.raises(ExactUnavailable):
-        squared_loss(basis, MaximallyMixed(n), UniformParity(n))
+        squared_loss(product, MaximallyMixed(n), UniformParity(n))
     assert time.perf_counter() - start < 0.1
+
+
+def _ghz(n):
+    """(|0...0> + |1...1>)/sqrt(2), whose Z-type members are the +Z_i Z_j."""
+    z_pairs = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+    return StabilizerState(StabilizerGroup.from_strings(["X" * n, *z_pairs]))
+
+
+@pytest.mark.parametrize("n", [17, 64])
+def test_uniform_parity_answers_stabilizer_pairs_past_the_budget(n, monkeypatch):
+    import time
+
+    import paulisq.pconcept as pconcept
+
+    def enumerated(*args):
+        raise AssertionError("a parity measurement was built for a stabilizer pair")
+
+    monkeypatch.setattr(pconcept, "parity_measurement", enumerated)
+    rng = substream(50, "parity-wide", n)
+    b, c = random_bits(rng, n), random_bits(rng, n) | 1
+    basis, other, mixed = (StabilizerState(StabilizerGroup.basis_state(bits, n)) for bits in (b, c, 0))
+    ghz, d = _ghz(n), UniformParity(n)
+    start = time.perf_counter()
+    # f(E_x) = -(-1)^(x.b) on |b>, so <f_b, f_c> = [b == c]; I/2^n shares only I
+    assert inner_product(basis, basis, d) == 1 and inner_product(basis, other, d) == int(b == c)
+    assert inner_product(MaximallyMixed(n), basis, d) == Fraction(1, 2**n)
+    # GHZ meets |b> in the Z_i Z_j: all of them with sign + when b is 0...0, half of them otherwise
+    assert inner_product(ghz, ghz, d) == inner_product(ghz, mixed, d) == Fraction(1, 2)
+    assert inner_product(ghz, other, d) == (Fraction(1, 2) if c == (1 << n) - 1 else 0)
+    assert squared_loss(basis, MaximallyMixed(n), d) == 1 - Fraction(1, 2**n)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_uniform_parity_inner_products_match_enumeration_on_every_pair_up_to_n3():
+    from paulisq.pconcept import _z_subgroup
+
+    for n in (1, 2, 3):
+        d = UniformParity(n)
+        states = [StabilizerState(g) for g in enumerate_stabilizer_groups(n)]
+        # f at every parity effect, a row per state: every pair's enumerated sum is one integer product
+        rows = np.array([[int(f_value(s, e)) for e, _ in d.support()] for s in states])
+        enumerated = (rows @ rows.T).tolist()
+        if n < 3:
+            assert [[inner_product(s, t, d) * 2**n for t in states] for s in states] == enumerated
+            continue
+        # 1080^2 pairs: a pair's answer reads its two groups only through their
+        # Z-type subgroups, which equal states share (their rows are canonical),
+        # so one representative pair per class pair stands for all of them
+        classes = {}
+        for i, s in enumerate(states):
+            classes.setdefault(tuple(rows[i]), []).append(i)
+        for members in classes.values():
+            assert len({_z_subgroup(states[i].group) for i in members}) == 1
+        for left in classes.values():
+            for right in classes.values():
+                assert {enumerated[i][j] for i in left for j in right} == {inner_product(states[left[0]], states[right[0]], d) * 2**n}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_uniform_parity_inner_products_match_enumeration_on_seeded_pairs(n):
+    rng = substream(51, "parity-pairs", n)
+    d = UniformParity(n)
+    groups = [random_stabilizer_group(n, rng) for _ in range(4)] + lower_rank_groups(n, rng)
+    groups += [StabilizerGroup.basis_state(random_bits(rng, n), n) for _ in range(2)] + [MaximallyMixed(n).group]
+    if n > 1:
+        groups.append(_ghz(n).group)
+    states = [StabilizerState(g) for g in groups]
+    pairs = [(s, s) for s in states] + [(s, states[(i + 1) % len(states)]) for i, s in enumerate(states)]
+    for s, t in pairs:
+        assert inner_product(s, t, d) == enumerated_inner(s, t, d)
+        want = enumerated_inner(s, s, d) + enumerated_inner(t, t, d) - 2 * enumerated_inner(s, t, d)
+        assert squared_loss(s, t, d) == want
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])
