@@ -20,7 +20,6 @@ from .pconcept import (
     EXACT,
     BlochVector,
     Exact,
-    ExactUnavailable,
     FiniteWeighted,
     HaarSingleQubitProduct,
     MaximallyMixed,

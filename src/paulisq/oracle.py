@@ -30,13 +30,12 @@ channel's margin for a bounded channel.  Each `ResponsePolicy` owns its
 Every answer is evaluated on one kind of object, a measurement batch (see
 `pconcept`): m measurements held as arrays, or as indices into a tuple of
 measurement objects, whose f(state) gives f at all of them in one call.
-Exact answers come from an atom table, a batch with a weight per atom: the
-support of a finite distribution (`distribution.support()`, which refuses a
-uniform distribution over its enumeration budget before it builds an atom),
-or per-panel Gauss-Legendre quadrature
-over the sphere for Haar single-qubit measurement distributions (exact to
-roughly 1e-9 for queries that are smooth on each octant, which covers
-sign-threshold queries split along the coordinate planes).  There is one
+Exact answers come from an atom table, the batch and weights of
+`distribution.atoms()`: the support of a finite distribution (a uniform one
+refuses past its enumeration budget before it builds an atom), or the
+per-panel Gauss-Legendre quadrature of `HaarSingleQubitProduct.atoms`
+(exact to roughly 1e-9 for queries that are smooth on each octant, which
+covers sign-threshold queries split along the coordinate planes).  There is one
 table per (state, distribution, noise), shared by every oracle over them,
 and one per distribution for the maximally mixed state.  A query is a
 function of (E, y), so its answer on a table never changes: each table
@@ -72,7 +71,6 @@ import numpy as np
 from .pauli import DimensionMismatch, PauliMeasurement, PauliOperator
 from .pconcept import (
     FiniteWeighted,
-    HaarSingleQubitProduct,
     MaximallyMixed,
     Measurement,
     MeasurementBatch,
@@ -87,16 +85,6 @@ from .pconcept import (
 )
 from .streams import substream
 
-# the 6-point Gauss-Legendre rule on [-1, 1], as np.polynomial.legendre.leggauss(6)
-# returns it (importing numpy.polynomial costs ~0.8 MB and ~5 ms)
-_GAUSS_NODES = np.array([
-    -0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
-    0.2386191860831969, 0.6612093864662645, 0.9324695142031519,
-])
-_GAUSS_WEIGHTS = np.array([
-    0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
-    0.46791393457269104, 0.3607615730481387, 0.17132449237917027,
-])
 _BOUND_SLACK = 1e-9
 # answers a table keeps before it starts over
 _ANSWER_CAP = 1024
@@ -383,38 +371,6 @@ class OracleConfig:
 # atom tables for deterministic expectations
 
 
-def _haar_atoms(n: int) -> tuple:
-    """Quadrature atoms of the Haar product distribution, qubit-major:
-    (batch, weights).
-
-    The nodes are Gauss-Legendre on the sphere, split into octant panels:
-    splitting theta at pi/2 and phi at every quarter turn keeps sign-threshold
-    integrands smooth on each panel.  The weights sum to 1.
-    """
-    nodes, node_weights = _GAUSS_NODES, _GAUSS_WEIGHTS
-    theta_panels = [(0.0, math.pi / 2), (math.pi / 2, math.pi)]
-    phi_panels = [(k * math.pi / 2, (k + 1) * math.pi / 2) for k in range(4)]
-    us = []
-    ws = []
-    for t0, t1 in theta_panels:
-        th = 0.5 * (t1 - t0) * nodes + 0.5 * (t1 + t0)
-        wt = 0.5 * (t1 - t0) * node_weights
-        for p0, p1 in phi_panels:
-            ph = 0.5 * (p1 - p0) * nodes + 0.5 * (p1 + p0)
-            wp = 0.5 * (p1 - p0) * node_weights
-            for t, w_t in zip(th, wt):
-                st, ct = math.sin(t), math.cos(t)
-                for p, w_p in zip(ph, wp):
-                    us.append((math.cos(p) * st, math.sin(p) * st, ct))
-                    ws.append(w_t * w_p * st / (4.0 * math.pi))
-    weights = np.tile(np.array(ws) / n, n)
-    directions = np.tile(np.array(us), (n, 1))
-    qubits = np.repeat(np.arange(n), len(ws))
-    for array in (weights, directions, qubits):
-        array.setflags(write=False)
-    return ProjectorBatch(n, qubits, directions), weights
-
-
 class _Atoms(NamedTuple):
     """A distribution's atoms as a batch, with their weights, f of one state and
     f_mixed of I/2^n at each."""
@@ -429,12 +385,7 @@ class _Atoms(NamedTuple):
 def _support(distribution: MeasurementDistribution) -> _Atoms:
     """The distribution's atoms with f of I/2^n as both f and f_mixed: built
     once per distribution, shared read-only."""
-    if isinstance(distribution, HaarSingleQubitProduct):
-        batch, weights = _haar_atoms(distribution.n)
-    else:
-        support = distribution.support()
-        batch = batch_of(tuple(e for e, _ in support))
-        weights = np.array([float(w) for _, w in support])
+    batch, weights = distribution.atoms()
     f_mixed = batch.f(MaximallyMixed(distribution.n))
     for array in (weights, f_mixed):
         array.setflags(write=False)

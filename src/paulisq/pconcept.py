@@ -3,8 +3,10 @@
 A state rho is identified with the conditional mean function
 f_rho(E) = 2 tr(E rho) - 1 of its +-1 measurement outcomes.  This module
 evaluates f, draws outcomes, and computes inner products / squared losses
-between two states' p-concepts, either exactly (rational arithmetic on the
-stabilizer fast paths, closed forms elsewhere) or by seeded Monte Carlo.
+between two states' p-concepts, either exactly or by seeded Monte Carlo.
+Each measurement distribution owns its exact answers, `inner` and `loss`,
+and its `atoms()`: a batch with a float weight per measurement, which the
+oracle's exact tables are built on.
 
 Supported states: stabilizer states of any rank r <= n (pure at r = n, and
 the maximally mixed state I/2^n at r = 0, see `MaximallyMixed`), and
@@ -21,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .pauli import DimensionMismatch, PauliMeasurement, PauliOperator
+from .pauli import BudgetExceeded, DimensionMismatch, PauliMeasurement, PauliOperator
 from .stabilizer import StabilizerGroup, signed_intersection_counts
 
 # the largest n whose uniform distribution `support()` enumerates, one object
@@ -29,9 +31,12 @@ from .stabilizer import StabilizerGroup, signed_intersection_counts
 EXACT_PAULI_ENUMERATION_LIMIT = 6
 EXACT_PARITY_ENUMERATION_LIMIT = 16
 
-
-class ExactUnavailable(RuntimeError):
-    """Exact evaluation was requested where no exact path exists."""
+# the 6-point Gauss-Legendre rule on [-1, 1], as np.polynomial.legendre.leggauss(6)
+# returns it (importing numpy.polynomial costs ~0.8 MB and ~5 ms)
+_GAUSS_NODES = np.array([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                         0.2386191860831969, 0.6612093864662645, 0.9324695142031519])
+_GAUSS_WEIGHTS = np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                           0.46791393457269104, 0.3607615730481387, 0.17132449237917027])
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +143,9 @@ def parity_index(e: PauliMeasurement) -> int:
 
 
 def _check_budget(n: int, limit: int, what: str) -> None:
-    """Raise ExactUnavailable, before anything is built, when n > limit."""
+    """Raise BudgetExceeded, before anything is built, when n > limit."""
     if n > limit:
-        raise ExactUnavailable(f"{what}, over the enumeration budget of n <= {limit}")
+        raise BudgetExceeded(f"{what}, over the enumeration budget of n <= {limit}")
 
 
 def random_bits(rng, n: int, size: Optional[int] = None):
@@ -153,8 +158,29 @@ def random_bits(rng, n: int, size: Optional[int] = None):
     return int(bits) if size is None else bits
 
 
+class _Enumerable:
+    """Base of the distributions with an enumerable `support()`."""
+
+    def inner(self, rho: QuantumState, sigma: QuantumState):
+        """<f_rho, f_sigma>_D summed over the support, in the weights' own arithmetic."""
+        total = None
+        for e, w in self.support():
+            term = w * f_value(rho, e) * f_value(sigma, e)
+            total = term if total is None else total + term
+        return total
+
+    def loss(self, rho: QuantumState, sigma: QuantumState):
+        """||f_rho - f_sigma||^2_D = <f_rho, f_rho> + <f_sigma, f_sigma> - 2 <f_rho, f_sigma>."""
+        return self.inner(rho, rho) + self.inner(sigma, sigma) - 2 * self.inner(rho, sigma)
+
+    def atoms(self) -> tuple:
+        """(batch, weights): the support in order, with float weights."""
+        support = self.support()
+        return batch_of(tuple(e for e, _ in support)), np.array([float(w) for _, w in support])
+
+
 @dataclass(frozen=True)
-class UniformPauli:
+class UniformPauli(_Enumerable):
     """Uniform over all 2*4^n Pauli effects (I+P)/2, including E=0 and E=I."""
 
     n: int
@@ -170,6 +196,19 @@ class UniformPauli:
             for z in range(1 << self.n)
         ]
 
+    def inner(self, rho: QuantumState, sigma: QuantumState):
+        """Two stabilizer groups' signed intersection, else a member sum, else the support sum."""
+        if isinstance(rho, StabilizerState) and isinstance(sigma, StabilizerState):
+            plus, minus = signed_intersection_counts(rho.group, sigma.group)
+            return Fraction(plus - minus, 4**self.n)
+        if isinstance(sigma, StabilizerState):
+            rho, sigma = sigma, rho
+        if isinstance(rho, StabilizerState):
+            # f_rho is +-1 on +-S and 0 elsewhere, so each member M of S and its
+            # negation add f_sigma(M) - f_sigma(-M) = 2 f_sigma(M) times 1/(2*4^n)
+            return math.ldexp(math.fsum(_member_batch(rho.group).f(sigma)), -2 * self.n)
+        return super().inner(rho, sigma)
+
     def sample(self, rng) -> PauliMeasurement:
         sign = 1 if rng.integers(0, 2) == 0 else -1
         x = random_bits(rng, self.n)
@@ -182,7 +221,7 @@ class UniformPauli:
 
 
 @dataclass(frozen=True)
-class UniformParity:
+class UniformParity(_Enumerable):
     """Uniform over the 2^n parity measurements E_x, x = 0 included."""
 
     n: int
@@ -193,11 +232,40 @@ class UniformParity:
         weight = Fraction(1, 2**self.n)
         return [(parity_measurement(x, self.n), weight) for x in range(1 << self.n)]
 
+    def inner(self, rho: QuantumState, sigma: QuantumState):
+        """Two stabilizer groups' Z-type intersection at any n, else the support sum."""
+        if isinstance(rho, StabilizerState) and isinstance(sigma, StabilizerState):
+            # E_x = (I - Z^x)/2, so f_rho(E_x) is -+1 where +-Z^x is in the group and
+            # 0 elsewhere: the sum runs over the Z-type members the groups share
+            plus, minus = signed_intersection_counts(_z_subgroup(rho.group), _z_subgroup(sigma.group))
+            return Fraction(plus - minus, 2**self.n)
+        return super().inner(rho, sigma)
+
     def sample(self, rng) -> PauliMeasurement:
         return parity_measurement(random_bits(rng, self.n), self.n)
 
     def draw(self, rng, m: int) -> "PauliBatch":
         return PauliBatch(self.n, np.full(m, -1), np.zeros(m, dtype=np.uint64), random_bits(rng, self.n, m))
+
+
+def _z_subgroup(group: StabilizerGroup) -> StabilizerGroup:
+    """The group's Z-type members, spanned by its canonical rows with x = 0: a
+    row with x != 0 pivots on an x bit, which no other row has set, so any
+    product that takes it has x != 0 (see gf2_echelon)."""
+    return StabilizerGroup(group.n, tuple(g for g in group.generators if g.x == 0))
+
+
+def _member_batch(group: StabilizerGroup) -> "PauliBatch":
+    """The 2^r signed members of a rank-r group as one batch, held to the
+    2*4^EXACT_PAULI_ENUMERATION_LIMIT terms of support enumeration."""
+    r = len(group.generators)
+    if r > 2 * EXACT_PAULI_ENUMERATION_LIMIT + 1 or group.n > 64:
+        raise BudgetExceeded(f"a rank-{r} group on {group.n} qubits is over the member-sum budget")
+    x = z = np.zeros(1, dtype=np.uint64)
+    for g in group.generators:
+        x = np.concatenate([x, x ^ np.uint64(g.x)])
+        z = np.concatenate([z, z ^ np.uint64(g.z)])
+    return PauliBatch(group.n, group.trace_paulis(x, z), x, z)
 
 
 @dataclass(frozen=True)
@@ -206,13 +274,59 @@ class HaarSingleQubitProduct:
 
     n: int
 
+    def _qubit_mean(self, rho: QuantumState, sigma: QuantumState, term):
+        """sum_i term(a_i, b_i) / (3n) over the qubits' Bloch coordinates, a Fraction for ints."""
+        total = sum(
+            sum(term(a, b) for a, b in zip(reduced_bloch(rho, i), reduced_bloch(sigma, i)))
+            for i in range(self.n)
+        )
+        if isinstance(total, int):
+            return Fraction(total, 3 * self.n)
+        return total / (3.0 * self.n)
+
+    def inner(self, rho: QuantumState, sigma: QuantumState):
+        # E_u[(u.a)(u.b)] = a.b/3 per qubit, so <f,g> = sum_i a_i.b_i / (3n)
+        return self._qubit_mean(rho, sigma, lambda a, b: a * b)
+
+    def loss(self, rho: QuantumState, sigma: QuantumState):
+        # |a_i - b_i|^2 / (3n) per qubit, equivalently (4/3n) * trace-distance^2;
+        # not inner's three-term form, whose rounding differs
+        return self._qubit_mean(rho, sigma, lambda a, b: (a - b) ** 2)
+
+    def atoms(self) -> tuple:
+        """Quadrature atoms, qubit-major, as (batch, weights): Gauss-Legendre
+        nodes on the sphere, split into octant panels.  Splitting theta at pi/2
+        and phi at every quarter turn keeps sign-threshold integrands smooth on
+        each panel.  The weights sum to 1."""
+        nodes, node_weights = _GAUSS_NODES, _GAUSS_WEIGHTS
+        theta_panels = [(0.0, math.pi / 2), (math.pi / 2, math.pi)]
+        phi_panels = [(k * math.pi / 2, (k + 1) * math.pi / 2) for k in range(4)]
+        us, ws = [], []
+        for t0, t1 in theta_panels:
+            th = 0.5 * (t1 - t0) * nodes + 0.5 * (t1 + t0)
+            wt = 0.5 * (t1 - t0) * node_weights
+            for p0, p1 in phi_panels:
+                ph = 0.5 * (p1 - p0) * nodes + 0.5 * (p1 + p0)
+                wp = 0.5 * (p1 - p0) * node_weights
+                for t, w_t in zip(th, wt):
+                    st, ct = math.sin(t), math.cos(t)
+                    for p, w_p in zip(ph, wp):
+                        us.append((math.cos(p) * st, math.sin(p) * st, ct))
+                        ws.append(w_t * w_p * st / (4.0 * math.pi))
+        weights = np.tile(np.array(ws) / self.n, self.n)
+        directions = np.tile(np.array(us), (self.n, 1))
+        qubits = np.repeat(np.arange(self.n), len(ws))
+        for array in (weights, directions, qubits):
+            array.setflags(write=False)
+        return ProjectorBatch(self.n, qubits, directions), weights
+
     def draw(self, rng, m: int) -> "ProjectorBatch":
         qubits = rng.integers(0, self.n, size=m)
         return ProjectorBatch(self.n, qubits, haar_directions(rng, m))
 
 
 @dataclass(frozen=True)
-class FiniteWeighted:
+class FiniteWeighted(_Enumerable):
     """An explicit finite distribution over measurements."""
 
     items: tuple[tuple[Measurement, object], ...]
@@ -271,7 +385,7 @@ def haar_directions(rng, size: int) -> np.ndarray:
 
 
 def _check_dims(a, b):
-    """Raise DimensionMismatch unless states or measurements a and b share n."""
+    """Raise DimensionMismatch unless a and b (states, measurements, distributions) share n."""
     if a.n != b.n:
         raise DimensionMismatch(f"qubit counts differ: {a.n} != {b.n}")
 
@@ -469,59 +583,6 @@ class MonteCarloEstimate:
         return self.value
 
 
-def _exact_inner(rho: QuantumState, sigma: QuantumState, d: MeasurementDistribution):
-    n = rho.n
-    if isinstance(d, HaarSingleQubitProduct):
-        # E_u[(u.a)(u.b)] = a.b/3 per qubit, so <f,g> = sum_i a_i.b_i / (3n)
-        total = sum(
-            sum(a * b for a, b in zip(reduced_bloch(rho, i), reduced_bloch(sigma, i)))
-            for i in range(n)
-        )
-        if isinstance(total, int):
-            return Fraction(total, 3 * n)
-        return total / (3.0 * n)
-    if isinstance(d, UniformPauli):
-        if isinstance(rho, StabilizerState) and isinstance(sigma, StabilizerState):
-            plus, minus = signed_intersection_counts(rho.group, sigma.group)
-            return Fraction(plus - minus, 4**n)
-        if isinstance(sigma, StabilizerState):
-            rho, sigma = sigma, rho
-        if isinstance(rho, StabilizerState):
-            # f_rho is +-1 on +-S and 0 elsewhere, so each member M of S and its
-            # negation add f_sigma(M) - f_sigma(-M) = 2 f_sigma(M) times 1/(2*4^n)
-            return math.ldexp(math.fsum(_member_batch(rho.group).f(sigma)), -2 * n)
-    if isinstance(d, UniformParity) and isinstance(rho, StabilizerState) and isinstance(sigma, StabilizerState):
-        # E_x = (I - Z^x)/2, so f_rho(E_x) is -+1 where +-Z^x is in the group and
-        # 0 elsewhere: the sum runs over the Z-type members the groups share
-        plus, minus = signed_intersection_counts(_z_subgroup(rho.group), _z_subgroup(sigma.group))
-        return Fraction(plus - minus, 2**n)
-    total = None
-    for e, w in d.support():
-        term = w * f_value(rho, e) * f_value(sigma, e)
-        total = term if total is None else total + term
-    return total
-
-
-def _z_subgroup(group: StabilizerGroup) -> StabilizerGroup:
-    """The group's Z-type members, spanned by its canonical rows with x = 0: a
-    row with x != 0 pivots on an x bit, which no other row has set, so any
-    product that takes it has x != 0 (see gf2_echelon)."""
-    return StabilizerGroup(group.n, tuple(g for g in group.generators if g.x == 0))
-
-
-def _member_batch(group: StabilizerGroup) -> PauliBatch:
-    """The 2^r signed members of a rank-r group as one batch, held to the
-    2*4^EXACT_PAULI_ENUMERATION_LIMIT terms of support enumeration."""
-    r = len(group.generators)
-    if r > 2 * EXACT_PAULI_ENUMERATION_LIMIT + 1 or group.n > 64:
-        raise ExactUnavailable(f"a rank-{r} group on {group.n} qubits is over the member-sum budget")
-    x = z = np.zeros(1, dtype=np.uint64)
-    for g in group.generators:
-        x = np.concatenate([x, x ^ np.uint64(g.x)])
-        z = np.concatenate([z, z ^ np.uint64(g.z)])
-    return PauliBatch(group.n, group.trace_paulis(x, z), x, z)
-
-
 def _mc_f_arrays(rho, sigma, d, mode):
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
     m = mode.samples
@@ -549,15 +610,15 @@ def _mc_estimate(values: np.ndarray) -> MonteCarloEstimate:
 def inner_product(rho: QuantumState, sigma: QuantumState, d: MeasurementDistribution, mode=EXACT):
     """<f_rho, f_sigma>_D = E_{E~D}[f_rho(E) f_sigma(E)].
 
-    Exact mode uses the stabilizer intersection fast path under uniform Pauli
-    measurements, and under uniform parity that of the Z-type subgroups for
-    two stabilizer states, the per-qubit closed form under Haar product
-    measurements, and support enumeration otherwise.  Monte Carlo mode
-    returns a seeded estimate with its standard error.
+    Exact mode returns d.inner(rho, sigma), the distribution's own exact
+    answer (stabilizer fast paths, closed forms or support sums).  Monte
+    Carlo mode returns a seeded estimate with its standard error.  Both raise
+    DimensionMismatch, before any draw, unless rho, sigma and d share n.
     """
     _check_dims(rho, sigma)
+    _check_dims(rho, d)
     if isinstance(mode, Exact):
-        return _exact_inner(rho, sigma, d)
+        return d.inner(rho, sigma)
     fr, fs = _mc_f_arrays(rho, sigma, d, mode)
     return _mc_estimate(fr * fs)
 
@@ -565,26 +626,13 @@ def inner_product(rho: QuantumState, sigma: QuantumState, d: MeasurementDistribu
 def squared_loss(rho: QuantumState, sigma: QuantumState, d: MeasurementDistribution, mode=EXACT):
     """||f_rho - f_sigma||^2_D, the squared loss of sigma as a hypothesis for rho.
 
-    Under Haar single-qubit measurements this reduces per qubit to
-    |a_i - b_i|^2 / (3n), equivalently (4/3n) * trace-distance^2.
+    Exact mode returns d.loss(rho, sigma); under Haar single-qubit
+    measurements that is |a_i - b_i|^2 / (3n) per qubit, equivalently
+    (4/3n) * trace-distance^2.  The modes and n check are inner_product's.
     """
     _check_dims(rho, sigma)
+    _check_dims(rho, d)
     if isinstance(mode, Exact):
-        if isinstance(d, HaarSingleQubitProduct):
-            total = None
-            for i in range(rho.n):
-                a = reduced_bloch(rho, i)
-                b = reduced_bloch(sigma, i)
-                term = sum((ai - bi) ** 2 for ai, bi in zip(a, b))
-                total = term if total is None else total + term
-            if isinstance(total, int):
-                return Fraction(total, 3 * rho.n)
-            return total / (3.0 * rho.n)
-        parts = [
-            _exact_inner(rho, rho, d),
-            _exact_inner(sigma, sigma, d),
-            _exact_inner(rho, sigma, d),
-        ]
-        return parts[0] + parts[1] - 2 * parts[2]
+        return d.loss(rho, sigma)
     fr, fs = _mc_f_arrays(rho, sigma, d, mode)
     return _mc_estimate((fr - fs) ** 2)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pauli import BudgetExceeded
+from .pauli import BudgetExceeded, DimensionMismatch
 from .pconcept import EXACT, MeasurementDistribution, QuantumState, inner_product
 
 SDA_SWEEP_LIMIT = 16
@@ -58,9 +58,9 @@ class ConceptClass:
         if not self.concepts:
             raise ValueError("concept class is empty")
         if self.inner is None:
-            sizes = {c.n for c in self.concepts}
+            sizes = {c.n for c in self.concepts} | {self.distribution.n}
             if len(sizes) != 1:
-                raise ValueError(f"concepts act on mixed qubit counts {sizes}")
+                raise DimensionMismatch(f"concepts and distribution act on mixed qubit counts {sizes}")
 
     def __len__(self) -> int:
         return len(self.concepts)

@@ -270,12 +270,12 @@ def test_query_counter_and_transcript(tmp_path):
 
 
 def test_exact_policy_errors_beyond_enumeration_budget_but_empirical_works():
-    from paulisq.pconcept import ExactUnavailable
+    from paulisq.pauli import BudgetExceeded
 
     n = 9  # uniform Pauli support would have 2 * 4^9 atoms
     state = MaximallyMixed(n)
     exact = StatisticalQueryOracle(state, UniformPauli(n), OracleConfig(ExactPolicy(), NoNoise()))
-    with pytest.raises(ExactUnavailable):
+    with pytest.raises(BudgetExceeded):
         exact.query(SQQuery(label_query, 0.1))
     empirical = StatisticalQueryOracle(
         state, UniformPauli(n), OracleConfig(EmpiricalFromSamples(samples=2000, seed=8), NoNoise())
@@ -484,7 +484,7 @@ def test_exact_policy_refuses_uniform_parity_over_its_budget(n, monkeypatch):
     import time
 
     import paulisq.pconcept as pconcept
-    from paulisq.pconcept import ExactUnavailable
+    from paulisq.pauli import BudgetExceeded
 
     def enumerated(*args):
         raise AssertionError("a parity measurement was built past the budget")
@@ -493,9 +493,9 @@ def test_exact_policy_refuses_uniform_parity_over_its_budget(n, monkeypatch):
     monkeypatch.setattr(pconcept, "parity_measurement", enumerated)
     oracle = StatisticalQueryOracle(StabilizerState(StabilizerGroup.basis_state(1, n)), UniformParity(n))
     start = time.perf_counter()
-    with pytest.raises(ExactUnavailable, match="over the enumeration budget of n <= 16"):
+    with pytest.raises(BudgetExceeded, match="over the enumeration budget of n <= 16"):
         oracle.query(SQQuery(label_query, 0.1))
-    with pytest.raises(ExactUnavailable):
+    with pytest.raises(BudgetExceeded):
         expectation_on_maximally_mixed(label_query, UniformParity(n), n)
     assert time.perf_counter() - start < 0.1
 
@@ -959,7 +959,7 @@ def test_rates_and_margins_are_checked_when_a_wrapper_is_built():
 
 
 def test_gauss_legendre_constants_are_leggauss_6():
-    from paulisq.oracle import _GAUSS_NODES, _GAUSS_WEIGHTS
+    from paulisq.pconcept import _GAUSS_NODES, _GAUSS_WEIGHTS
 
     nodes, weights = np.polynomial.legendre.leggauss(6)
     assert _GAUSS_NODES.tobytes() == nodes.tobytes()

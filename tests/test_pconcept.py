@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from dense_ref import all_signed_paulis, dense_f_value, enumerated_inner, lower_rank_groups, pauli_batch
-from paulisq.pauli import PauliMeasurement, PauliOperator
+from paulisq.pauli import BudgetExceeded, DimensionMismatch, PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
     BlochVector,
-    ExactUnavailable,
     FiniteWeighted,
     HaarSingleQubitProduct,
     MaximallyMixed,
@@ -319,11 +318,11 @@ def test_haar_sampling_isotropy():
 def test_exact_unavailable_paths():
     big = UniformPauli(9)
     a = ProductState((BlochVector(0, 0, 1),) * 9)
-    with pytest.raises(ExactUnavailable):
+    with pytest.raises(BudgetExceeded):
         inner_product(a, a, big)
     # 2^14 members are over the 2*4^6 terms of support enumeration
     wide = ProductState((BlochVector(0, 0, 1),) * 14)
-    with pytest.raises(ExactUnavailable):
+    with pytest.raises(BudgetExceeded):
         inner_product(StabilizerState(StabilizerGroup.basis_state(0, 14)), wide, UniformPauli(14))
 
 
@@ -342,9 +341,9 @@ def test_uniform_parity_refuses_exact_work_over_its_budget(n, monkeypatch):
     basis = StabilizerState(StabilizerGroup.basis_state(1, n))
     product = ProductState((BlochVector(0, 0, 1),) * n)
     start = time.perf_counter()
-    with pytest.raises(ExactUnavailable, match=f"2\\^{n} elements, over the enumeration budget of n <= 16"):
+    with pytest.raises(BudgetExceeded, match=f"2\\^{n} elements, over the enumeration budget of n <= 16"):
         inner_product(product, basis, UniformParity(n))
-    with pytest.raises(ExactUnavailable):
+    with pytest.raises(BudgetExceeded):
         squared_loss(product, MaximallyMixed(n), UniformParity(n))
     assert time.perf_counter() - start < 0.1
 
@@ -447,3 +446,84 @@ def test_reduced_bloch_stabilizer_is_exact_ints():
     s = StabilizerGroup.from_strings(["+XX", "+ZZ"])  # Bell-type pair
     assert reduced_bloch(StabilizerState(s), 0) == (0, 0, 0)
     assert reduced_bloch(KET0, 0) == (0, 0, 1)
+
+
+# --- each distribution's own exact answers --------------------------------------
+
+
+def _finite(n, rng, projectors=4):
+    """Six random Pauli effects and `projectors` single-qubit projectors, with rational weights."""
+    atoms = [PauliMeasurement(PauliOperator(n, s, random_bits(rng, n), random_bits(rng, n))) for s in (1, -1, 1, 1, -1, 1)]
+    for q, u in zip(rng.integers(0, n, size=projectors), rng.normal(size=(projectors, 3))):
+        atoms.append(SingleQubitProjector(n, int(q), BlochVector(*(u / np.linalg.norm(u)))))
+    counts = [int(k) for k in rng.integers(1, 10, size=len(atoms))]
+    return FiniteWeighted(tuple((e, Fraction(k, sum(counts))) for e, k in zip(atoms, counts)))
+
+
+_KINDS = {
+    "uniform-pauli": lambda n, rng: UniformPauli(n),
+    "uniform-parity": lambda n, rng: UniformParity(n),
+    "finite": _finite,
+    "haar": lambda n, rng: HaarSingleQubitProduct(n),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, n, tol",
+    [(kind, n, 1e-12) for kind in ("uniform-pauli", "uniform-parity", "finite") for n in (1, 2, 3)]
+    + [("haar", n, 1e-8) for n in range(1, 6)],
+)
+def test_exact_inner_agrees_with_the_distributions_own_atoms(kind, n, tol):
+    rng = substream(61, "inner-atoms", kind, n)
+    d = _KINDS[kind](n, rng)
+    groups = [random_stabilizer_group(n, rng)] + lower_rank_groups(n, rng)
+    states = [random_product(rng, n), *(StabilizerState(g) for g in groups), MaximallyMixed(n)]
+    batch, weights = d.atoms()
+    assert weights.dtype == float and len(weights) == len(batch)
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+    fs = [batch.f(s) for s in states]
+    for i, rho in enumerate(states):
+        for j, sigma in enumerate(states):
+            want = math.fsum(weights * fs[i] * fs[j])
+            assert float(d.inner(rho, sigma)) == pytest.approx(want, abs=tol)
+            assert inner_product(rho, sigma, d) == d.inner(rho, sigma)
+
+
+@pytest.mark.parametrize("kind", ["uniform-pauli", "uniform-parity", "finite"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumerable_loss_is_the_three_inner_form_as_fractions(kind, n):
+    rng = substream(62, "loss-form", kind, n)
+    # Pauli atoms only, so that every answer is a Fraction
+    d = _finite(n, rng, projectors=0) if kind == "finite" else _KINDS[kind](n, rng)
+    groups = [random_stabilizer_group(n, rng) for _ in range(2)] + lower_rank_groups(n, rng)
+    states = [StabilizerState(g) for g in groups]
+    for rho in states:
+        for sigma in states:
+            loss = d.loss(rho, sigma)
+            assert type(loss) is Fraction
+            assert loss == d.inner(rho, rho) + d.inner(sigma, sigma) - 2 * d.inner(rho, sigma)
+            assert loss == sum(w * (f_value(rho, e) - f_value(sigma, e)) ** 2 for e, w in d.support())
+            assert squared_loss(rho, sigma, d) == loss
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("mode", [None, MonteCarlo(50, 3)], ids=["exact", "mc"])
+def test_a_distribution_on_another_qubit_count_is_refused(kind, mode, monkeypatch):
+    import paulisq.pconcept as pconcept
+
+    def answered(*args):
+        raise AssertionError("answered before the qubit counts were checked")
+
+    d = _KINDS[kind](2, substream(63, "other-n", kind))
+    monkeypatch.setattr(pconcept, "_mc_f_arrays", answered)
+    for name in ("inner", "loss"):
+        monkeypatch.setattr(type(d), name, answered)
+    rng = substream(63, "other-n-states", kind)
+    s3, t3 = (StabilizerState(random_stabilizer_group(3, rng)) for _ in range(2))
+    s2 = StabilizerState(random_stabilizer_group(2, rng))
+    p3 = random_product(rng, 3)
+    kwargs = {} if mode is None else {"mode": mode}
+    for rho, sigma in ((s3, t3), (p3, MaximallyMixed(3)), (s3, s2), (s2, s3)):
+        for measure in (inner_product, squared_loss):
+            with pytest.raises(DimensionMismatch):
+                measure(rho, sigma, d, **kwargs)

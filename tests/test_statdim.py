@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from paulisq.pauli import DimensionMismatch
 from paulisq.pconcept import (
+    HaarSingleQubitProduct,
+    MaximallyMixed,
     StabilizerState,
     UniformParity,
     UniformPauli,
@@ -191,6 +194,16 @@ def test_hand_built_class_with_custom_inner_product():
     # any subset of size m has correlation m/m^2 = 1/m: only singletons exceed 1/2
     assert report.sda_value == 3
     assert len(report.witness) == 1
+
+
+def test_state_class_on_another_qubit_count_than_its_distribution_is_refused():
+    states = (StabilizerState(StabilizerGroup.basis_state(0, 3)), MaximallyMixed(3))
+    for d in (UniformPauli(2), UniformParity(4), HaarSingleQubitProduct(2)):
+        with pytest.raises(DimensionMismatch, match="mixed qubit counts"):
+            ConceptClass(states, d)
+    assert len(ConceptClass(states, UniformPauli(3))) == 2
+    # hand-built concepts have no qubit count of their own
+    assert len(ConceptClass(("c0", "c1"), UniformPauli(2), inner=lambda a, b, d: Fraction(int(a == b)))) == 2
 
 
 def test_sweep_budget_falls_back_to_bound():
