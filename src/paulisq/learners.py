@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -76,6 +77,11 @@ class _AxisSignQuery:
     qubit: int
     axis: int
 
+    def __hash__(self) -> int:
+        # equal queries share (qubit, axis), so this is a hash; it skips the
+        # generated hash's tuple
+        return 3 * self.qubit + self.axis
+
     def __call__(self, e, y: int) -> float:
         if isinstance(e, SingleQubitProjector) and e.qubit == self.qubit:
             component = e.axis.as_tuple()[self.axis]
@@ -90,6 +96,14 @@ class _AxisSignQuery:
         component = directions[:, self.axis]
         plus = np.where(qubits == self.qubit, (component > 0).astype(float) - (component < 0), 0.0)
         return plus, 0.0 - plus  # not -plus: off the qubit the scalar form gives +0.0
+
+
+@lru_cache(maxsize=64)
+def _axis_queries(n: int) -> tuple:
+    """_AxisSignQuery(i, j) for every qubit i < n and axis j, built once per n:
+    each learner asks the same objects, so an atom table's memo hits them by
+    identity and never compares two of them."""
+    return tuple(tuple(_AxisSignQuery(i, j) for j in range(3)) for i in range(n))
 
 
 def _require_haar(oracle) -> int:
@@ -118,8 +132,8 @@ def learn_product_state(oracle, epsilon: float, tau: Optional[float] = None) -> 
     if tau is None:
         tau = math.sqrt(epsilon) / (2 * n)
     blochs = []
-    for i in range(n):
-        coords = [2 * n * oracle.query(SQQuery(_AxisSignQuery(i, j), tau)) for j in range(3)]
+    for axes in _axis_queries(n):
+        coords = [2 * n * oracle.query(SQQuery(q, tau)) for q in axes]
         blochs.append(BlochVector(*normalize_if_outside(*coords)))
     used = oracle.query_count - start
     transcript = getattr(oracle, "transcript", None)
@@ -138,8 +152,8 @@ def learn_basis_state(oracle) -> LearnedHypothesis:
     start = oracle.query_count
     tau = 1.0 / (4 * n)
     bits = 0
-    for i in range(n):
-        answer = oracle.query(SQQuery(_AxisSignQuery(i, 2), tau))
+    for i, axes in enumerate(_axis_queries(n)):
+        answer = oracle.query(SQQuery(axes[2], tau))
         # 1e-9 slack: boundary answers from a worst-case-within-band oracle
         # carry ~1e-10 of deterministic evaluation error and still decide the bit
         if abs(answer) < tau - 1e-9:

@@ -40,7 +40,13 @@ table per (state, distribution, noise), shared by every oracle over them,
 and one per distribution for the maximally mixed state.  A query is a
 function of (E, y), so its answer on a table never changes: each table
 evaluates a hashable query once and keeps the answer, while every oracle
-still counts and logs each query it is asked.  The empirical
+still counts and logs each query it is asked.  The rest of an answer's path
+is resolved once per oracle, not once per query: an oracle binds its
+policy's `answer` when it is built and its table on the first exact answer,
+and the depolarizing wrapper binds the I/2^n table when it is built (a
+sampled reference still draws through `expectation_on_maximally_mixed`).
+The learners ask the same query object for each (qubit, axis), so a
+kept answer is found by identity, without comparing queries.  The empirical
 policy draws one batch of m examples per answer, with the noisy labels
 drawn as an array against the noisy outcome mean.  The grid search's
 validation set is one batch labeled with f of the hidden state.  On
@@ -49,12 +55,14 @@ moments, summed once (see `ValidationSet`).
 
 A query is any callable phi(E, y).  It may also have an array form,
 phi.on_projectors(qubits, directions) -> (phi(E, 1), phi(E, -1)) as two
-arrays over the projectors.  One helper, `_values`, evaluates every answer:
-on a batch of single-qubit projectors (every Haar table and Haar draw) a
-query with an array form is answered in one call, and otherwise phi is
-called pair by pair on measurements made from the batch one at a time.
-Either way it checks |phi| <= 1 on each value the answer uses: both labels
-of every atom of a table, or the drawn label of every example.
+arrays over the projectors.  On a batch of single-qubit projectors (every
+Haar table and Haar draw) a query with an array form is answered in one
+call: a table weighs the two arrays by its accept and reject weights as
+they are, and a draw picks each example's value at its label.  Otherwise
+phi is called pair by pair on measurements made from the batch one at a
+time (`_values`).  Either way |phi| <= 1 is checked on each value the
+answer uses: both labels of every atom of a table, or the drawn label of
+every example.
 """
 
 from __future__ import annotations
@@ -75,6 +83,7 @@ from .pconcept import (
     Measurement,
     MeasurementBatch,
     MeasurementDistribution,
+    ProductState,
     ProjectorBatch,
     QuantumState,
     acceptance_probability,
@@ -107,9 +116,14 @@ class SQQuery:
     phi: Callable[[Measurement, int], float]
     tau: float
 
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tau}")
+    def __init__(self, phi: Callable[[Measurement, int], float], tau: float):
+        # the generated frozen __init__ sets each field through object.__setattr__;
+        # writing the instance dict directly is the same state at ~60% of the cost
+        if not tau > 0:
+            raise ValueError(f"tolerance must be positive, got {tau}")
+        fields = self.__dict__
+        fields["phi"] = phi
+        fields["tau"] = tau
 
 
 class ResponsePolicy:
@@ -448,24 +462,28 @@ def _check_bound(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _array_form(phi, batch: MeasurementBatch) -> Optional[tuple]:
+    """(phi(E, 1), phi(E, -1)) over the batch in one call of the query's array
+    form, phi.on_projectors(qubits, directions); None unless phi has one and
+    the batch is a ProjectorBatch."""
+    native = getattr(phi, "on_projectors", None)
+    if native is None or not isinstance(batch, ProjectorBatch):
+        return None
+    return native(batch.qubits, batch.directions)
+
+
 def _values(phi, batch: MeasurementBatch, labels: Optional[np.ndarray] = None) -> np.ndarray:
     """phi at the pairs an answer uses, each checked against |phi| <= 1: the
     pairs (E, 1) and (E, -1) of every measurement E of the batch, in that
     order, or with `labels` the pair (E, y) of each drawn example.
 
-    A query with an array form, phi.on_projectors(qubits, directions) ->
-    (phi(E, 1), phi(E, -1)) per projector, answers on a ProjectorBatch in one
-    call.  Otherwise phi is called pair by pair, on measurements made from
-    the batch one at a time.
+    With `labels`, a query with an array form answers on a ProjectorBatch in
+    one call.  Otherwise phi is called pair by pair, on measurements made
+    from the batch one at a time.
     """
-    native = getattr(phi, "on_projectors", None)
-    if native is not None and isinstance(batch, ProjectorBatch):
-        plus, minus = native(batch.qubits, batch.directions)
-        if labels is None:
-            values = np.empty(2 * len(batch))
-            values[0::2], values[1::2] = plus, minus
-        else:
-            values = np.where(labels == 1, plus, minus)
+    pair = None if labels is None else _array_form(phi, batch)
+    if pair is not None:
+        values = np.where(labels == 1, *pair)
     else:
         if labels is None:
             pairs, count = ((e, y) for e in batch for y in (1, -1)), 2 * len(batch)
@@ -477,10 +495,18 @@ def _values(phi, batch: MeasurementBatch, labels: Optional[np.ndarray] = None) -
 
 def _evaluate(table, phi) -> float:
     """sum_atoms accept phi(E, 1) + reject phi(E, -1), the terms summed in atom
-    order from 0.0 as a loop would (np.sum and np.dot add pairwise)."""
+    order from 0.0 as a loop would (np.sum and np.dot add pairwise).
+
+    A query with an array form gives phi(E, 1) and phi(E, -1) as two arrays,
+    each checked once; any other query is read pair by pair by `_values`."""
     batch, accept, reject = table
-    values = _values(phi, batch)
-    return float(np.cumsum(accept * values[0::2] + reject * values[1::2])[-1] + 0.0)
+    pair = _array_form(phi, batch)
+    if pair is None:
+        values = _values(phi, batch)
+        plus, minus = values[0::2], values[1::2]
+    else:
+        plus, minus = (_check_bound(np.asarray(v, dtype=float)) for v in pair)
+    return float(np.cumsum(accept * plus + reject * minus)[-1] + 0.0)
 
 
 def _sample_mean(phi, batch: MeasurementBatch, labels: np.ndarray) -> float:
@@ -505,8 +531,10 @@ def expectation_on_maximally_mixed(
 
     With `samples` set, estimates from that many unlabeled draws of D instead
     of deterministic evaluation (labels are then simulated from the known
-    mixed-state outcome law).
+    mixed-state outcome law).  In both modes n must be the distribution's.
     """
+    if n != distribution.n:
+        raise DimensionMismatch(f"qubit counts differ: {n} != {distribution.n}")
     if samples is None:
         return _mixed_table(distribution).answer(phi)
     _check_mixed_samples(samples)
@@ -544,6 +572,8 @@ class StatisticalQueryOracle:
         self._transcript_path = transcript_path
         self._count = 0
         self._exact: Optional[_Table] = None
+        # the policy's answer and its stream, each fetched once per oracle
+        self._answer = config.policy.answer
         self._policy_rng = config.policy.stream()
 
     @property
@@ -575,7 +605,7 @@ class StatisticalQueryOracle:
 
     def query(self, q: SQQuery) -> float:
         """Answer within tau of the noisy expectation, per the response policy."""
-        answer = self.config.policy.answer(self, q, self._policy_rng)
+        answer = self._answer(self, q, self._policy_rng)
         self._count += 1
         row = {"query": self._count, "tau": q.tau, "answer": answer}
         self.transcript.append(row)
@@ -620,12 +650,17 @@ class _LabelPart:
     A query outside [-1, 1] can have bounded parts, so phi itself is checked
     on both labels of every atom or example the part is evaluated at.  The
     part has an array form exactly when phi has one.  Parts are equal when
-    their (phi, odd) are, so an atom table reads each part once.
+    their (phi, odd) are, so an atom table reads each part once.  The hash is
+    taken once, when the part is made; a part of an unhashable phi has none.
     """
 
     def __init__(self, phi, odd: bool):
         self.phi = phi
         self.odd = odd
+        try:
+            self._hash = hash((phi, odd))
+        except TypeError:
+            self._hash = None
         if hasattr(phi, "on_projectors"):
             self.on_projectors = self._on_projectors
 
@@ -633,7 +668,9 @@ class _LabelPart:
         return isinstance(other, _LabelPart) and (self.phi, self.odd) == (other.phi, other.odd)
 
     def __hash__(self) -> int:
-        return hash((self.phi, self.odd))
+        if self._hash is None:
+            raise TypeError(f"unhashable query {self.phi!r}")
+        return self._hash
 
     def __call__(self, e, y: int) -> float:
         plus, minus = self.phi(e, 1), self.phi(e, -1)
@@ -673,7 +710,8 @@ class DepolarizingCorrectedOracle(_WrapperOracle):
 
     The noisy query is issued at tolerance tau (1 - eta) / 2 and the
     state-independent reference phi[I/2^n] is computed from the distribution
-    alone (deterministically, or from `mixed_samples` unlabeled draws).
+    alone: read off the distribution's I/2^n table, which the wrapper fetches
+    when it is built, or estimated from `mixed_samples` unlabeled draws.
     """
 
     def __init__(self, inner, eta: float, mixed_samples: Optional[int] = None, seed: int = 0):
@@ -683,15 +721,19 @@ class DepolarizingCorrectedOracle(_WrapperOracle):
         self.noise = DepolarizingNoise(eta)
         self.eta = eta
         self.mixed_samples = mixed_samples
-        # only a sampled reference reads a stream
+        # an exact reference reads one table, a sampled one a stream
+        self._mixed = _mixed_table(inner.distribution) if mixed_samples is None else None
         self._rng = None if mixed_samples is None else substream(seed, "mixed-reference")
 
     def query(self, q: SQQuery) -> float:
         sub_tau = q.tau * (1.0 - self.eta) / 2.0
         noisy = self.inner.query(SQQuery(q.phi, sub_tau))
-        phi_mixed = expectation_on_maximally_mixed(
-            q.phi, self.distribution, self.n, samples=self.mixed_samples, rng=self._rng
-        )
+        if self._mixed is not None:
+            phi_mixed = self._mixed.answer(q.phi)
+        else:
+            phi_mixed = expectation_on_maximally_mixed(
+                q.phi, self.distribution, self.n, samples=self.mixed_samples, rng=self._rng
+            )
         self._count += 1
         return self.noise.correct(noisy, phi_mixed)
 
@@ -817,7 +859,12 @@ class ValidationSet:
         if hypothesis.n != self.batch.n:
             raise DimensionMismatch(f"hypothesis on {hypothesis.n} qubits, validation set on {self.batch.n}")
         gram, center, pull, at_center = self._moments
-        e = np.array([reduced_bloch(hypothesis, i) for i in range(hypothesis.n)], dtype=float) - center
+        # a product state's Bloch vectors are read as they are stored
+        if isinstance(hypothesis, ProductState):
+            coords = [c for b in hypothesis.blochs for c in (b.x, b.y, b.z)]
+        else:
+            coords = [c for i in range(hypothesis.n) for c in reduced_bloch(hypothesis, i)]
+        e = np.fromiter(coords, float, len(coords)).reshape(-1, 3) - center
         total = at_center + float(np.einsum("qj,qjk,qk->", e, gram, e)) - 2.0 * float(np.einsum("qj,qj->", pull, e))
         # rounding can take a loss of 0 just below it
         return max(total, 0.0) / len(self.labels)

@@ -51,11 +51,15 @@ class BlochVector:
     y: float
     z: float
 
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.norm() > 1 + 1e-12:
-            raise ValueError(f"Bloch vector has norm {self.norm()} > 1")
+    def __init__(self, x: float, y: float, z: float):
+        # one pass: convert, check the norm (as norm() computes it), then store
+        # in the instance dict, not through the frozen object.__setattr__
+        x, y, z = float(x), float(y), float(z)
+        norm = math.sqrt(x * x + y * y + z * z)
+        if norm > 1 + 1e-12:
+            raise ValueError(f"Bloch vector has norm {norm} > 1")
+        fields = self.__dict__
+        fields["x"], fields["y"], fields["z"] = x, y, z
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)

@@ -13,10 +13,12 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from paulisq.oracle import _BOUND_SLACK, UnboundedQuery
 from paulisq.pauli import DimensionMismatch, PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
     PauliBatch,
     ProductState,
+    ProjectorBatch,
     SingleQubitProjector,
     StabilizerState,
     f_value,
@@ -228,6 +230,25 @@ def per_example_loss(validation, hypothesis) -> float:
     """A validation set's mean squared error, example by example: f of the
     hypothesis at every drawn measurement against its label."""
     return float(np.mean((validation.batch.f(hypothesis) - validation.labels) ** 2))
+
+
+def interleaved_evaluate(table, phi) -> float:
+    """An atom-table answer as the oracle's kernel computed it before it took
+    phi(E, 1) and phi(E, -1) as two arrays: both labels of every atom
+    interleaved into one buffer of 2m values (by the array form on
+    projectors, pair by pair otherwise), the buffer checked against
+    |phi| <= 1, then sliced apart and summed as a running total from 0.0."""
+    batch, accept, reject = table
+    native = getattr(phi, "on_projectors", None)
+    if native is not None and isinstance(batch, ProjectorBatch):
+        values = np.empty(2 * len(batch))
+        values[0::2], values[1::2] = native(batch.qubits, batch.directions)
+    else:
+        values = np.array([phi(e, y) for e in batch for y in (1, -1)], dtype=float)
+    outside = ~(np.abs(values) <= 1.0 + _BOUND_SLACK)
+    if outside.any():
+        raise UnboundedQuery(f"query returned {values[outside][0]}, outside [-1, 1]")
+    return float(np.cumsum(accept * values[0::2] + reject * values[1::2])[-1] + 0.0)
 
 
 def all_signed_paulis(n: int):

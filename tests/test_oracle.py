@@ -1021,12 +1021,16 @@ def test_eta_grid_search_matches_a_memo_free_reference(n, monkeypatch):
         guess, hypothesis = eta_grid_search(run, 0.6, 0.05, validation)
         return guess, hypothesis.state.blochs
 
+    class MemoFreeTable:
+        def __init__(self, dist):
+            self.weights = NoNoise().label_weights(_atoms(MaximallyMixed(dist.n), dist))
+
+        def answer(self, phi):
+            return _evaluate(self.weights, phi)
+
     shared = search(StatisticalQueryOracle)
-    monkeypatch.setattr(
-        oracle_module,
-        "expectation_on_maximally_mixed",
-        lambda phi, dist, n, samples=None, rng=None: _evaluate(NoNoise().label_weights(_atoms(MaximallyMixed(n), dist)), phi),
-    )
+    # the exact I/2^n reference is the table the wrapper fetches when it is built
+    monkeypatch.setattr(oracle_module, "_mixed_table", MemoFreeTable)
     assert search(MemoFreeOracle) == shared
     assert shared[0] == pytest.approx(0.3)
 
