@@ -26,6 +26,7 @@ from paulisq.oracle import (
     ClassificationNoise,
     DepolarizingCorrectedOracle,
     DepolarizingNoise,
+    EmpiricalFromSamples,
     ExactPolicy,
     MaliciousNoise,
     NoNoise,
@@ -42,7 +43,7 @@ from paulisq.oracle import (
     eta_grid_search,
     expectation_on_maximally_mixed,
 )
-from paulisq.pauli import DimensionMismatch, PauliMeasurement, PauliOperator
+from paulisq.pauli import BudgetExceeded, DimensionMismatch, PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
     BlochVector,
     HaarSingleQubitProduct,
@@ -50,6 +51,7 @@ from paulisq.pconcept import (
     ProductState,
     SingleQubitProjector,
     StabilizerState,
+    UniformParity,
     UniformPauli,
 )
 from paulisq.stabilizer import StabilizerGroup, random_stabilizer_group
@@ -290,6 +292,18 @@ def test_the_exact_mixed_reference_reads_the_table_bound_at_construction(monkeyp
     monkeypatch.setattr(oracle_module, "expectation_on_maximally_mixed", called)
     monkeypatch.setattr(oracle_module, "_mixed_table", called)
     assert wrapped.query(SQQuery(q, 0.1)) == want
+
+
+def test_an_exact_reference_over_its_budget_is_refused_when_the_wrapper_is_built():
+    # the I/2^n table is fetched at construction, so the budget refuses there;
+    # a sampled reference builds no table
+    n = 17
+    state = StabilizerState(StabilizerGroup.basis_state(1, n))
+    config = OracleConfig(EmpiricalFromSamples(samples=10, seed=1), DepolarizingNoise(0.1))
+    with pytest.raises(BudgetExceeded):
+        DepolarizingCorrectedOracle(StatisticalQueryOracle(state, UniformParity(n), config), 0.1)
+    wrapped = DepolarizingCorrectedOracle(StatisticalQueryOracle(state, UniformParity(n), config), 0.1, mixed_samples=10)
+    assert math.isfinite(wrapped.query(SQQuery(label_query, 0.5))) and wrapped.query_count == 1
 
 
 def test_a_sampled_mixed_reference_draws_the_same_stream():
