@@ -60,9 +60,9 @@ Haar table and Haar draw) a query with an array form is answered in one
 call: a table weighs the two arrays by its accept and reject weights as
 they are, and a draw picks each example's value at its label.  Otherwise
 phi is called pair by pair on measurements made from the batch one at a
-time (`_values`).  Either way |phi| <= 1 is checked on each value the
-answer uses: both labels of every atom of a table, or the drawn label of
-every example.
+time.  One helper, `_values`, reads phi for every answer, and either way it
+checks |phi| <= 1 on each value the answer uses: both labels of every atom
+of a table, or the drawn label of every example.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ from .pconcept import (
     Measurement,
     MeasurementBatch,
     MeasurementDistribution,
-    ProductState,
     ProjectorBatch,
     QuantumState,
     acceptance_probability,
@@ -462,50 +461,36 @@ def _check_bound(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _array_form(phi, batch: MeasurementBatch) -> Optional[tuple]:
-    """(phi(E, 1), phi(E, -1)) over the batch in one call of the query's array
-    form, phi.on_projectors(qubits, directions); None unless phi has one and
-    the batch is a ProjectorBatch."""
-    native = getattr(phi, "on_projectors", None)
-    if native is None or not isinstance(batch, ProjectorBatch):
-        return None
-    return native(batch.qubits, batch.directions)
-
-
-def _values(phi, batch: MeasurementBatch, labels: Optional[np.ndarray] = None) -> np.ndarray:
+def _values(phi, batch: MeasurementBatch, labels: Optional[np.ndarray] = None):
     """phi at the pairs an answer uses, each checked against |phi| <= 1: the
-    pairs (E, 1) and (E, -1) of every measurement E of the batch, in that
-    order, or with `labels` the pair (E, y) of each drawn example.
+    two arrays (phi(E, 1), phi(E, -1)) over the measurements E of the batch,
+    or with `labels` the array of phi(E, y) at each drawn example.
 
-    With `labels`, a query with an array form answers on a ProjectorBatch in
-    one call.  Otherwise phi is called pair by pair, on measurements made
-    from the batch one at a time.
+    A query with an array form, phi.on_projectors(qubits, directions) ->
+    (phi(E, 1), phi(E, -1)) per projector, answers on a ProjectorBatch in one
+    call.  Otherwise phi is called pair by pair, on measurements made from
+    the batch one at a time.
     """
-    pair = None if labels is None else _array_form(phi, batch)
-    if pair is not None:
-        values = np.where(labels == 1, *pair)
-    else:
+    native = getattr(phi, "on_projectors", None)
+    if native is not None and isinstance(batch, ProjectorBatch):
+        plus, minus = native(batch.qubits, batch.directions)
         if labels is None:
-            pairs, count = ((e, y) for e in batch for y in (1, -1)), 2 * len(batch)
-        else:
-            pairs, count = zip(batch, labels.tolist()), len(labels)
-        values = np.fromiter(itertools.starmap(phi, pairs), float, count)
+            return _check_bound(np.asarray(plus, dtype=float)), _check_bound(np.asarray(minus, dtype=float))
+        return _check_bound(np.where(labels == 1, plus, minus))
+    if labels is None:
+        pairs = ((e, y) for e in batch for y in (1, -1))
+        values = np.fromiter(itertools.starmap(phi, pairs), float, 2 * len(batch))
+        plus, minus = _check_bound(values).reshape(-1, 2).T
+        return plus, minus
+    values = np.fromiter(itertools.starmap(phi, zip(batch, labels.tolist())), float, len(labels))
     return _check_bound(values)
 
 
 def _evaluate(table, phi) -> float:
     """sum_atoms accept phi(E, 1) + reject phi(E, -1), the terms summed in atom
-    order from 0.0 as a loop would (np.sum and np.dot add pairwise).
-
-    A query with an array form gives phi(E, 1) and phi(E, -1) as two arrays,
-    each checked once; any other query is read pair by pair by `_values`."""
+    order from 0.0 as a loop would (np.sum and np.dot add pairwise)."""
     batch, accept, reject = table
-    pair = _array_form(phi, batch)
-    if pair is None:
-        values = _values(phi, batch)
-        plus, minus = values[0::2], values[1::2]
-    else:
-        plus, minus = (_check_bound(np.asarray(v, dtype=float)) for v in pair)
+    plus, minus = _values(phi, batch)
     return float(np.cumsum(accept * plus + reject * minus)[-1] + 0.0)
 
 
@@ -650,17 +635,12 @@ class _LabelPart:
     A query outside [-1, 1] can have bounded parts, so phi itself is checked
     on both labels of every atom or example the part is evaluated at.  The
     part has an array form exactly when phi has one.  Parts are equal when
-    their (phi, odd) are, so an atom table reads each part once.  The hash is
-    taken once, when the part is made; a part of an unhashable phi has none.
+    their (phi, odd) are, so an atom table reads each part once.
     """
 
     def __init__(self, phi, odd: bool):
         self.phi = phi
         self.odd = odd
-        try:
-            self._hash = hash((phi, odd))
-        except TypeError:
-            self._hash = None
         if hasattr(phi, "on_projectors"):
             self.on_projectors = self._on_projectors
 
@@ -668,9 +648,7 @@ class _LabelPart:
         return isinstance(other, _LabelPart) and (self.phi, self.odd) == (other.phi, other.odd)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            raise TypeError(f"unhashable query {self.phi!r}")
-        return self._hash
+        return hash((self.phi, self.odd))
 
     def __call__(self, e, y: int) -> float:
         plus, minus = self.phi(e, 1), self.phi(e, -1)
@@ -859,12 +837,7 @@ class ValidationSet:
         if hypothesis.n != self.batch.n:
             raise DimensionMismatch(f"hypothesis on {hypothesis.n} qubits, validation set on {self.batch.n}")
         gram, center, pull, at_center = self._moments
-        # a product state's Bloch vectors are read as they are stored
-        if isinstance(hypothesis, ProductState):
-            coords = [c for b in hypothesis.blochs for c in (b.x, b.y, b.z)]
-        else:
-            coords = [c for i in range(hypothesis.n) for c in reduced_bloch(hypothesis, i)]
-        e = np.fromiter(coords, float, len(coords)).reshape(-1, 3) - center
+        e = np.array([reduced_bloch(hypothesis, i) for i in range(hypothesis.n)], dtype=float) - center
         total = at_center + float(np.einsum("qj,qjk,qk->", e, gram, e)) - 2.0 * float(np.einsum("qj,qj->", pull, e))
         # rounding can take a loss of 0 just below it
         return max(total, 0.0) / len(self.labels)

@@ -52,14 +52,11 @@ class BlochVector:
     z: float
 
     def __init__(self, x: float, y: float, z: float):
-        # one pass: convert, check the norm (as norm() computes it), then store
-        # in the instance dict, not through the frozen object.__setattr__
-        x, y, z = float(x), float(y), float(z)
-        norm = math.sqrt(x * x + y * y + z * z)
-        if norm > 1 + 1e-12:
-            raise ValueError(f"Bloch vector has norm {norm} > 1")
+        # stored in the instance dict, not through the frozen object.__setattr__
         fields = self.__dict__
-        fields["x"], fields["y"], fields["z"] = x, y, z
+        fields["x"], fields["y"], fields["z"] = float(x), float(y), float(z)
+        if self.norm() > 1 + 1e-12:
+            raise ValueError(f"Bloch vector has norm {self.norm()} > 1")
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
