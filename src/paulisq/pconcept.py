@@ -344,17 +344,10 @@ class FiniteWeighted(_Enumerable):
     def support(self) -> tuple:
         return self.items
 
-    def sample(self, rng):
-        threshold = rng.random()
-        acc = 0.0
-        for measurement, weight in self.items:
-            acc += float(weight)
-            if threshold < acc:
-                return measurement
-        return self.items[-1][0]
-
     def draw(self, rng, m: int) -> "IndexBatch":
-        """m draws at once, against the same running-sum thresholds as `sample`."""
+        """m draws, one uniform threshold each: a draw is the first item whose
+        running float sum of weights exceeds its threshold, and the last item
+        when rounding leaves the total at or below it."""
         ends = np.cumsum([float(w) for _, w in self.items])
         indices = np.searchsorted(ends, rng.random(m), side="right")
         return IndexBatch(tuple(e for e, _ in self.items), np.minimum(indices, len(self.items) - 1))
@@ -503,7 +496,9 @@ class PauliBatch:
                 bit = np.uint64(i)
                 kind = ((self.x >> bit) & 1) * 2 + ((self.z >> bit) & 1)
                 value = value * np.array([1.0, b.z, b.x, b.y])[kind]
-            return value
+            # f_value stops at the first zero factor and returns 0.0; a
+            # signed zero carried through the products becomes 0.0 here too
+            return value + 0.0
         return (self.signs * state.group.trace_paulis(self.x, self.z)).astype(float)
 
 
@@ -570,8 +565,17 @@ EXACT = Exact()
 
 @dataclass(frozen=True)
 class MonteCarlo:
+    """Request a seeded Monte Carlo estimate from `samples` >= 1 draws, with
+    the stream of np.random.SeedSequence(seed), seed >= 0."""
+
     samples: int
     seed: int
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"MonteCarlo samples must be at least 1, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"MonteCarlo seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -585,21 +589,29 @@ class MonteCarloEstimate:
 
 
 def _mc_f_arrays(rho, sigma, d, mode):
+    """f_rho and f_sigma at `mode.samples` seeded draws from d, each state
+    evaluated once on the draws as one batch."""
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
-    m = mode.samples
-    if isinstance(d, HaarSingleQubitProduct):
-        batch = d.draw(rng, m)
-        return batch.f(rho), batch.f(sigma)
-    # per sample: a batch here makes the benchmark's stab-corr items 4.4x
-    # faster, and its per-item records then raise peak RSS past its bound
-    # (ROADMAP item 6)
-    fr = np.empty(m)
-    fs = np.empty(m)
+    if isinstance(d, (UniformPauli, UniformParity)):
+        batch = _sampled_pauli_batch(d, rng, mode.samples)
+    else:
+        # a finite d.draw takes the stream of m scalar samples; Haar draws
+        # only in batches
+        batch = d.draw(rng, mode.samples)
+    return batch.f(rho), batch.f(sigma)
+
+
+def _sampled_pauli_batch(d, rng, m: int) -> PauliBatch:
+    """m draws of d.sample, in order, packed into one batch: the stream the
+    seeded estimates are pinned to.  d.draw takes all signs, then all x, then
+    all z, which moves every estimate; that switch is ROADMAP item 6."""
+    signs = np.empty(m, dtype=np.int64)
+    x = np.empty(m, dtype=np.uint64)
+    z = np.empty(m, dtype=np.uint64)
     for k in range(m):
-        e = d.sample(rng)
-        fr[k] = float(f_value(rho, e))
-        fs[k] = float(f_value(sigma, e))
-    return fr, fs
+        p = d.sample(rng).pauli
+        signs[k], x[k], z[k] = p.sign, p.x, p.z
+    return PauliBatch(d.n, signs, x, z)
 
 
 def _mc_estimate(values: np.ndarray) -> MonteCarloEstimate:

@@ -16,6 +16,7 @@ import numpy as np
 from paulisq.oracle import _BOUND_SLACK, UnboundedQuery
 from paulisq.pauli import DimensionMismatch, PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
+    FiniteWeighted,
     PauliBatch,
     ProductState,
     ProjectorBatch,
@@ -224,6 +225,30 @@ def enumerated_inner(rho, sigma, d):
     """<f_rho, f_sigma>_D summed atom by atom over d.support(), with the
     one-Pauli f_value: the exact path before any closed form."""
     return sum(w * f_value(rho, e) * f_value(sigma, e) for e, w in d.support())
+
+
+def finite_sample(d, rng):
+    """One draw of a finite distribution d against one uniform threshold, by
+    a running float sum of the weights: the scalar stream that
+    FiniteWeighted.draw takes m draws at a time."""
+    threshold = rng.random()
+    acc = 0.0
+    for measurement, weight in d.items:
+        acc += float(weight)
+        if threshold < acc:
+            return measurement
+    return d.items[-1][0]
+
+
+def per_sample_f(state, d, mode) -> np.ndarray:
+    """f_state at `mode.samples` seeded scalar draws of d, one f_value per
+    draw: the Monte Carlo loop that uniform Pauli, uniform parity and finite
+    distributions ran before their draws were evaluated as one batch.  The
+    draws do not depend on the state, so two calls give that loop's f_rho
+    and f_sigma."""
+    rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
+    draw = finite_sample if isinstance(d, FiniteWeighted) else type(d).sample
+    return np.array([float(f_value(state, draw(d, rng))) for _ in range(mode.samples)])
 
 
 def per_example_loss(validation, hypothesis) -> float:

@@ -1,5 +1,7 @@
 """Batch draws: `distribution.draw(rng, m)` and the batch's f(state) against
-scalar `sample` and `f_value`, measurement by measurement."""
+scalar draws (`sample`, and `dense_ref.finite_sample`) and `f_value`,
+measurement by measurement, and Monte Carlo estimates against the
+per-sample loop."""
 
 from fractions import Fraction
 from itertools import compress
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_ref import pauli_batch, pauli_product_many
+from dense_ref import finite_sample, lower_rank_groups, pauli_batch, pauli_product_many, per_sample_f, random_subgroup
 from paulisq.pauli import PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
     BlochVector,
@@ -17,15 +19,21 @@ from paulisq.pconcept import (
     HaarSingleQubitProduct,
     IndexBatch,
     MaximallyMixed,
+    MonteCarlo,
     PauliBatch,
     ProductState,
     SingleQubitProjector,
     StabilizerState,
     UniformParity,
     UniformPauli,
+    _mc_estimate,
+    _mc_f_arrays,
     f_value,
     haar_directions,
+    inner_product,
     parity_measurement,
+    random_bits,
+    squared_loss,
 )
 from paulisq.stabilizer import StabilizerGroup, enumerate_stabilizer_groups, random_stabilizer_group
 from paulisq.streams import substream
@@ -35,9 +43,21 @@ def scalar_f(state, batch) -> list:
     return [float(f_value(state, e)) for e in batch]
 
 
+def same_bytes(a: np.ndarray, b) -> bool:
+    """Equal as float64 bytes: 0.0 and -0.0 differ, where == takes them as one."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def zero_product(n: int) -> ProductState:
+    """A product state whose every qubit has a zero and a signed-zero Bloch coordinate."""
+    return ProductState(tuple(
+        BlochVector(0.0, -0.0, 0.6) if i % 2 == 0 else BlochVector(-0.0, -0.8, 0.0) for i in range(n)
+    ))
+
+
 def states_of(n: int) -> list:
     product = ProductState(tuple(BlochVector(0.3 - 0.2 * i, -0.5, 0.6) for i in range(n)))
-    return [StabilizerState(g) for g in enumerate_stabilizer_groups(n)] + [product, MaximallyMixed(n)]
+    return [StabilizerState(g) for g in enumerate_stabilizer_groups(n)] + [product, zero_product(n), MaximallyMixed(n)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -58,7 +78,7 @@ def test_batch_f_matches_f_value_on_every_pauli_and_parity(n):
     ]
     for state in states_of(n):
         for batch in batches:
-            assert batch.f(state).tolist() == scalar_f(state, batch)
+            assert same_bytes(batch.f(state), scalar_f(state, batch))
 
 
 def test_draws_are_uniform_pauli_and_parity_effects():
@@ -162,7 +182,7 @@ def test_finite_draw_is_scalar_samples(weights):
     d = FiniteWeighted(items)
     m = 2000
     a, b = substream(8, "twin"), substream(8, "twin")
-    assert list(d.draw(a, m)) == [d.sample(b) for _ in range(m)]
+    assert list(d.draw(a, m)) == [finite_sample(d, b) for _ in range(m)]
     assert a.random() == b.random()
 
 
@@ -187,4 +207,79 @@ def test_finite_draw_ties_and_overflow_follow_sample():
     assert ends[-1] < 1.0
     thresholds = [0.0, *ends[:-1], ends[-1], 1.0 - 2.0**-53, 0.05]
     scalar = Thresholds(thresholds)
-    assert list(d.draw(Thresholds(thresholds), len(thresholds))) == [d.sample(scalar) for _ in thresholds]
+    assert list(d.draw(Thresholds(thresholds), len(thresholds))) == [finite_sample(d, scalar) for _ in thresholds]
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo estimates: each state's f on one batch of the seeded draws,
+# against the per-sample f_value loop, bit for bit
+
+
+def estimate_hex(estimate) -> tuple:
+    return estimate.value.hex(), estimate.std_error.hex(), estimate.samples
+
+
+def mc_states(n: int, rng) -> list:
+    """A random, a basis, a rank-0 and a lower-rank stabilizer state, a product
+    state with zero and signed-zero coordinates, and a random product state."""
+    group = random_stabilizer_group(n, rng)
+    blochs = haar_directions(rng, n) * rng.uniform(0, 1, size=(n, 1))
+    return [
+        StabilizerState(group),
+        StabilizerState(StabilizerGroup.basis_state(random_bits(rng, n), n)),
+        MaximallyMixed(n),
+        StabilizerState(random_subgroup(group, int(rng.integers(1, n)) if n > 1 else 0, rng)),
+        zero_product(n),
+        ProductState(tuple(BlochVector(*b) for b in blochs)),
+    ]
+
+
+def mc_distributions(n: int, rng) -> list:
+    """Uniform Pauli, uniform parity, and finite distributions over Pauli
+    effects and over single-qubit projectors."""
+    paulis = FiniteWeighted((
+        (PauliMeasurement(PauliOperator.from_string("Y" * n)), Fraction(1, 3)),
+        (PauliMeasurement(PauliOperator.identity(n, -1)), Fraction(1, 6)),
+        (parity_measurement(1, n), Fraction(1, 4)),
+        (UniformPauli(n).sample(rng), Fraction(1, 4)),
+    ))
+    axes = ((0.6, 0.0, -0.8), (-0.0, 1.0, 0.0), (0.0, 0.0, -1.0))
+    projectors = FiniteWeighted(tuple(
+        (SingleQubitProjector(n, (k * 7) % n, BlochVector(*u)), w) for k, (u, w) in enumerate(zip(axes, (0.5, 0.3, 0.2)))
+    ))
+    return [UniformPauli(n), UniformParity(n), paulis, projectors]
+
+
+def check_estimates(d, mode, states, pairs):
+    """Each state's f at the draws, as bytes, and inner_product and
+    squared_loss of every pair, as hex, against the per-sample loop."""
+    reference = {}
+    for state in states:
+        reference[id(state)] = per_sample_f(state, d, mode)
+        assert same_bytes(_mc_f_arrays(state, state, d, mode)[0], reference[id(state)])
+    for rho, sigma in pairs:
+        fr, fs = reference[id(rho)], reference[id(sigma)]
+        assert estimate_hex(inner_product(rho, sigma, d, mode)) == estimate_hex(_mc_estimate(fr * fs))
+        assert estimate_hex(squared_loss(rho, sigma, d, mode)) == estimate_hex(_mc_estimate((fr - fs) ** 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mc_estimates_match_the_per_sample_loop_exhaustively(n):
+    rng = substream(21, "mc-exhaustive", n)
+    kinds = mc_states(n, rng)
+    every = [StabilizerState(g) for g in enumerate_stabilizer_groups(n) + lower_rank_groups(n, rng)]
+    # f of every stabilizer state of every rank, and the estimates of every
+    # pair of the kinds
+    for d in mc_distributions(n, rng):
+        check_estimates(d, MonteCarlo(16, 17 + n), kinds + every, [(a, b) for a in kinds for b in kinds])
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**16))
+def test_mc_estimates_match_the_per_sample_loop_up_to_64_qubits(n, seed):
+    rng = substream(seed, "mc-wide")
+    states = mc_states(n, rng)
+    # each state with itself and with the next one of another kind
+    pairs = [(a, b) for k, a in enumerate(states) for b in (a, states[(k + 1) % len(states)])]
+    for d in mc_distributions(n, rng):
+        check_estimates(d, MonteCarlo(24, seed), states, pairs)

@@ -306,6 +306,22 @@ def test_mc_loss_matches_closed_form_haar():
         assert abs(est.value - exact) <= 4 * est.std_error + 1e-9
 
 
+@pytest.mark.parametrize(
+    "samples, seed, field",
+    [(0, 3, "samples"), (-3, 3, "samples"), (10, -1, "seed")],
+    ids=["no-samples", "negative-samples", "negative-seed"],
+)
+def test_monte_carlo_refuses_bad_input_at_construction(samples, seed, field):
+    with pytest.raises(ValueError, match=f"MonteCarlo {field}"):
+        MonteCarlo(samples, seed)
+
+
+def test_monte_carlo_takes_one_sample_at_seed_zero():
+    for d in (UniformPauli(1), UniformParity(1), HaarSingleQubitProduct(1)):
+        est = inner_product(KET0, KET0, d, MonteCarlo(1, 0))
+        assert est.samples == 1 and est.std_error == 0.0 and abs(est.value) <= 1.0
+
+
 def test_haar_sampling_isotropy():
     d = HaarSingleQubitProduct(1)
     rng = substream(15, "iso")
