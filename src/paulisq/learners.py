@@ -213,6 +213,16 @@ def _string_to_bits(text: str, n: int) -> int:
     return sum(1 << i for i, ch in enumerate(text) if ch == "1")
 
 
+def _checked_examples(examples, n: int):
+    """Each (x, b) of `examples` in order; the first that lies outside
+    [0, 2^n) x {0, 1} is refused with a ValueError that names it."""
+    for i, (x, b) in enumerate(examples):
+        # a negative int shifts to -1, so one shift tests both ends
+        if x >> n or b >> 1:
+            raise ValueError(f"example {i}, ({x}, {b}), lies outside [0, 2^{n}) x {{0, 1}}")
+        yield x, b
+
+
 def lpn_instance_to_json(instance: LPNInstance) -> dict:
     """The on-disk form: bitstrings for example vectors and the secret."""
     data = {
@@ -227,7 +237,9 @@ def lpn_instance_to_json(instance: LPNInstance) -> dict:
 
 def lpn_instance_from_json(data: dict) -> LPNInstance:
     n = data["n"]
-    examples = tuple((_string_to_bits(x, n), int(b)) for x, b in data["examples"])
+    rows = ((_string_to_bits(x, n), int(b)) for x, b in data["examples"])
+    # a label outside {0, 1} is refused while the file is read
+    examples = tuple(_checked_examples(rows, n))
     secret = _string_to_bits(data["secret"], n) if "secret" in data else None
     return LPNInstance(n, float(data["eta"]), examples, secret)
 
@@ -282,15 +294,26 @@ ParitySolution = Union[int, AffineSolutionSpace]
 def gaussian_elimination_parity(dataset, n: int) -> ParitySolution:
     """Solve x . y = b over GF(2) for the secret y.
 
+    The dataset is read once, in order.  Elimination stops at the example
+    that brings the rank to n: the secret is then fixed, and each later
+    example costs one parity check instead of a reduction against n pivot
+    rows.  On uniform examples the rank reaches n after about n + 2 of them,
+    so m examples cost O(n^2 + m) steps on n <= 64 bit words.
+
     Returns the unique solution as an int bitmask when the examples have full
     rank, otherwise the affine solution space.  Raises InconsistentSystem on
-    contradictory examples (noise, or a broken promise).
+    contradictory examples (noise, or a broken promise), and a ValueError
+    naming the first example outside [0, 2^n) x {0, 1}.
     """
-    pivots, dependencies = gf2_echelon((x, b & 1) for x, b in dataset)
-    if any(dependencies):
-        raise InconsistentSystem("contradictory parity examples")
+    rows = _checked_examples(dataset, n)
+    pivots, dependencies = gf2_echelon(rows, stop=n)
     # free variables set to 0 leave y_c = b on each reduced pivot row
     solution = sum(1 << c for c, (_, b) in pivots.items() if b)
+    # examples are left in rows only if the rank reached n, and then solution
+    # is the secret; the sum reads them all, so a bad one is refused even after
+    # a contradiction
+    if sum(dependencies) + sum(((x & solution).bit_count() ^ b) & 1 for x, b in rows):
+        raise InconsistentSystem("contradictory parity examples")
     if len(pivots) == n:
         return solution
     basis = tuple(
@@ -360,6 +383,8 @@ def exhaustive_lpn_solver(instance: LPNInstance, budget: int = SWEEP_LIMIT) -> M
     one Walsh-Hadamard transform of the signed example histogram, so the
     sweep costs O(2^n n + m) rather than O(2^n m).  The histogram and the
     transform are float32, exact while there are fewer than 2^24 examples.
+    An example outside [0, 2^n) x {0, 1} is refused before the sweep, with a
+    ValueError that names it.
     """
     n = instance.n
     if n > budget:
@@ -367,9 +392,15 @@ def exhaustive_lpn_solver(instance: LPNInstance, budget: int = SWEEP_LIMIT) -> M
     m = len(instance.examples)
     if m >= EXACT_SWEEP_EXAMPLES:
         raise BudgetExceeded(f"the float32 sweep is exact below 2^24 examples, got {m}")
+    try:
+        examples = np.array(instance.examples, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an int beyond int64 is out of range as well
+        examples = None
+    if examples is None or ((examples[:, 0] >> n) | (examples[:, 1] >> 1)).any():
+        for _ in _checked_examples(instance.examples, n):  # raises at the first bad example
+            pass
     hist = np.zeros(1 << n, dtype=np.float32)
-    examples = np.array(instance.examples, dtype=np.int64).reshape(-1, 2)
-    np.add.at(hist, examples[:, 0], (1 - 2 * (examples[:, 1] & 1)).astype(np.float32))
+    np.add.at(hist, examples[:, 0], (1 - 2 * examples[:, 1]).astype(np.float32))
     # hist[y] = sum_i (-1)^{b_i + x_i.y} = m - 2 disagreements(y)
     hist = _walsh_hadamard(hist)
     top = int(hist.max())

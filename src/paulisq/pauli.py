@@ -110,13 +110,17 @@ def gf2_reduce(bits: int, tag: int, pivots: dict[int, tuple[int, int]]) -> tuple
     return bits, tag
 
 
-def gf2_echelon(rows) -> tuple[dict[int, tuple[int, int]], list[int]]:
+def gf2_echelon(rows, stop: int | None = None) -> tuple[dict[int, tuple[int, int]], list[int]]:
     """Reduced row echelon form over GF(2) of `(bits, tag)` int pairs, unique
     per row space: each row pivots on its lowest set bit, and pivot columns are
     cleared from all other rows.  Tags are XORed along with the rows.
 
     Returns the pivot rows as {column: (bits, tag)} in column order, and the
     tags of the input rows that reduced to zero.
+
+    With `stop`, no row is read after the one that brings the rank to `stop`:
+    an iterator passed as `rows` is left just after that row, so the caller
+    can read the rest.  Without it every row is read.
     """
     pivots: dict[int, tuple[int, int]] = {}
     zeros = []
@@ -130,6 +134,8 @@ def gf2_echelon(rows) -> tuple[dict[int, tuple[int, int]], list[int]]:
             if row & low:
                 pivots[col] = (row ^ bits, row_tag ^ tag)
         pivots[low.bit_length() - 1] = (bits, tag)
+        if len(pivots) == stop:
+            break
     return dict(sorted(pivots.items())), zeros
 
 

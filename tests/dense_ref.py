@@ -13,8 +13,9 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from paulisq.learners import AffineSolutionSpace, InconsistentSystem
 from paulisq.oracle import _BOUND_SLACK, UnboundedQuery
-from paulisq.pauli import DimensionMismatch, PauliMeasurement, PauliOperator
+from paulisq.pauli import DimensionMismatch, PauliMeasurement, PauliOperator, gf2_echelon
 from paulisq.pconcept import (
     FiniteWeighted,
     PauliBatch,
@@ -249,6 +250,25 @@ def per_sample_f(state, d, mode) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
     draw = finite_sample if isinstance(d, FiniteWeighted) else type(d).sample
     return np.array([float(f_value(state, draw(d, rng))) for _ in range(mode.samples)])
+
+
+def full_elimination_parity(dataset, n: int):
+    """Solve x . y = b over GF(2) by reducing every example against the pivot
+    rows, with no stop at full rank: the elimination that
+    learners.gaussian_elimination_parity ran before it checked the examples
+    after full rank by one parity each.  Returns the secret, or the affine
+    solution space, and raises InconsistentSystem on contradictory examples."""
+    pivots, dependencies = gf2_echelon((x, b & 1) for x, b in dataset)
+    if any(dependencies):
+        raise InconsistentSystem("contradictory parity examples")
+    solution = sum(1 << c for c, (_, b) in pivots.items() if b)
+    if len(pivots) == n:
+        return solution
+    basis = tuple(
+        1 << free | sum(1 << c for c, (x, _) in pivots.items() if x >> free & 1)
+        for free in range(n) if free not in pivots
+    )
+    return AffineSolutionSpace(solution, basis)
 
 
 def per_example_loss(validation, hypothesis) -> float:

@@ -232,13 +232,16 @@ def test_lpn_instance_file_round_trip(tmp_path):
         (["lpn", "--lpn-eta", "0.5"], "lpn_eta must lie in [0, 1/2), got 0.5"),
         (["lpn", "--lpn-m", "0"], "lpn_m must be at least 1, got 0"),
         (["lpn", "--lpn-m", "-5"], "lpn_m must be at least 1, got -5"),
+        (["verify-lemmas", "--n", "1", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["lpn", "--seed", "-5"], "seed must be non-negative, got -5"),
     ],
 )
 def test_cli_rejects_bad_input_with_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("paulisq") and message in err.splitlines()[-1]
 
@@ -295,6 +298,18 @@ def test_empty_lpn_file_is_a_usage_error(eta, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if message in line] == [err.splitlines()[-1]]
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.1], ids=["noiseless", "noisy"])
+def test_lpn_file_label_outside_0_1_is_a_usage_error(eta, tmp_path, capsys):
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps({"n": 2, "eta": eta, "examples": [["10", 1], ["01", 2]]}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lpn", "--lpn-file", str(path)])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert "example 1, (2, 2), lies outside [0, 2^2) x {0, 1}" in err.splitlines()[-1]
 
 
 def test_noisy_lpn_example_count_is_checked_at_the_boundary(monkeypatch, capsys):

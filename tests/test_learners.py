@@ -1,13 +1,14 @@
 """Product-state and basis-state learners, plus the parity-learning baselines."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_ref import kron_all, measurement_matrix, PAULI_MATS, I2
+from dense_ref import full_elimination_parity, kron_all, measurement_matrix, PAULI_MATS, I2
 from paulisq.learners import (
     AffineSolutionSpace,
     BudgetExceeded,
@@ -37,6 +38,7 @@ from paulisq.oracle import (
     RandomWithinTau,
     StatisticalQueryOracle,
 )
+from paulisq.pauli import gf2_reduce
 from paulisq.pconcept import (
     EXACT,
     BlochVector,
@@ -336,6 +338,134 @@ def test_gaussian_elimination_underdetermined():
                 candidate ^= vec
         for x, b in data:
             assert (x & candidate).bit_count() & 1 == b
+
+
+def _solved(solver, dataset, n):
+    """The solver's answer, or the InconsistentSystem class if it raised that."""
+    try:
+        return solver(dataset, n)
+    except InconsistentSystem:
+        return InconsistentSystem
+
+
+def _assert_same_solution(dataset, n):
+    ours, reference = _solved(gaussian_elimination_parity, dataset, n), _solved(full_elimination_parity, dataset, n)
+    assert type(ours) is type(reference) and ours == reference
+    return ours
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_gaussian_elimination_matches_full_elimination_on_every_small_dataset(n):
+    examples = [(x, b) for x in range(1 << n) for b in (0, 1)]
+    for m in range(5):
+        for dataset in itertools.product(examples, repeat=m):
+            _assert_same_solution(dataset, n)
+
+
+def test_gaussian_elimination_matches_full_elimination_on_seeded_datasets_at_n3():
+    rng = substream(66, "ge3")
+    for _ in range(3000):
+        m = int(rng.integers(0, 12))
+        dataset = list(zip(rng.integers(0, 8, size=m).tolist(), rng.integers(0, 2, size=m).tolist()))
+        _assert_same_solution(dataset, 3)
+
+
+def _full_rank_index(xs, n):
+    """Index of the example at which the rank of xs first reaches n, or None.
+    Kept apart from gf2_echelon: a basis with distinct leading bits, in
+    decreasing order, that each new vector is XOR-minimised against."""
+    basis = []
+    for i, x in enumerate(xs):
+        for v in basis:
+            x = min(x, x ^ v)
+        if x:
+            basis = sorted(basis + [x], reverse=True)
+            if len(basis) == n:
+                return i
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_gaussian_elimination_matches_full_elimination_with_one_flipped_label(data):
+    n = data.draw(st.integers(1, 64), label="n")
+    m = data.draw(st.integers(max(1, n // 2), 4 * n), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    secret = int(rng.integers(0, 2**n, dtype=np.uint64))
+    xs = rng.integers(0, 2**n, size=m, dtype=np.uint64).tolist()
+    dataset = [(x, (x & secret).bit_count() & 1) for x in xs]
+    full = _full_rank_index(xs, n)
+    where = data.draw(st.sampled_from(["none", "before", "after"]), label="flip")
+    if where == "after" and full is not None and full + 1 < m:
+        i = data.draw(st.integers(full + 1, m - 1), label="row")
+    elif where == "before":
+        i = data.draw(st.integers(0, m - 1 if full is None else full), label="row")
+    else:
+        i = None
+    if i is not None:
+        dataset[i] = (dataset[i][0], dataset[i][1] ^ 1)
+    solution = _assert_same_solution(dataset, n)
+    if i is None:
+        assert solution == secret if full is not None else isinstance(solution, AffineSolutionSpace)
+    elif full is not None and i > full:
+        # the rows up to full fix the secret, so a later flip contradicts it
+        assert solution is InconsistentSystem
+
+
+def test_gaussian_elimination_reads_a_generator_once_and_reduces_only_up_to_full_rank(monkeypatch):
+    import paulisq.pauli as pauli
+
+    instance = generate_lpn_instance(16, 64, 0.0, substream(65, "once"))
+    read, reduced = [], []
+
+    def examples():
+        for example in instance.examples:
+            read.append(example)
+            yield example
+
+    def counted_reduce(bits, tag, pivots):
+        reduced.append(bits)
+        return gf2_reduce(bits, tag, pivots)
+
+    monkeypatch.setattr(pauli, "gf2_reduce", counted_reduce)
+    dataset = examples()
+    assert gaussian_elimination_parity(dataset, 16) == instance.secret
+    # every example was read, once and in order, including those after full rank
+    assert read == list(instance.examples)
+    assert next(dataset, None) is None
+    # but only those up to full rank were reduced against the pivot rows
+    full = _full_rank_index([x for x, _ in instance.examples], 16)
+    assert full < 63 and reduced == [x for x, _ in instance.examples[:full + 1]]
+
+
+@pytest.mark.parametrize(
+    "examples, bad",
+    [
+        (((3, 1), (1, 0), (-1, 1)), 2),  # x = -1 was read as x = 3
+        (((3, 1), (7, 0)), 1),  # x = 7 failed inside the sweep's histogram
+        (((4, 1), (1, 0), (2, 1)), 0),  # x = 4 solved to a secret of 6
+        (((1, 1), (2, 0), (3, 2)), 2),  # b = 2 was read as 0
+        (((1, 1), (2, 0), (3, -1)), 2),
+        (((1, 1), (2, 0), (3, 1), (8, 0)), 3),  # after full rank
+        (((1, 1), (1, 0), (2, 0), (-2, 0)), 3),  # after a contradiction
+        (((1, 1), (2, 0), (3, 0), (2**64, 0)), 3),  # beyond int64, after a contradiction
+    ],
+)
+def test_lpn_solvers_refuse_an_example_outside_the_cube(examples, bad, monkeypatch):
+    import paulisq.learners as learners
+
+    def no_sweep(v):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(learners, "_walsh_hadamard", no_sweep)
+    x, b = examples[bad]
+    message = re.escape(f"example {bad}, ({x}, {b}), lies outside [0, 2^2) x {{0, 1}}")
+    with pytest.raises(ValueError, match=message):
+        exhaustive_lpn_solver(LPNInstance(2, 0.0, examples))
+    with pytest.raises(ValueError, match=message):
+        gaussian_elimination_parity(examples, 2)
+    with pytest.raises(ValueError, match=message):
+        gaussian_elimination_parity(iter(examples), 2)
 
 
 def test_exhaustive_solver_agrees_with_elimination_noiseless():

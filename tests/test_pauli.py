@@ -178,3 +178,29 @@ def test_gf2_echelon_is_the_reduced_form_of_the_row_space(values):
     # the form depends only on the row space, not on the order of the rows
     reordered, _ = gf2_echelon((v, 0) for v in reversed(values))
     assert [bits for bits, _ in reordered.values()] == [bits for bits, _ in pivots.values()]
+
+
+def test_gf2_echelon_stops_just_after_the_row_that_reaches_the_rank():
+    rows = [(0b011, 1), (0b011, 2), (0b110, 4), (0b101, 8), (0b100, 16)]
+    it = iter(rows)
+    # the second row is dependent, so the third brings the rank to 2
+    assert gf2_echelon(it, stop=2) == ({0: (0b101, 5), 1: (0b110, 4)}, [3])
+    assert list(it) == rows[3:]
+    # with no stop, or one above the rank, every row is read
+    for stop in (None, 4):
+        it = iter(rows)
+        assert gf2_echelon(it, stop=stop) == gf2_echelon(rows)
+        assert next(it, None) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, (1 << 8) - 1), max_size=16), st.integers(1, 8))
+def test_gf2_echelon_with_a_stop_is_the_form_of_the_rows_read(values, stop):
+    rows = [(v, 1 << i) for i, v in enumerate(values)]
+    it = iter(rows)
+    out = gf2_echelon(it, stop=stop)
+    read = len(rows) - len(list(it))
+    assert out == gf2_echelon(rows[:read])
+    # it stopped at the first row that brought the rank to `stop`, or read them all
+    assert len(out[0]) == stop or read == len(rows)
+    assert read == 0 or len(gf2_echelon(rows[:read - 1])[0]) < stop
