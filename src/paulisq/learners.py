@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
@@ -214,9 +215,13 @@ def _string_to_bits(text: str, n: int) -> int:
 
 
 def _checked_examples(examples, n: int):
-    """Each (x, b) of `examples` in order; the first that lies outside
-    [0, 2^n) x {0, 1} is refused with a ValueError that names it."""
-    for i, (x, b) in enumerate(examples):
+    """Each (x, b) of `examples` in order; the first that is not a pair, or
+    lies outside [0, 2^n) x {0, 1}, is refused with a ValueError that names it."""
+    for i, example in enumerate(examples):
+        try:
+            x, b = example
+        except (TypeError, ValueError):
+            raise ValueError(f"example {i}, {example!r}, is not an (x, b) pair") from None
         # a negative int shifts to -1, so one shift tests both ends
         if x >> n or b >> 1:
             raise ValueError(f"example {i}, ({x}, {b}), lies outside [0, 2^{n}) x {{0, 1}}")
@@ -303,7 +308,8 @@ def gaussian_elimination_parity(dataset, n: int) -> ParitySolution:
     Returns the unique solution as an int bitmask when the examples have full
     rank, otherwise the affine solution space.  Raises InconsistentSystem on
     contradictory examples (noise, or a broken promise), and a ValueError
-    naming the first example outside [0, 2^n) x {0, 1}.
+    naming the first example that is not a pair or lies outside
+    [0, 2^n) x {0, 1}.
     """
     rows = _checked_examples(dataset, n)
     pivots, dependencies = gf2_echelon(rows, stop=n)
@@ -383,8 +389,8 @@ def exhaustive_lpn_solver(instance: LPNInstance, budget: int = SWEEP_LIMIT) -> M
     one Walsh-Hadamard transform of the signed example histogram, so the
     sweep costs O(2^n n + m) rather than O(2^n m).  The histogram and the
     transform are float32, exact while there are fewer than 2^24 examples.
-    An example outside [0, 2^n) x {0, 1} is refused before the sweep, with a
-    ValueError that names it.
+    An example that is not a pair, or lies outside [0, 2^n) x {0, 1}, is
+    refused before the sweep, with a ValueError that names it.
     """
     n = instance.n
     if n > budget:
@@ -392,15 +398,18 @@ def exhaustive_lpn_solver(instance: LPNInstance, budget: int = SWEEP_LIMIT) -> M
     m = len(instance.examples)
     if m >= EXACT_SWEEP_EXAMPLES:
         raise BudgetExceeded(f"the float32 sweep is exact below 2^24 examples, got {m}")
+    # the 2m ints in one flat pass, once every example is a pair: a short
+    # example beside a long one would fill the count and shift the pairs after it
     try:
-        examples = np.array(instance.examples, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:  # an int beyond int64 is out of range as well
-        examples = None
-    if examples is None or ((examples[:, 0] >> n) | (examples[:, 1] >> 1)).any():
+        pairs = set(map(len, instance.examples)) <= {2}
+        flat = np.fromiter(chain.from_iterable(instance.examples), np.int64, 2 * m) if pairs else None
+    except (TypeError, OverflowError):  # an unsized example; an int beyond int64 is out of range
+        flat = None
+    if flat is None or ((flat[0::2] >> n) | (flat[1::2] >> 1)).any():
         for _ in _checked_examples(instance.examples, n):  # raises at the first bad example
             pass
     hist = np.zeros(1 << n, dtype=np.float32)
-    np.add.at(hist, examples[:, 0], (1 - 2 * examples[:, 1]).astype(np.float32))
+    np.add.at(hist, flat[0::2], (1 - 2 * flat[1::2]).astype(np.float32))
     # hist[y] = sum_i (-1)^{b_i + x_i.y} = m - 2 disagreements(y)
     hist = _walsh_hadamard(hist)
     top = int(hist.max())

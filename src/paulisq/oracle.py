@@ -468,8 +468,8 @@ def _values(phi, batch: MeasurementBatch, labels: Optional[np.ndarray] = None):
 
     A query with an array form, phi.on_projectors(qubits, directions) ->
     (phi(E, 1), phi(E, -1)) per projector, answers on a ProjectorBatch in one
-    call.  Otherwise phi is called pair by pair, on measurements made from
-    the batch one at a time.
+    call.  Otherwise phi is called pair by pair, on the measurements the
+    batch yields, which it makes one block of pconcept.ITER_BLOCK at a time.
     """
     native = getattr(phi, "on_projectors", None)
     if native is not None and isinstance(batch, ProjectorBatch):

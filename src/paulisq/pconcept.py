@@ -110,11 +110,16 @@ class SingleQubitProjector:
     qubit: int
     axis: BlochVector
 
-    def __post_init__(self):
-        if not 0 <= self.qubit < self.n:
-            raise ValueError(f"qubit {self.qubit} out of range for n={self.n}")
-        if abs(self.axis.norm() - 1.0) > 1e-12:
-            raise ValueError(f"projector axis must be unit length, got norm {self.axis.norm()}")
+    def __init__(self, n: int, qubit: int, axis: BlochVector):
+        # checked, then stored in the instance dict (see PauliOperator)
+        if not 0 <= qubit < n:
+            raise ValueError(f"qubit {qubit} out of range for n={n}")
+        if abs(axis.norm() - 1.0) > 1e-12:
+            raise ValueError(f"projector axis must be unit length, got norm {axis.norm()}")
+        fields = self.__dict__
+        fields["n"] = n
+        fields["qubit"] = qubit
+        fields["axis"] = axis
 
 
 Measurement = Union[PauliMeasurement, SingleQubitProjector]
@@ -442,9 +447,20 @@ def draw_outcomes(f: np.ndarray, rng) -> np.ndarray:
 # `distribution.draw(rng, m)` returns m measurements as arrays, and so does an
 # oracle's atom table.  A batch's f(state) is f_state at every one of them,
 # equal to float(f_value) measurement by measurement; iterating a batch makes
-# its measurements as objects, one at a time.  A PauliBatch on a stabilizer
-# state takes every string's sign from one array solve of the group
-# (StabilizerGroup.trace_paulis).
+# its measurements as checked objects from Python scalars, read ITER_BLOCK
+# rows at a time.  A PauliBatch on a stabilizer state takes every string's
+# sign from one array solve of the group (StabilizerGroup.trace_paulis).
+
+# rows per tolist() when a batch is iterated: the scalars of a block are
+# read at once, and a block bounds what iterating holds besides the arrays
+ITER_BLOCK = 1024
+
+
+def _rows(*arrays):
+    """The rows of equal-length arrays as tuples of Python scalars, one
+    tolist() per array per block of ITER_BLOCK rows."""
+    for start in range(0, len(arrays[0]), ITER_BLOCK):
+        yield from zip(*[a[start:start + ITER_BLOCK].tolist() for a in arrays])
 
 
 @dataclass(frozen=True)
@@ -459,8 +475,9 @@ class ProjectorBatch:
         return len(self.qubits)
 
     def __iter__(self):
-        for q, u in zip(self.qubits, self.directions):
-            yield SingleQubitProjector(self.n, int(q), BlochVector(*u))
+        n = self.n
+        for q, u in _rows(self.qubits, self.directions):
+            yield SingleQubitProjector(n, q, BlochVector(*u))
 
     def f(self, state: QuantumState) -> np.ndarray:
         _check_dims(state, self)
@@ -484,8 +501,9 @@ class PauliBatch:
         return len(self.signs)
 
     def __iter__(self):
-        for s, x, z in zip(self.signs, self.x, self.z):
-            yield PauliMeasurement(PauliOperator(self.n, int(s), int(x), int(z)))
+        n = self.n
+        for s, x, z in _rows(self.signs, self.x, self.z):
+            yield PauliMeasurement(PauliOperator(n, s, x, z))
 
     def f(self, state: QuantumState) -> np.ndarray:
         _check_dims(state, self)
@@ -604,7 +622,10 @@ def _mc_f_arrays(rho, sigma, d, mode):
 def _sampled_pauli_batch(d, rng, m: int) -> PauliBatch:
     """m draws of d.sample, in order, packed into one batch: the stream the
     seeded estimates are pinned to.  d.draw takes all signs, then all x, then
-    all z, which moves every estimate; that switch is ROADMAP item 6."""
+    all z, a different stream.  For n <= 32 each scalar draw is the top bits
+    of one 32-bit word, so one rng.integers(0, 2**32, size=3*m,
+    dtype=np.uint32) fill (size=m for parities) replays this stream exactly;
+    that switch is ROADMAP item 9, Batch 1."""
     signs = np.empty(m, dtype=np.int64)
     x = np.empty(m, dtype=np.uint64)
     z = np.empty(m, dtype=np.uint64)

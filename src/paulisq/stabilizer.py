@@ -33,7 +33,6 @@ from .pauli import (
     BudgetExceeded,
     DimensionMismatch,
     PauliOperator,
-    commutes,
     gf2_echelon,
     gf2_reduce,
 )
@@ -91,23 +90,33 @@ def _popcount(v: np.ndarray) -> np.ndarray:
     return v * np.uint64(0x0101010101010101) >> np.uint64(56)
 
 
+def _unpacked(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """The low 2n bits of x | z << n for uint64 arrays x and z, one uint8 per
+    bit in a row per string: x's n bits, then z's n."""
+    words = np.stack([x, z], axis=1).astype("<u8").view(np.uint8).reshape(len(x), 2, 8)
+    return np.unpackbits(words, axis=2, bitorder="little")[:, :, :n].reshape(len(x), 2 * n)
+
+
 def canonical_rows(generators) -> tuple[PauliOperator, ...]:
     """Reduce a commuting generating set to the unique signed RREF tableau.
 
-    Raises ValueError if the generators are dependent or generate -I.
+    Raises ValueError if two generators anticommute (naming the first such
+    pair), if they are dependent, or if they generate -I.
     """
     rows = list(generators)
     if not rows:
         raise ValueError("need at least one generator")
-    if any(r.n != rows[0].n for r in rows):
-        raise DimensionMismatch("generators act on different qubit counts")
-    for i, a in enumerate(rows):
-        for b in rows[i + 1:]:
-            if not commutes(a, b):
-                raise ValueError(f"generators {a} and {b} anticommute")
-    pivots, dependencies = gf2_echelon(_packed_rows(rows))
-    # each dependency multiplies to +I or -I, and no stabilizer group holds -I
     n = rows[0].n
+    if any(r.n != n for r in rows):
+        raise DimensionMismatch("generators act on different qubit counts")
+    packed = _packed_rows(rows)
+    for i, (a, _) in enumerate(packed):
+        h = _swapped(a, n)
+        for j in range(i + 1, len(packed)):
+            if (packed[j][0] & h).bit_count() & 1:
+                raise ValueError(f"generators {rows[i]} and {rows[j]} anticommute")
+    pivots, dependencies = gf2_echelon(packed)
+    # each dependency multiplies to +I or -I, and no stabilizer group holds -I
     if any(_product(n, rows, tag).sign < 0 for tag in dependencies):
         raise ValueError("generators produce -I: not a stabilizer group")
     if dependencies:
@@ -183,14 +192,13 @@ class StabilizerGroup:
         rows: their 2n bits, the strictly upper B and the column c of trace_paulis."""
         n = self.n
         rows = [_product(n, self.generators, tag) for _, tag in self._pivots.values()]
-        form = [
-            [(a.x | a.z << n) >> col & 1 for col in range(2 * n)]
-            + [j > i and (a.z & b.x).bit_count() & 1 for j, b in enumerate(rows)]
-            + [(1 - a.sign) + (a.x & a.z).bit_count()]
-            for i, a in enumerate(rows)
-        ]
-        shape = (len(rows), 2 * n + len(rows) + 1)
-        return np.array(list(self._pivots), dtype=np.intp), np.array(form, dtype=np.float32).reshape(shape)
+        x = np.array([a.x for a in rows], dtype=np.uint64)
+        z = np.array([a.z for a in rows], dtype=np.uint64)
+        signs = np.array([a.sign for a in rows], dtype=np.int64)
+        b = np.triu(_popcount(z[:, None] & x[None, :]) & np.uint64(1), k=1)
+        c = (1 - signs) + _popcount(x & z).astype(np.int64)
+        form = np.concatenate([_unpacked(x, z, n), b, c[:, None]], axis=1, dtype=np.float32)
+        return np.array(list(self._pivots), dtype=np.intp), form
 
     @cached_property
     def _support(self) -> tuple[np.uint64, np.uint64]:
@@ -226,9 +234,7 @@ class StabilizerGroup:
         for start in range(0, len(x), TRACE_BLOCK):
             bx = x[start:start + TRACE_BLOCK]
             bz = z[start:start + TRACE_BLOCK]
-            # v's low 2n bits, one uint8 per bit: x's n, then z's n
-            words = np.stack([bx, bz], axis=1).astype("<u8").view(np.uint8).reshape(len(bx), 2, 8)
-            v = np.unpackbits(words, axis=2, bitorder="little")[:, :, :n].reshape(len(bx), 2 * n)
+            v = _unpacked(bx, bz, n)
             t = v[:, cols].astype(np.float32)
             p = t @ form
             member = ~((p[:, :2 * n].astype(np.uint8) ^ v) & 1).any(axis=1)

@@ -128,6 +128,62 @@ def pauli_batch(n: int, paulis) -> PauliBatch:
     )
 
 
+@dataclass(frozen=True)
+class PostInitPauliOperator:
+    """PauliOperator's fields under the generated frozen __init__, with the
+    checks it ran in __post_init__: the rule its explicit __init__ must keep."""
+
+    n: int
+    sign: int
+    x: int
+    z: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"need at least one qubit, got n={self.n}")
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        mask = (1 << self.n) - 1
+        if self.x & ~mask or self.z & ~mask:
+            raise ValueError("x/z bits exceed qubit count")
+
+
+@dataclass(frozen=True)
+class PostInitProjector:
+    """SingleQubitProjector's fields and __post_init__ checks, as for
+    PostInitPauliOperator."""
+
+    n: int
+    qubit: int
+    axis: object
+
+    def __post_init__(self):
+        if not 0 <= self.qubit < self.n:
+            raise ValueError(f"qubit {self.qubit} out of range for n={self.n}")
+        if abs(self.axis.norm() - 1.0) > 1e-12:
+            raise ValueError(f"projector axis must be unit length, got norm {self.axis.norm()}")
+
+
+def bitwise_sign_form(group: StabilizerGroup) -> tuple[np.ndarray, np.ndarray]:
+    """StabilizerGroup._sign_form built bit by bit from Python ints: the pivot
+    columns, and per pivot row (the product of the generators its tag names)
+    its 2n bits, parity(z_i & x_j) for j > i, and (1 - s_i) + |x_i & z_i|."""
+    n = group.n
+    identity = PauliOperator.identity(n)
+    rows = [
+        pauli_product_many([identity, *(g for i, g in enumerate(group.generators) if tag >> i & 1)]).to_operator()
+        for _, tag in group._pivots.values()
+    ]
+    form = [
+        [(a.x | a.z << n) >> col & 1 for col in range(2 * n)]
+        + [j > i and (a.z & b.x).bit_count() & 1 for j, b in enumerate(rows)]
+        + [(1 - a.sign) + (a.x & a.z).bit_count()]
+        for i, a in enumerate(rows)
+    ]
+    shape = (len(rows), 2 * n + len(rows) + 1)
+    return np.array(list(group._pivots), dtype=np.intp), np.array(form, dtype=np.float32).reshape(shape)
+
+
 def group_elements(group: StabilizerGroup):
     """Yield all 2^r elements of a rank-r group (Gray-code order over generator subsets)."""
     current = as_phased(PauliOperator.identity(group.n))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dense_ref import finite_sample, lower_rank_groups, pauli_batch, pauli_product_many, per_sample_f, random_subgroup
 from paulisq.pauli import PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
+    ITER_BLOCK,
     BlochVector,
     FiniteWeighted,
     HaarSingleQubitProduct,
@@ -22,6 +23,7 @@ from paulisq.pconcept import (
     MonteCarlo,
     PauliBatch,
     ProductState,
+    ProjectorBatch,
     SingleQubitProjector,
     StabilizerState,
     UniformParity,
@@ -87,6 +89,46 @@ def test_draws_are_uniform_pauli_and_parity_effects():
     assert {str(e) for e in paulis} == {str(e) for e, _ in UniformPauli(2).support()}
     parities = list(UniformParity(3).draw(rng, 400))
     assert {str(e) for e in parities} == {str(e) for e, _ in UniformParity(3).support()}
+
+
+@pytest.mark.parametrize("m", [0, 1, ITER_BLOCK, 2 * ITER_BLOCK + 5])
+def test_batch_iteration_makes_the_measurements_from_python_scalars(m):
+    # across block ends, with each object holding Python ints, not numpy scalars
+    rng = substream(8, "iterate", m)
+    for n, batch in ((64, UniformPauli(64).draw(rng, m)), (40, UniformParity(40).draw(rng, m))):
+        got = list(batch)
+        want = [PauliOperator(n, int(s), int(x), int(z)) for s, x, z in zip(batch.signs, batch.x, batch.z)]
+        assert [e.pauli for e in got] == want and all(type(e) is PauliMeasurement for e in got)
+        assert all(type(v) is int for e in got for v in (e.pauli.sign, e.pauli.x, e.pauli.z))
+    batch = HaarSingleQubitProduct(7).draw(rng, m)
+    got = list(batch)
+    want = [SingleQubitProjector(7, int(q), BlochVector(*u)) for q, u in zip(batch.qubits, batch.directions)]
+    assert got == want and all(type(e.qubit) is int for e in got)
+
+
+def test_batch_iteration_refuses_what_the_constructors_refuse():
+    # the row after a full block holds bits beyond n, a sign of 0, a qubit n
+    def bad_at(array, value):
+        array = array.copy()
+        array[ITER_BLOCK] = value
+        return array
+
+    drawn = UniformPauli(3).draw(substream(9, "refuse"), ITER_BLOCK + 2)
+    for batch, message in (
+        (PauliBatch(3, drawn.signs, bad_at(drawn.x, 8), drawn.z), "x/z bits exceed qubit count"),
+        (PauliBatch(3, bad_at(drawn.signs, 0), drawn.x, drawn.z), "sign must be"),
+    ):
+        made = iter(batch)
+        assert len([next(made) for _ in range(ITER_BLOCK)]) == ITER_BLOCK
+        with pytest.raises(ValueError, match=message):
+            next(made)
+    haar = HaarSingleQubitProduct(3).draw(substream(9, "refuse"), ITER_BLOCK + 2)
+    for batch, message in (
+        (ProjectorBatch(3, bad_at(haar.qubits, 3), haar.directions), "qubit 3 out of range for n=3"),
+        (ProjectorBatch(3, haar.qubits, bad_at(haar.directions, 0.5)), "unit length"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            list(batch)
 
 
 @settings(max_examples=20, deadline=None)

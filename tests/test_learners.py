@@ -468,6 +468,35 @@ def test_lpn_solvers_refuse_an_example_outside_the_cube(examples, bad, monkeypat
         gaussian_elimination_parity(iter(examples), 2)
 
 
+@pytest.mark.parametrize("bad", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("malformed", [(2,), (2, 1, 0), 3, ()], ids=repr)
+def test_lpn_solvers_refuse_an_example_that_is_not_a_pair(malformed, bad, monkeypatch):
+    import paulisq.learners as learners
+
+    def no_sweep(v):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(learners, "_walsh_hadamard", no_sweep)
+    examples = [(1, 0), (2, 1), (4, 0), (8, 1), (3, 1)]
+    examples[bad] = malformed
+    message = re.escape(f"example {bad}, {malformed!r}, is not an (x, b) pair")
+    with pytest.raises(ValueError, match=message):
+        exhaustive_lpn_solver(LPNInstance(4, 0.0, tuple(examples)))
+    with pytest.raises(ValueError, match=message):
+        gaussian_elimination_parity(examples, 4)
+
+
+def test_exhaustive_solver_refuses_a_long_example_beside_a_short_one(monkeypatch):
+    # (1, 0, 1) and (0,) hold four ints, so a flat read of 2m ints would fill
+    # and pair the rest off by one
+    import paulisq.learners as learners
+
+    monkeypatch.setattr(learners, "_walsh_hadamard", lambda v: pytest.fail("the sweep ran"))
+    for examples, bad in ((((1, 0, 1), (0,), (2, 1)), 0), (((2, 1), (0,), (1, 0, 1)), 1)):
+        with pytest.raises(ValueError, match=re.escape(f"example {bad}, {examples[bad]!r}, is not an (x, b) pair")):
+            exhaustive_lpn_solver(LPNInstance(4, 0.0, examples))
+
+
 def test_exhaustive_solver_agrees_with_elimination_noiseless():
     rng = substream(58, "ml0")
     instance = generate_lpn_instance(10, 60, 0.0, rng)

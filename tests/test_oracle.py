@@ -24,6 +24,7 @@ from paulisq.pconcept import (
     UniformParity,
     UniformPauli,
     f_value,
+    parity_index,
     random_bits,
 )
 from paulisq.oracle import (
@@ -587,6 +588,26 @@ def test_empirical_answer_streams_its_measurements():
     finally:
         tracemalloc.stop()
     assert abs(answer) <= 0.01  # E[y | E] averages to 0 over Haar projectors; the std error is 0.0006
+    assert peak < 16e6
+
+
+def test_empirical_answer_streams_its_parity_measurements():
+    # the LPN reading: 100,000 noisy parity draws of a basis state as one
+    # PauliBatch, iterated block by block by a plain function; the draws
+    # held as objects take about 35 MB
+    n = 16
+    state = StabilizerState(StabilizerGroup.basis_state(0b1, n))
+    config = OracleConfig(EmpiricalFromSamples(samples=100_000, seed=5), ClassificationNoise(0.1))
+    oracle = StatisticalQueryOracle(state, UniformParity(n), config)
+    tracemalloc.start()
+    try:
+        answer = oracle.query(SQQuery(lambda e, y: 0.5 * y if parity_index(e) & 1 else 0.0, 0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # y = +1 exactly when x_0 = 1, flipped at rate 0.1: the mean is 0.5 * 0.5 * 0.8;
+    # the std error is 0.0008
+    assert abs(answer - 0.2) <= 0.01
     assert peak < 16e6
 
 

@@ -10,6 +10,7 @@ it was.
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paulisq.oracle as oracle_module
-from dense_ref import interleaved_evaluate
+from dense_ref import PostInitPauliOperator, PostInitProjector, interleaved_evaluate
 from paulisq.cli import grid_step
 from paulisq.learners import _AxisSignQuery, _axis_queries, learn_basis_state, learn_product_state
 from paulisq.oracle import (
@@ -388,3 +389,71 @@ def test_bloch_vector_converts_checks_and_stays_frozen():
     BlochVector(1.0 + 1e-13, 0.0, 0.0)  # within the 1e-12 slack
     with pytest.raises(ValueError, match=r"Bloch vector has norm 1\.4142135623730951 > 1"):
         BlochVector(1, 1, 0)
+
+
+def _built_or_refused(make, *args):
+    """The fields of make(*args), each with its type, or the error it raised."""
+    try:
+        obj = make(*args)
+    except Exception as e:  # compared by type and message
+        return type(e), str(e)
+    return [(type(v), v) for v in (getattr(obj, f.name) for f in dataclasses.fields(obj))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(-2, 130), sign=st.sampled_from([1, -1, True, False, 0, 2, -2, 1.0]))
+def test_pauli_operator_init_keeps_the_post_init_rule(data, n, sign):
+    # negative bits, bits at and beyond n, bool and float signs, n < 1
+    top = 1 << max(n, 0)
+    bits = st.one_of(st.integers(0, top - 1), st.integers(-(1 << 131), 1 << 131), st.sampled_from([-1, top, True]))
+    x, z = data.draw(bits), data.draw(bits)
+    built = _built_or_refused(PauliOperator, n, sign, x, z)
+    assert built == _built_or_refused(PostInitPauliOperator, n, sign, x, z)
+    if isinstance(built, list):  # PauliMeasurement never checked its operator
+        p = PauliOperator(n, sign, x, z)
+        assert PauliMeasurement(p).__dict__ == {"pauli": p}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(-2, 130),
+    direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    scale=st.sampled_from([1.0, 1.0 - 1e-13, 1.0 - 1e-11, 0.5, 0.0]),
+)
+def test_single_qubit_projector_init_keeps_the_post_init_rule(data, n, direction, scale):
+    # qubits inside [0, n) and at either side of it; axes on, near and off the sphere
+    qubit = data.draw(st.one_of(st.integers(0, max(n - 1, 0)), st.sampled_from([-1, n, n + 3, True])))
+    norm = math.sqrt(sum(c * c for c in direction))
+    axis = BlochVector(*(scale * c / norm for c in direction)) if norm > 1e-3 else BlochVector(0.0, 0.0, scale)
+    assert _built_or_refused(SingleQubitProjector, n, qubit, axis) == _built_or_refused(PostInitProjector, n, qubit, axis)
+
+
+def test_pauli_and_projector_objects_keep_the_dataclass_contract():
+    p = PauliOperator(3, -1, 0b101, 0b011)
+    e = PauliMeasurement(p)
+    proj = SingleQubitProjector(4, 2, BlochVector(0.6, 0.0, 0.8))
+    assert PauliOperator(n=3, sign=-1, x=5, z=3) == p and PauliMeasurement(pauli=p).pauli is p
+    assert SingleQubitProjector(n=4, qubit=2, axis=BlochVector(0.6, 0.0, 0.8)) == proj
+    for obj, values in ((p, (3, -1, 5, 3)), (e, (p,)), (proj, (4, 2, BlochVector(0.6, 0.0, 0.8)))):
+        names = [f.name for f in dataclasses.fields(obj)]
+        assert tuple(getattr(obj, k) for k in names) == values and hash(obj) == hash(values)
+        assert repr(obj) == f"{type(obj).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(names, values))})"
+        assert dataclasses.replace(obj) == obj and obj != values
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(obj, protocol))
+            assert copy == obj and hash(copy) == hash(obj) and copy.__dict__ == obj.__dict__
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, names[0], values[0])
+    assert dataclasses.replace(p, sign=1, z=0) == PauliOperator(3, 1, 5, 0)
+    assert dataclasses.replace(e, pauli=p.negated()).pauli == PauliOperator(3, 1, 5, 3)
+    assert dataclasses.replace(proj, qubit=3) == SingleQubitProjector(4, 3, BlochVector(0.6, 0.0, 0.8))
+    # replace runs the constructor's checks
+    with pytest.raises(ValueError, match="x/z bits exceed qubit count"):
+        dataclasses.replace(p, n=2)
+    with pytest.raises(ValueError, match="sign must be"):
+        dataclasses.replace(p, sign=0)
+    with pytest.raises(ValueError, match="qubit 4 out of range for n=4"):
+        dataclasses.replace(proj, qubit=4)
+    with pytest.raises(ValueError, match="unit length"):
+        dataclasses.replace(proj, axis=BlochVector(0.5, 0.0, 0.0))

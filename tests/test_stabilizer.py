@@ -1,6 +1,7 @@
 """Stabilizer tableaux: canonicalization, membership, traces, enumeration."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_ref import (
+    bitwise_sign_form,
     dense_acceptance,
     dense_stabilizer_state_census,
     element_intersection_counts,
@@ -74,6 +76,14 @@ def test_acceptance_probability_values():
 def test_rejects_anticommuting_generators():
     with pytest.raises(ValueError):
         StabilizerGroup.from_strings(["+X", "+Z"])
+
+
+def test_anticommuting_generators_are_named_by_the_first_pair():
+    # XII/ZII and IXI/IZI anticommute; pairs are read with the first row outermost
+    with pytest.raises(ValueError, match=re.escape("generators +XII and +ZII anticommute")):
+        StabilizerGroup.from_strings(["XII", "IXI", "IZI", "ZII"])
+    with pytest.raises(ValueError, match=re.escape("generators +IXI and -IYZ anticommute")):
+        StabilizerGroup.from_strings(["ZII", "IXI", "IIX", "-IYZ"])
 
 
 def test_rejects_dependent_generators():
@@ -162,6 +172,33 @@ def test_trace_paulis_matches_contains_at_large_n(n, r, seed):
     z = np.array([p.z for p in ops], dtype=np.uint64)
     signs = np.array([p.sign for p in ops])
     assert (signs * g.trace_paulis(x, z)).tolist() == [g.contains(p).value for p in ops]
+
+
+def _assert_bitwise_sign_form(g):
+    (cols, form), (want_cols, want_form) = g._sign_form, bitwise_sign_form(g)
+    assert (cols.dtype, form.dtype, form.shape) == (want_cols.dtype, want_form.dtype, want_form.shape)
+    assert cols.tobytes() == want_cols.tobytes() and form.tobytes() == want_form.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sign_form_is_the_bitwise_build_on_every_small_group(n):
+    groups = enumerate_stabilizer_groups(n)
+    for g in groups + lower_rank_groups(n, substream(42, "form", n)):
+        _assert_bitwise_sign_form(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 64), r=st.integers(0, 64), seed=st.integers(0, 2**32 - 1))
+def test_sign_form_is_the_bitwise_build_at_large_n(n, r, seed):
+    """On a rank-r subgroup, and on the same group given by the products
+    g_i g_{i+1} of its rows, whose pivot rows are products of several."""
+    rng = np.random.default_rng(seed)
+    g = random_stabilizer_group(n, rng)
+    g = random_subgroup(g, r, rng) if r < n else g
+    _assert_bitwise_sign_form(g)
+    rows = g.generators
+    mixed = tuple(pauli_product_many([a, b]).to_operator() for a, b in zip(rows, rows[1:])) + rows[-1:]
+    _assert_bitwise_sign_form(StabilizerGroup(n, mixed))
 
 
 def test_trace_paulis_of_no_strings_is_empty():
