@@ -72,11 +72,15 @@ class _AxisSignQuery:
 
     This is the sign of 2^{1-n} tr(E (I x ... x (I+P_axis)/2 x ... x I)) - 1/2
     evaluated directly on the sampled projector: measurements on other qubits
-    contribute exactly 1/2 and score zero.
+    contribute exactly 1/2 and score zero.  So the query declares, by
+    `_reads_one_qubit`, that `qubit` is the one qubit it reads, and an atom
+    table answers it on that qubit's atoms only (see the oracle module
+    docstring).
     """
 
     qubit: int
     axis: int
+    _reads_one_qubit = True
 
     def __hash__(self) -> int:
         # equal queries share (qubit, axis), so this is a hash; it skips the

@@ -60,9 +60,17 @@ Haar table and Haar draw) a query with an array form is answered in one
 call: a table weighs the two arrays by its accept and reject weights as
 they are, and a draw picks each example's value at its label.  Otherwise
 phi is called pair by pair on measurements made from the batch one at a
-time.  One helper, `_values`, reads phi for every answer, and either way it
-checks |phi| <= 1 on each value the answer uses: both labels of every atom
-of a table, or the drawn label of every example.
+time.  The package's own queries may also declare the one qubit they
+read, by a true `_reads_one_qubit` and an int phi.qubit: phi(E, y) is then
++-0.0 for both labels on every projector acting on another qubit.  A
+projector table answers such a query on that qubit's atoms only (1/n of
+the Haar atoms), with the same result bit for bit (see `_Table`); draws,
+and tables of other measurements, read every atom or example.  The
+learners' axis queries declare their qubit; a query's field named `qubit`
+alone declares nothing.  One
+helper, `_values`, reads phi for every answer, and either way it checks
+|phi| <= 1 on each value the answer uses: both labels of every atom a
+table reads, or the drawn label of every example.
 """
 
 from __future__ import annotations
@@ -414,6 +422,13 @@ class _Table:
     """An atom table: `weights` is (batch, accept, reject) as
     NoiseModel.label_weights gives it, and `answer` reads a query off it.
 
+    On a projector table, a query that declares the one qubit it reads is
+    evaluated on that qubit's view only (see _qubit_views): the atoms it
+    drops add terms of +-0.0, which leave the running sum's normalised
+    result as it is.  The views are built together, on the first such
+    query.  Any other query, and any other table, is evaluated on all the
+    weights.
+
     The table keeps the answer to every hashable query it has evaluated; its
     weights never change, and neither does the answer.  A query that cannot
     be hashed is evaluated every time.  A query that fails its bound check
@@ -421,23 +436,59 @@ class _Table:
     answers start over after _ANSWER_CAP of them.
     """
 
-    __slots__ = ("weights", "_answers")
+    __slots__ = ("weights", "_answers", "_views")
 
     def __init__(self, weights: tuple):
         self.weights = weights
         self._answers: dict = {}
+        self._views: Optional[tuple] = None
 
     def answer(self, phi) -> float:
         try:
             value = self._answers.get(phi)
         except TypeError:
-            return _evaluate(self.weights, phi)
+            return _evaluate(self._read_by(phi), phi)
         if value is None:
-            value = _evaluate(self.weights, phi)
+            value = _evaluate(self._read_by(phi), phi)
             if len(self._answers) >= _ANSWER_CAP:
                 self._answers.clear()
             self._answers[phi] = value
         return value
+
+    def _read_by(self, phi) -> tuple:
+        """The weights phi is evaluated on: its declared qubit's view, or all of them."""
+        batch = self.weights[0]
+        if not getattr(phi, "_reads_one_qubit", False) or not isinstance(batch, ProjectorBatch):
+            return self.weights
+        qubit = getattr(phi, "qubit", None)
+        if type(qubit) is not int or not 0 <= qubit < batch.n:
+            return self.weights
+        if self._views is None:
+            self._views = _qubit_views(self.weights)
+        return self._views[qubit]
+
+
+def _qubit_views(weights: tuple) -> tuple:
+    """(batch, accept, reject) of each qubit's atoms of a projector table, in
+    table order: a slice where they are contiguous, as the qubit-major Haar
+    atoms are, and their index run where they are not (a malicious table's
+    concatenation, a FiniteWeighted support).  A qubit with no atoms gets
+    the whole table.  A slice shares the table's memory; an index run copies
+    ~48 B per atom, held for as long as the table is cached."""
+    batch, accept, reject = weights
+    order = np.argsort(batch.qubits, kind="stable")
+    views = []
+    start = 0
+    for end in np.cumsum(np.bincount(batch.qubits, minlength=batch.n)).tolist():
+        if end == start:
+            views.append(weights)
+            continue
+        run = order[start:end]
+        if run[-1] - run[0] == end - start - 1:
+            run = slice(int(run[0]), int(run[-1]) + 1)
+        views.append((ProjectorBatch(batch.n, batch.qubits[run], batch.directions[run]), accept[run], reject[run]))
+        start = end
+    return tuple(views)
 
 
 @lru_cache(maxsize=4)
@@ -487,8 +538,9 @@ def _values(phi, batch: MeasurementBatch, labels: Optional[np.ndarray] = None):
 
 
 def _evaluate(table, phi) -> float:
-    """sum_atoms accept phi(E, 1) + reject phi(E, -1), the terms summed in atom
-    order from 0.0 as a loop would (np.sum and np.dot add pairwise)."""
+    """sum_atoms accept phi(E, 1) + reject phi(E, -1) over a table's weights,
+    or over one qubit's view of them, the terms summed in atom order from 0.0
+    as a loop would (np.sum and np.dot add pairwise)."""
     batch, accept, reject = table
     plus, minus = _values(phi, batch)
     return float(np.cumsum(accept * plus + reject * minus)[-1] + 0.0)
@@ -634,15 +686,27 @@ class _LabelPart:
 
     A query outside [-1, 1] can have bounded parts, so phi itself is checked
     on both labels of every atom or example the part is evaluated at.  The
-    part has an array form exactly when phi has one.  Parts are equal when
-    their (phi, odd) are, so an atom table reads each part once.
+    part has an array form, and declares a qubit, exactly when phi does.
+    Parts are equal when their (phi, odd) are, so an atom table reads each
+    part once.
     """
 
     def __init__(self, phi, odd: bool):
         self.phi = phi
         self.odd = odd
-        if hasattr(phi, "on_projectors"):
-            self.on_projectors = self._on_projectors
+        if getattr(phi, "_reads_one_qubit", False):
+            # both parts are +-0.0 wherever phi is
+            self._reads_one_qubit = True
+            self.qubit = phi.qubit
+
+    @property
+    def on_projectors(self):
+        """The array form, where phi has one.  A bound method kept on the
+        instance would make each part a reference cycle, left for the cyclic
+        collector to free."""
+        if not hasattr(self.phi, "on_projectors"):
+            raise AttributeError("on_projectors")
+        return self._on_projectors
 
     def __eq__(self, other) -> bool:
         return isinstance(other, _LabelPart) and (self.phi, self.odd) == (other.phi, other.odd)

@@ -148,6 +148,12 @@ def parity_index(e: PauliMeasurement) -> int:
 # distributions
 
 
+def _check_qubits(n: int) -> None:
+    """Raise ValueError, as PauliOperator does, unless n >= 1."""
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got n={n}")
+
+
 def _check_budget(n: int, limit: int, what: str) -> None:
     """Raise BudgetExceeded, before anything is built, when n > limit."""
     if n > limit:
@@ -191,6 +197,9 @@ class UniformPauli(_Enumerable):
 
     n: int
 
+    def __post_init__(self):
+        _check_qubits(self.n)
+
     def support(self) -> list:
         """The (effect, weight) pairs, for n <= EXACT_PAULI_ENUMERATION_LIMIT."""
         _check_budget(self.n, EXACT_PAULI_ENUMERATION_LIMIT, f"uniform Pauli support has 2*4^{self.n} elements")
@@ -231,6 +240,9 @@ class UniformParity(_Enumerable):
     """Uniform over the 2^n parity measurements E_x, x = 0 included."""
 
     n: int
+
+    def __post_init__(self):
+        _check_qubits(self.n)
 
     def support(self) -> list:
         """The (effect, weight) pairs, for n <= EXACT_PARITY_ENUMERATION_LIMIT."""
@@ -279,6 +291,9 @@ class HaarSingleQubitProduct:
     """Pick a qubit uniformly, project it onto a Haar-random pure qubit state."""
 
     n: int
+
+    def __post_init__(self):
+        _check_qubits(self.n)
 
     def _qubit_mean(self, rho: QuantumState, sigma: QuantumState, term):
         """sum_i term(a_i, b_i) / (3n) over the qubits' Bloch coordinates, a Fraction for ints."""

@@ -133,7 +133,10 @@ def canonical_rows(generators) -> tuple[PauliOperator, ...]:
 @dataclass(frozen=True)
 class StabilizerGroup:
     """Abelian group of 2^r real-signed Paulis without -I, in canonical form:
-    r <= n generator rows, none for the group {I} of the maximally mixed state."""
+    r <= n generator rows, none for the group {I} of the maximally mixed state.
+    The rows must be canonical_rows' (from_generators builds them): each row
+    pivots on its lowest set bit (see _pivots), and membership and traces
+    raise ValueError on other rows."""
 
     n: int
     generators: tuple[PauliOperator, ...]
@@ -165,7 +168,23 @@ class StabilizerGroup:
 
     @cached_property
     def _pivots(self) -> dict[int, tuple[int, int]]:
-        return gf2_echelon(_packed_rows(self.generators))[0]
+        """gf2_echelon's pivots of the rows, read off them: canonical rows are
+        already reduced, so row i pivots on its lowest set bit, with tag 1 << i.
+
+        Raises ValueError if the rows are not canonical: their lowest set bits
+        must strictly rise, and each row must be clear at every other row's.
+        """
+        pivots = {}
+        lows = 0
+        for bits, tag in _packed_rows(self.generators):
+            low = bits & -bits
+            if low <= lows:  # an identity row, or a pivot not above the last
+                raise ValueError("rows are not canonical: build the group with from_generators")
+            lows |= low
+            pivots[low.bit_length() - 1] = (bits, tag)
+        if any(bits & lows != 1 << col for col, (bits, _) in pivots.items()):
+            raise ValueError("rows are not canonical: build the group with from_generators")
+        return pivots
 
     def contains(self, p: PauliOperator) -> Membership:
         """Decide P in S / -P in S / neither.
@@ -191,14 +210,15 @@ class StabilizerGroup:
         """The pivot columns, and one r x (2n + r + 1) matrix over the r pivot
         rows: their 2n bits, the strictly upper B and the column c of trace_paulis."""
         n = self.n
-        rows = [_product(n, self.generators, tag) for _, tag in self._pivots.values()]
+        cols = np.array(list(self._pivots), dtype=np.intp)
+        rows = self.generators  # each pivot row is its own generator (see _pivots)
         x = np.array([a.x for a in rows], dtype=np.uint64)
         z = np.array([a.z for a in rows], dtype=np.uint64)
         signs = np.array([a.sign for a in rows], dtype=np.int64)
         b = np.triu(_popcount(z[:, None] & x[None, :]) & np.uint64(1), k=1)
         c = (1 - signs) + _popcount(x & z).astype(np.int64)
         form = np.concatenate([_unpacked(x, z, n), b, c[:, None]], axis=1, dtype=np.float32)
-        return np.array(list(self._pivots), dtype=np.intp), form
+        return cols, form
 
     @cached_property
     def _support(self) -> tuple[np.uint64, np.uint64]:

@@ -1,6 +1,7 @@
 """p-concept evaluation, inner products, and losses against dense references."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,16 @@ def test_uniform_samplers_at_64_qubits():
 def test_uniform_samplers_reject_more_than_64_qubits(d):
     with pytest.raises(ValueError, match="at most 64 bits"):
         d.sample(substream(4, "too-wide"))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("kind", [HaarSingleQubitProduct, UniformPauli, UniformParity])
+def test_distributions_refuse_fewer_than_one_qubit_when_built(kind, n):
+    # before, Haar atoms at n = 0 divided by zero and the others failed deep in numpy or Fraction
+    with pytest.raises(ValueError, match=re.escape(f"need at least one qubit, got n={n}")):
+        kind(n)
+    with pytest.raises(ValueError, match=re.escape(f"need at least one qubit, got n={n}")):
+        PauliOperator.identity(n)
 
 
 def repeated(e, m: int) -> IndexBatch:

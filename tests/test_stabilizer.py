@@ -28,6 +28,7 @@ from dense_ref import (
 from paulisq.pauli import PauliMeasurement, PauliOperator, commutes, gf2_echelon
 from paulisq.pconcept import (
     MaximallyMixed,
+    _z_subgroup,
     StabilizerState,
     UniformPauli,
     acceptance_probability,
@@ -41,6 +42,7 @@ from paulisq.stabilizer import (
     _isotropic_subspaces,
     _product,
     _swapped,
+    canonical_rows,
     enumerate_stabilizer_groups,
     random_stabilizer_group,
     signed_intersection_counts,
@@ -190,15 +192,19 @@ def test_sign_form_is_the_bitwise_build_on_every_small_group(n):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 64), r=st.integers(0, 64), seed=st.integers(0, 2**32 - 1))
 def test_sign_form_is_the_bitwise_build_at_large_n(n, r, seed):
-    """On a rank-r subgroup, and on the same group given by the products
-    g_i g_{i+1} of its rows, whose pivot rows are products of several."""
+    """On a rank-r subgroup.  The same group given by the products g_i g_{i+1}
+    of its rows reduces to the same canonical rows, and the raw constructor
+    given those products is refused on first use."""
     rng = np.random.default_rng(seed)
     g = random_stabilizer_group(n, rng)
     g = random_subgroup(g, r, rng) if r < n else g
     _assert_bitwise_sign_form(g)
     rows = g.generators
     mixed = tuple(pauli_product_many([a, b]).to_operator() for a, b in zip(rows, rows[1:])) + rows[-1:]
-    _assert_bitwise_sign_form(StabilizerGroup(n, mixed))
+    if len(rows) >= 2:
+        assert canonical_rows(mixed) == rows
+        with pytest.raises(ValueError, match="not canonical"):
+            StabilizerGroup(n, mixed)._sign_form
 
 
 def test_trace_paulis_of_no_strings_is_empty():
@@ -483,3 +489,44 @@ def test_exact_inner_products_at_128_qubits():
     d = UniformPauli(128)
     assert inner_product(a, a, d) == Fraction(1, 2**128)
     assert inner_product(a, b, d) in {0} | {Fraction(2**k, 4**128) for k in range(129)}
+
+
+def _assert_pivots_are_the_echelons(g):
+    pivots = gf2_echelon([(p.x | p.z << g.n, 1 << i) for i, p in enumerate(g.generators)])[0]
+    assert list(g._pivots.items()) == list(pivots.items())
+
+
+def test_pivots_read_off_the_rows_are_the_echelons_on_every_small_group():
+    groups = enumerate_stabilizer_groups(3)
+    assert len(groups) == 1080
+    for g in groups:
+        _assert_pivots_are_the_echelons(g)
+        _assert_pivots_are_the_echelons(_z_subgroup(g))
+    _assert_pivots_are_the_echelons(StabilizerGroup(3, ()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 64), bits=st.integers(0, 2**64 - 1), seed=st.integers(0, 2**32 - 1))
+def test_pivots_read_off_the_rows_are_the_echelons_at_large_n(n, bits, seed):
+    """On a group from scrambled generators (the products of consecutive rows
+    of a random group), on its Z-type subgroup, and on a basis state."""
+    rows = random_stabilizer_group(n, np.random.default_rng(seed)).generators
+    scrambled = [pauli_product_many([a, b]).to_operator() for a, b in zip(rows, rows[1:])] + [rows[-1]]
+    g = StabilizerGroup.from_generators(scrambled)
+    assert g == StabilizerGroup.from_generators(rows)
+    for group in (g, _z_subgroup(g), StabilizerGroup.basis_state(bits & ((1 << n) - 1), n)):
+        _assert_pivots_are_the_echelons(group)
+
+
+@pytest.mark.parametrize("texts", [["ZI", "ZZ"], ["IZ", "ZI"], ["ZZ", "IZ"], ["II"]])
+def test_raw_constructor_refuses_rows_that_are_not_canonical(texts):
+    """A repeated pivot, falling pivots, a row set at another row's pivot and
+    an identity row: membership and traces raise rather than answer from rows
+    they cannot read.  The canonical rows of the same group are read."""
+    g = StabilizerGroup(2, tuple(PauliOperator.from_string(t) for t in texts))
+    z2 = PauliOperator.from_string("IZ")
+    with pytest.raises(ValueError, match="not canonical"):
+        g.contains(z2)
+    with pytest.raises(ValueError, match="not canonical"):
+        g.trace_paulis(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64))
+    assert StabilizerGroup(2, canonical_rows([PauliOperator.from_string("ZZ"), z2])).contains(z2) is Membership.PLUS
