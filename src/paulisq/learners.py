@@ -199,12 +199,19 @@ def haar_sign_moment_mc(
 @dataclass(frozen=True)
 class LPNInstance:
     """Noisy parity examples: labels are x . secret mod 2, each flipped
-    independently with probability eta."""
+    independently with probability eta in [0, 1/2); a known secret is < 2^n."""
 
     n: int
     eta: float
     examples: tuple[tuple[int, int], ...]
     secret: Optional[int] = None
+
+    def __post_init__(self):
+        if not 0 <= self.eta < 0.5:
+            raise ValueError(f"LPN noise rate must lie in [0, 1/2), got {self.eta}")
+        # a negative int shifts to -1, so one shift tests both ends
+        if self.secret is not None and self.secret >> self.n:
+            raise ValueError(f"secret {self.secret} lies outside [0, 2^{self.n})")
 
 
 def _bits_to_string(bits: int, n: int) -> str:
@@ -256,7 +263,11 @@ def lpn_instance_from_json(data: dict) -> LPNInstance:
 def generate_lpn_instance(
     n: int, m: int, eta: float, rng, secret: Optional[int] = None
 ) -> LPNInstance:
-    """m planted examples on n <= 64 bits, drawn with random_bits."""
+    """m >= 0 planted examples on n <= 64 bits, drawn with random_bits; eta
+    and a given secret are checked before any draw, as LPNInstance checks them."""
+    if m < 0:
+        raise ValueError(f"example count must be non-negative, got m = {m}")
+    LPNInstance(n, eta, (), secret)
     if secret is None:
         secret = random_bits(rng, n)
     examples = []
@@ -386,8 +397,8 @@ EXACT_SWEEP_EXAMPLES = 1 << 24
 TIE_CHUNK = 1 << 16
 
 
-def exhaustive_lpn_solver(instance: LPNInstance, budget: int = SWEEP_LIMIT) -> MaximumLikelihoodSecret:
-    """Minimum-disagreement secret over all 2^n candidates.
+def exhaustive_lpn_solver(instance: LPNInstance) -> MaximumLikelihoodSecret:
+    """Minimum-disagreement secret over all 2^n candidates, n <= SWEEP_LIMIT.
 
     Agreement minus disagreement counts for every candidate at once come from
     one Walsh-Hadamard transform of the signed example histogram, so the
@@ -397,8 +408,8 @@ def exhaustive_lpn_solver(instance: LPNInstance, budget: int = SWEEP_LIMIT) -> M
     refused before the sweep, with a ValueError that names it.
     """
     n = instance.n
-    if n > budget:
-        raise BudgetExceeded(f"2^{n} sweep exceeds budget 2^{budget}")
+    if n > SWEEP_LIMIT:
+        raise BudgetExceeded(f"2^{n} sweep exceeds budget 2^{SWEEP_LIMIT}")
     m = len(instance.examples)
     if m >= EXACT_SWEEP_EXAMPLES:
         raise BudgetExceeded(f"the float32 sweep is exact below 2^24 examples, got {m}")

@@ -76,7 +76,6 @@ table reads, or the drawn label of every example.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -175,19 +174,21 @@ class AdversarialCallback(ResponsePolicy):
         return answer
 
 
+# the failure probability of one empirical answer sized by Hoeffding's bound
+EMPIRICAL_DELTA = 0.01
+
+
 @dataclass(frozen=True)
 class EmpiricalFromSamples(ResponsePolicy):
     """Answer with the empirical mean of phi over fresh noisy samples.
 
     With samples=None the per-query sample size is ceil(2 ln(2/delta)/tau^2)
-    where delta = delta_total / expected_queries, the union-bound choice that
-    makes every answer tau-accurate except with probability delta_total.
+    with delta = EMPIRICAL_DELTA: by Hoeffding's bound each answer is
+    tau-accurate except with probability delta.
     """
 
     samples: Optional[int] = None
     seed: int = 0
-    delta_total: float = 0.01
-    expected_queries: int = 1
 
     def __post_init__(self):
         if self.samples is not None and self.samples < 1:
@@ -199,8 +200,7 @@ class EmpiricalFromSamples(ResponsePolicy):
     def answer(self, oracle, q, rng) -> float:
         m = self.samples
         if m is None:
-            delta = self.delta_total / max(self.expected_queries, 1)
-            m = math.ceil(2.0 * math.log(2.0 / delta) / (q.tau * q.tau))
+            m = math.ceil(2.0 * math.log(2.0 / EMPIRICAL_DELTA) / (q.tau * q.tau))
         return _sample_mean(q.phi, *oracle.draw_noisy_examples(rng, m))
 
 
@@ -558,25 +558,20 @@ def _check_mixed_samples(samples: int) -> None:
 
 
 def expectation_on_maximally_mixed(
-    phi,
-    distribution: MeasurementDistribution,
-    n: int,
-    samples: Optional[int] = None,
-    rng=None,
+    phi, distribution: MeasurementDistribution, *, samples: Optional[int] = None, rng=None
 ) -> float:
-    """E[phi(E, Y)] when the state is I/2^n: needs no access to the hidden state.
+    """E[phi(E, Y)] when the state is I/2^n, n the distribution's: needs no
+    access to the hidden state.
 
     With `samples` set, estimates from that many unlabeled draws of D instead
     of deterministic evaluation (labels are then simulated from the known
-    mixed-state outcome law).  In both modes n must be the distribution's.
+    mixed-state outcome law).
     """
-    if n != distribution.n:
-        raise DimensionMismatch(f"qubit counts differ: {n} != {distribution.n}")
     if samples is None:
         return _mixed_table(distribution).answer(phi)
     _check_mixed_samples(samples)
     rng = rng if rng is not None else np.random.default_rng(0)
-    return _sample_mean(phi, *NoNoise().draw(MaximallyMixed(n), distribution, rng, samples))
+    return _sample_mean(phi, *NoNoise().draw(MaximallyMixed(distribution.n), distribution, rng, samples))
 
 
 # ---------------------------------------------------------------------------
@@ -586,27 +581,20 @@ def expectation_on_maximally_mixed(
 class StatisticalQueryOracle:
     """SQ oracle for a hidden state under a measurement distribution.
 
-    Stateful: keeps a monotone query counter and a transcript of
-    (index, tau, answer) rows.  One query at a time; distinct instances are
-    independent.
+    Stateful: keeps a monotone query counter and, in `transcript`, one
+    {"query", "tau", "answer"} row per answered query, in order.  One query
+    at a time; distinct instances are independent.
     """
 
     def __init__(
-        self,
-        state: QuantumState,
-        distribution: MeasurementDistribution,
-        config: OracleConfig = OracleConfig(),
-        transcript_path: Optional[str] = None,
+        self, state: QuantumState, distribution: MeasurementDistribution, config: OracleConfig = OracleConfig()
     ):
         if state.n != distribution.n:
-            raise DimensionMismatch(
-                f"state on {state.n} qubits, distribution on {distribution.n}"
-            )
+            raise DimensionMismatch(f"state on {state.n} qubits, distribution on {distribution.n}")
         self._state = state
         self._distribution = distribution
         self.config = config
         self.transcript: list[dict] = []
-        self._transcript_path = transcript_path
         self._count = 0
         self._exact: Optional[_Table] = None
         # the policy's answer and its stream, each fetched once per oracle
@@ -644,11 +632,7 @@ class StatisticalQueryOracle:
         """Answer within tau of the noisy expectation, per the response policy."""
         answer = self._answer(self, q, self._policy_rng)
         self._count += 1
-        row = {"query": self._count, "tau": q.tau, "answer": answer}
-        self.transcript.append(row)
-        if self._transcript_path is not None:
-            with open(self._transcript_path, "a", encoding="utf-8") as sink:
-                sink.write(json.dumps(row) + "\n")
+        self.transcript.append({"query": self._count, "tau": q.tau, "answer": answer})
         return answer
 
 
@@ -774,7 +758,7 @@ class DepolarizingCorrectedOracle(_WrapperOracle):
             phi_mixed = self._mixed.answer(q.phi)
         else:
             phi_mixed = expectation_on_maximally_mixed(
-                q.phi, self.distribution, self.n, samples=self.mixed_samples, rng=self._rng
+                q.phi, self.distribution, samples=self.mixed_samples, rng=self._rng
             )
         self._count += 1
         return self.noise.correct(noisy, phi_mixed)

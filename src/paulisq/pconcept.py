@@ -224,12 +224,6 @@ class UniformPauli(_Enumerable):
             return math.ldexp(math.fsum(_member_batch(rho.group).f(sigma)), -2 * self.n)
         return super().inner(rho, sigma)
 
-    def sample(self, rng) -> PauliMeasurement:
-        sign = 1 if rng.integers(0, 2) == 0 else -1
-        x = random_bits(rng, self.n)
-        z = random_bits(rng, self.n)
-        return PauliMeasurement(PauliOperator(self.n, sign, x, z))
-
     def draw(self, rng, m: int) -> "PauliBatch":
         signs = 1 - 2 * rng.integers(0, 2, size=m)
         return PauliBatch(self.n, signs, random_bits(rng, self.n, m), random_bits(rng, self.n, m))
@@ -258,9 +252,6 @@ class UniformParity(_Enumerable):
             plus, minus = signed_intersection_counts(_z_subgroup(rho.group), _z_subgroup(sigma.group))
             return Fraction(plus - minus, 2**self.n)
         return super().inner(rho, sigma)
-
-    def sample(self, rng) -> PauliMeasurement:
-        return parity_measurement(random_bits(rng, self.n), self.n)
 
     def draw(self, rng, m: int) -> "PauliBatch":
         return PauliBatch(self.n, np.full(m, -1), np.zeros(m, dtype=np.uint64), random_bits(rng, self.n, m))
@@ -625,28 +616,26 @@ def _mc_f_arrays(rho, sigma, d, mode):
     """f_rho and f_sigma at `mode.samples` seeded draws from d, each state
     evaluated once on the draws as one batch."""
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
-    if isinstance(d, (UniformPauli, UniformParity)):
+    if isinstance(d, UniformPauli):
         batch = _sampled_pauli_batch(d, rng, mode.samples)
     else:
-        # a finite d.draw takes the stream of m scalar samples; Haar draws
-        # only in batches
+        # parity and finite draws replay m scalar draws; Haar draws only in batches
         batch = d.draw(rng, mode.samples)
     return batch.f(rho), batch.f(sigma)
 
 
-def _sampled_pauli_batch(d, rng, m: int) -> PauliBatch:
-    """m draws of d.sample, in order, packed into one batch: the stream the
-    seeded estimates are pinned to.  d.draw takes all signs, then all x, then
-    all z, a different stream.  For n <= 32 each scalar draw is the top bits
-    of one 32-bit word, so one rng.integers(0, 2**32, size=3*m,
-    dtype=np.uint32) fill (size=m for parities) replays this stream exactly;
-    that switch is ROADMAP item 9, Batch 1."""
+def _sampled_pauli_batch(d: UniformPauli, rng, m: int) -> PauliBatch:
+    """m uniform Pauli effects, each drawn as a sign, then x bits, then z bits:
+    the stream the seeded estimates are pinned to, where d.draw takes all
+    signs, then all x, then all z.  One array fill of the generator's words
+    replays it (ROADMAP item 9, Batch 1)."""
     signs = np.empty(m, dtype=np.int64)
     x = np.empty(m, dtype=np.uint64)
     z = np.empty(m, dtype=np.uint64)
     for k in range(m):
-        p = d.sample(rng).pauli
-        signs[k], x[k], z[k] = p.sign, p.x, p.z
+        signs[k] = 1 if rng.integers(0, 2) == 0 else -1
+        x[k] = random_bits(rng, d.n)
+        z[k] = random_bits(rng, d.n)
     return PauliBatch(d.n, signs, x, z)
 
 

@@ -123,7 +123,7 @@ def _pair_stats(mat):
     return kappa, gamma_pair, min_norm
 
 
-def sda_exact(cls: ConceptClass, gamma, sweep_limit: int = SDA_SWEEP_LIMIT) -> SDAReport:
+def sda_exact(cls: ConceptClass, gamma) -> SDAReport:
     """Exact statistical dimension on average, by exhaustive subset sweep.
 
     The defining supremum is open: with M the largest violating-subset size,
@@ -132,13 +132,13 @@ def sda_exact(cls: ConceptClass, gamma, sweep_limit: int = SDA_SWEEP_LIMIT) -> S
     nothing violates: all thresholds d >= |C| impose the same condition).
 
     Subsets are swept largest-first with per-size early exit; classes beyond
-    `sweep_limit` fall back to the pairwise bound at this gamma and are
+    SDA_SWEEP_LIMIT fall back to the pairwise bound at this gamma and are
     labeled as lower bounds.
     """
     k = len(cls)
     mat = correlation_matrix(cls)
     kappa, gamma_pair, min_norm = _pair_stats(mat)
-    if k > sweep_limit:
+    if k > SDA_SWEEP_LIMIT:
         gamma_prime = gamma - gamma_pair
         if not gamma_prime > 0:
             raise BudgetExceeded(

@@ -23,7 +23,11 @@ from paulisq.pconcept import (
     ProjectorBatch,
     SingleQubitProjector,
     StabilizerState,
+    UniformParity,
+    UniformPauli,
     f_value,
+    parity_measurement,
+    random_bits,
 )
 from paulisq.stabilizer import StabilizerGroup, canonical_rows, random_stabilizer_group
 
@@ -297,6 +301,28 @@ def finite_sample(d, rng):
     return d.items[-1][0]
 
 
+def uniform_pauli_sample(d, rng) -> PauliMeasurement:
+    """One uniform Pauli effect as a sign, then x bits, then z bits: the
+    scalar stream that pconcept._sampled_pauli_batch takes m draws at a time."""
+    sign = 1 if rng.integers(0, 2) == 0 else -1
+    x = random_bits(rng, d.n)
+    z = random_bits(rng, d.n)
+    return PauliMeasurement(PauliOperator(d.n, sign, x, z))
+
+
+def uniform_parity_sample(d, rng) -> PauliMeasurement:
+    """One uniform parity measurement: the scalar stream that
+    UniformParity.draw takes m draws at a time."""
+    return parity_measurement(random_bits(rng, d.n), d.n)
+
+
+_SCALAR_SAMPLERS = {
+    FiniteWeighted: finite_sample,
+    UniformPauli: uniform_pauli_sample,
+    UniformParity: uniform_parity_sample,
+}
+
+
 def per_sample_f(state, d, mode) -> np.ndarray:
     """f_state at `mode.samples` seeded scalar draws of d, one f_value per
     draw: the Monte Carlo loop that uniform Pauli, uniform parity and finite
@@ -304,7 +330,7 @@ def per_sample_f(state, d, mode) -> np.ndarray:
     draws do not depend on the state, so two calls give that loop's f_rho
     and f_sigma."""
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
-    draw = finite_sample if isinstance(d, FiniteWeighted) else type(d).sample
+    draw = _SCALAR_SAMPLERS[type(d)]
     return np.array([float(f_value(state, draw(d, rng))) for _ in range(mode.samples)])
 
 

@@ -1,5 +1,6 @@
 """Batch draws: `distribution.draw(rng, m)` and the batch's f(state) against
-scalar draws (`sample`, and `dense_ref.finite_sample`) and `f_value`,
+the scalar draws of `dense_ref` (`finite_sample`, `uniform_pauli_sample`,
+`uniform_parity_sample`) and `f_value`,
 measurement by measurement, and Monte Carlo estimates against the
 per-sample loop."""
 
@@ -11,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_ref import finite_sample, lower_rank_groups, pauli_batch, pauli_product_many, per_sample_f, random_subgroup
+from dense_ref import (
+    finite_sample,
+    lower_rank_groups,
+    pauli_batch,
+    pauli_product_many,
+    per_sample_f,
+    random_subgroup,
+    uniform_parity_sample,
+    uniform_pauli_sample,
+)
 from paulisq.pauli import PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
     ITER_BLOCK,
@@ -30,6 +40,7 @@ from paulisq.pconcept import (
     UniformPauli,
     _mc_estimate,
     _mc_f_arrays,
+    _sampled_pauli_batch,
     f_value,
     haar_directions,
     inner_product,
@@ -252,6 +263,32 @@ def test_finite_draw_ties_and_overflow_follow_sample():
     assert list(d.draw(Thresholds(thresholds), len(thresholds))) == [finite_sample(d, scalar) for _ in thresholds]
 
 
+REPLAYS = {
+    "parity": (UniformParity, UniformParity.draw, uniform_parity_sample),
+    "pauli": (UniformPauli, _sampled_pauli_batch, uniform_pauli_sample),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 12345])
+@pytest.mark.parametrize("kind", sorted(REPLAYS))
+def test_uniform_batches_replay_the_scalar_samples(kind, seed):
+    """UniformParity.draw and the Monte Carlo uniform Pauli batch take the
+    stream of m scalar samples, value for value and dtype for dtype, at
+    every n up to 64, and leave the generator where the samples do."""
+    make, batched, sample = REPLAYS[kind]
+    for n in range(1, 65):
+        d = make(n)
+        for m in (1, 2, 7, 500):
+            a = np.random.default_rng(np.random.SeedSequence(seed))
+            b = np.random.default_rng(np.random.SeedSequence(seed))
+            got = batched(d, a, m)
+            want = pauli_batch(n, [sample(d, b).pauli for _ in range(m)])
+            for name in ("signs", "x", "z"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype, (n, m, name)
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (n, m, name)
+            assert a.random() == b.random()
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo estimates: each state's f on one batch of the seeded draws,
 # against the per-sample f_value loop, bit for bit
@@ -283,7 +320,7 @@ def mc_distributions(n: int, rng) -> list:
         (PauliMeasurement(PauliOperator.from_string("Y" * n)), Fraction(1, 3)),
         (PauliMeasurement(PauliOperator.identity(n, -1)), Fraction(1, 6)),
         (parity_measurement(1, n), Fraction(1, 4)),
-        (UniformPauli(n).sample(rng), Fraction(1, 4)),
+        (uniform_pauli_sample(UniformPauli(n), rng), Fraction(1, 4)),
     ))
     axes = ((0.6, 0.0, -0.8), (-0.0, 1.0, 0.0), (0.0, 0.0, -1.0))
     projectors = FiniteWeighted(tuple(

@@ -400,6 +400,47 @@ def test_noise_demo_distribution_is_checked_at_the_boundary(distribution, messag
     assert "Traceback" not in err and message in err.splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"policy": {"kind": "empirical", "samples": 40, "smaples": 3}}, "policy kind 'empirical' does not read 'smaples'"),
+        ({"noise": {"kind": "depolarizing", "eta": 0.2, "etaa": 0.9}}, "noise kind 'depolarizing' does not read 'etaa'"),
+        ({"policy": {"kind": "exact", "seed": 3}}, "policy kind 'exact' does not read 'seed'"),
+        ({"distribution": {"kind": "uniform_parity", "n": 2, "items": []}},
+         "distribution kind 'uniform_parity' does not read 'items'"),
+        ({"distribution": {"kind": "finite", "items": [["Z", 1.0]], "n": 1}}, "distribution kind 'finite' does not read 'n'"),
+        ({"policy": {"kind": "empirical", "samples": 2.5}}, "policy 'samples' must be int or None, got 2.5"),
+        ({"policy": {"kind": "random_within_tau", "seed": "x"}}, "policy 'seed' must be int, got 'x'"),
+        ({"policy": {"kind": "empirical", "seed": 1.0}}, "policy 'seed' must be int, got 1.0"),
+        ({"noise": {"kind": "classification", "eta": "x"}}, "noise 'eta' must be float, got 'x'"),
+        ({"noise": {"kind": "bounded_channel", "eta": True}}, "noise 'eta' must be float, got True"),
+    ],
+    ids=["empirical-typo", "depolarizing-typo", "exact-seed", "parity-items", "finite-n", "fractional-samples",
+         "string-seed", "float-seed", "string-eta", "bool-eta"],
+)
+def test_descriptor_keys_and_values_are_checked_at_the_boundary(data, message, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    command = "noise-demo" if "distribution" in data else "learn-product"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", str(cfg)])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err and message in err.splitlines()[-1]
+
+
+def test_descriptors_take_every_key_their_kind_reads(tmp_path, capsys):
+    data = {
+        "n": 1, "trials": 1, "epsilon": 0.5, "noise": {"kind": "none", "eta": 0.0},
+        "policy": {"kind": "empirical", "samples": None, "seed": 3},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["learn-product", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["policy"] == data["policy"]
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -497,6 +538,16 @@ def test_lpn_file_is_read_once_and_jobs_agree(tmp_path, monkeypatch, capsys):
         if jobs == "1":
             assert len(loads) == 1
     assert bodies[0] == bodies[1]
+
+
+def test_lpn_file_with_a_rate_outside_zero_to_half_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"n": 2, "eta": 0.7, "examples": [["10", 1]]}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lpn", "--lpn-file", str(path)])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "LPN noise rate must lie in [0, 1/2), got 0.7" in err.splitlines()[-1]
 
 
 def test_lpn_file_rate_decides_the_recovery_assertion(tmp_path, capsys):

@@ -318,6 +318,38 @@ def test_lpn_instance_rejects_more_than_64_bits():
         generate_lpn_instance(65, 10, 0.0, substream(0, "wide"))
 
 
+def _refused_before_a_draw(message, *args, **kwargs):
+    rng = substream(58, "refused")
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        generate_lpn_instance(*args, rng, **kwargs)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("eta", [0.7, -0.3, 1.5, 0.5, float("nan")])
+def test_lpn_instance_refuses_a_noise_rate_outside_zero_to_half(eta):
+    message = re.escape(f"LPN noise rate must lie in [0, 1/2), got {eta}")
+    with pytest.raises(ValueError, match=message):
+        LPNInstance(4, eta, ((1, 0),))
+    _refused_before_a_draw(message, 4, 5, eta)
+
+
+@pytest.mark.parametrize("secret", [16, 99, -1])
+def test_lpn_instance_refuses_a_secret_outside_n_bits(secret):
+    # a secret of 99 on 4 bits once labeled its examples with 99 & 15 = 3
+    message = re.escape(f"secret {secret} lies outside [0, 2^4)")
+    with pytest.raises(ValueError, match=message):
+        LPNInstance(4, 0.1, ((1, 0),), secret)
+    _refused_before_a_draw(message, 4, 5, 0.1, secret=secret)
+    assert [LPNInstance(4, 0.1, (), s).secret for s in (0, 15, None)] == [0, 15, None]
+
+
+@pytest.mark.parametrize("m", [-1, -3])
+def test_generate_lpn_instance_refuses_a_negative_example_count(m):
+    _refused_before_a_draw(re.escape(f"example count must be non-negative, got m = {m}"), 4, m, 0.1)
+    assert generate_lpn_instance(4, 0, 0.1, substream(58, "empty")).examples == ()
+
+
 def test_gaussian_elimination_inconsistent():
     with pytest.raises(InconsistentSystem):
         gaussian_elimination_parity([(0b11, 0), (0b11, 1)], 2)
@@ -589,9 +621,9 @@ def test_exhaustive_solver_matches_per_candidate_count_with_repeated_examples():
 
 
 def test_exhaustive_solver_budget():
-    instance = LPNInstance(25, 0.0, ((1, 1),))
-    with pytest.raises(BudgetExceeded):
-        exhaustive_lpn_solver(instance, budget=20)
+    instance = LPNInstance(SWEEP_LIMIT + 1, 0.0, ((1, 1),))
+    with pytest.raises(BudgetExceeded, match=f"exceeds budget 2\\^{SWEEP_LIMIT}"):
+        exhaustive_lpn_solver(instance)
 
 
 class _UnbuiltExamples:

@@ -182,10 +182,18 @@ def test_empirical_sample_size_rule():
     oracle = StatisticalQueryOracle(
         KET0,
         POINT_MASS_Z,
-        OracleConfig(EmpiricalFromSamples(seed=1, delta_total=0.02, expected_queries=2), NoNoise()),
+        OracleConfig(EmpiricalFromSamples(seed=1), NoNoise()),
     )
+    draw, sizes = oracle.draw_noisy_examples, []
+
+    def counted(rng, m):
+        sizes.append(m)
+        return draw(rng, m)
+
+    oracle.draw_noisy_examples = counted
     answer = oracle.query(SQQuery(label_query, 0.2))
     # m = ceil(2 ln(2/0.01) / 0.04) = 265 samples of a deterministic +1 label
+    assert sizes == [265]
     assert answer == 1.0
 
 
@@ -255,19 +263,13 @@ def test_malicious_custom_corruption():
     assert oracle.query(SQQuery(label_query, 0.01)) == pytest.approx(0.75 * 1 + 0.25 * -1)
 
 
-def test_query_counter_and_transcript(tmp_path):
-    path = tmp_path / "transcript.jsonl"
-    oracle = StatisticalQueryOracle(
-        KET0, POINT_MASS_Z, OracleConfig(ExactPolicy(), NoNoise()), transcript_path=str(path)
-    )
+def test_query_counter_and_transcript():
+    oracle = StatisticalQueryOracle(KET0, POINT_MASS_Z, OracleConfig(ExactPolicy(), NoNoise()))
     assert oracle.query_count == 0
     for k in range(3):
         oracle.query(SQQuery(label_query, 0.1))
         assert oracle.query_count == k + 1
-    rows = [line for line in path.read_text().splitlines() if line]
-    assert len(rows) == 3
-    assert oracle.transcript[0]["tau"] == 0.1
-    assert oracle.transcript[2]["query"] == 3
+    assert oracle.transcript == [{"query": k, "tau": 0.1, "answer": 1.0} for k in (1, 2, 3)]
 
 
 def test_exact_policy_errors_beyond_enumeration_budget_but_empirical_works():
@@ -310,14 +312,12 @@ def _spike(value):
     return lambda e, y: value if e == E_X else 0.5 * y
 
 
-def _assert_rejected_without_a_trace(distribution, config, phi, tmp_path):
-    sink = tmp_path / "transcript.jsonl"
-    oracle = StatisticalQueryOracle(KET0, distribution, config, transcript_path=str(sink))
+def _assert_rejected_without_a_trace(distribution, config, phi):
+    oracle = StatisticalQueryOracle(KET0, distribution, config)
     with pytest.raises(UnboundedQuery):
         oracle.query(SQQuery(phi, 0.1))
     assert oracle.query_count == 0
     assert oracle.transcript == []
-    assert not sink.exists()
     oracle.query(SQQuery(label_query, 0.1))
     assert oracle.query_count == 1
     assert [row["query"] for row in oracle.transcript] == [1]
@@ -329,25 +329,25 @@ def _assert_rejected_without_a_trace(distribution, config, phi, tmp_path):
     [ExactPolicy(), RandomWithinTau(seed=3), AdversarialCallback(DefaultAdversary())],
     ids=["exact", "within-tau", "adversarial"],
 )
-def test_unbounded_query_rejected_on_a_rare_atom(policy, value, tmp_path):
-    _assert_rejected_without_a_trace(RARE_X, OracleConfig(policy, NoNoise()), _spike(value), tmp_path)
+def test_unbounded_query_rejected_on_a_rare_atom(policy, value):
+    _assert_rejected_without_a_trace(RARE_X, OracleConfig(policy, NoNoise()), _spike(value))
 
 
 @pytest.mark.parametrize("value", [5.0, math.nan], ids=["five", "nan"])
 @pytest.mark.parametrize(
     "policy", [ExactPolicy(), EmpiricalFromSamples(samples=50, seed=4)], ids=["exact", "empirical"]
 )
-def test_unbounded_query_rejected_on_a_corruption_atom(policy, value, tmp_path):
-    _assert_rejected_without_a_trace(POINT_MASS_Z, OracleConfig(policy, CORRUPT_TO_X), _spike(value), tmp_path)
+def test_unbounded_query_rejected_on_a_corruption_atom(policy, value):
+    _assert_rejected_without_a_trace(POINT_MASS_Z, OracleConfig(policy, CORRUPT_TO_X), _spike(value))
 
 
 @pytest.mark.parametrize("value", [5.0, math.nan], ids=["five", "nan"])
 def test_mixed_reference_rejects_an_unbounded_query(value):
     with pytest.raises(UnboundedQuery):
-        expectation_on_maximally_mixed(_spike(value), RARE_X, 1)
+        expectation_on_maximally_mixed(_spike(value), RARE_X)
     half_x = FiniteWeighted(((E_Z, 0.5), (E_X, 0.5)))
     with pytest.raises(UnboundedQuery):
-        expectation_on_maximally_mixed(_spike(value), half_x, 1, samples=50, rng=substream(6, "mixed"))
+        expectation_on_maximally_mixed(_spike(value), half_x, samples=50, rng=substream(6, "mixed"))
     wrapped = DepolarizingCorrectedOracle(StatisticalQueryOracle(KET0, RARE_X), 0.2)
     with pytest.raises(UnboundedQuery):
         wrapped.query(SQQuery(_spike(value), 0.1))
@@ -477,7 +477,7 @@ def test_non_positive_mixed_samples_fail_before_any_query(samples):
         DepolarizingCorrectedOracle(inner, 0.1, mixed_samples=samples)
     assert inner.query_count == 0 and inner.transcript == []
     with pytest.raises(ValueError, match="at least 1"):
-        expectation_on_maximally_mixed(label_query, UniformPauli(1), 1, samples=samples)
+        expectation_on_maximally_mixed(label_query, UniformPauli(1), samples=samples)
 
 
 @pytest.mark.parametrize("n", [17, 64])
@@ -497,7 +497,7 @@ def test_exact_policy_refuses_uniform_parity_over_its_budget(n, monkeypatch):
     with pytest.raises(BudgetExceeded, match="over the enumeration budget of n <= 16"):
         oracle.query(SQQuery(label_query, 0.1))
     with pytest.raises(BudgetExceeded):
-        expectation_on_maximally_mixed(label_query, UniformParity(n), n)
+        expectation_on_maximally_mixed(label_query, UniformParity(n))
     assert time.perf_counter() - start < 0.1
 
 
@@ -534,7 +534,7 @@ def test_seeded_empirical_answers_are_pinned():
     config = OracleConfig(EmpiricalFromSamples(samples=400, seed=5), NoNoise())
     o = StatisticalQueryOracle(product, HaarSingleQubitProduct(2), config)
     assert o.query(SQQuery(label_query, 0.2)) == 0.005
-    mixed = expectation_on_maximally_mixed(label_query, UniformPauli(3), 3, samples=300, rng=np.random.default_rng(7))
+    mixed = expectation_on_maximally_mixed(label_query, UniformPauli(3), samples=300, rng=np.random.default_rng(7))
     assert mixed == 0.06666666666666667
 
 
@@ -613,7 +613,7 @@ def test_empirical_answer_streams_its_parity_measurements():
 
 def test_expectation_on_maximally_mixed_uses_no_state():
     d = UniformPauli(2)
-    got = expectation_on_maximally_mixed(label_query, d, 2)
+    got = expectation_on_maximally_mixed(label_query, d)
     want = brute_noisy_expectation(MaximallyMixed(2), d, NoNoise(), label_query)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -1098,7 +1098,7 @@ def test_an_unbounded_query_fails_on_every_ask_and_is_not_kept():
         with pytest.raises(UnboundedQuery):
             oracle.query(SQQuery(phi, 0.1))
         with pytest.raises(UnboundedQuery):
-            expectation_on_maximally_mixed(phi, RARE_X, 1)
+            expectation_on_maximally_mixed(phi, RARE_X)
     assert oracle.query_count == 0
     assert phi not in _table(KET0, RARE_X, NoNoise())._answers
     assert phi not in _mixed_table(RARE_X)._answers

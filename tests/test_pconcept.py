@@ -21,6 +21,7 @@ from paulisq.pconcept import (
     StabilizerState,
     UniformParity,
     UniformPauli,
+    _sampled_pauli_batch,
     acceptance_probability,
     f_value,
     inner_product,
@@ -119,8 +120,8 @@ def test_random_bits_keeps_the_int64_stream_up_to_62_bits():
 
 def test_uniform_samplers_at_64_qubits():
     rng = substream(4, "wide")
-    paulis = [UniformPauli(64).sample(rng).pauli for _ in range(20)]
-    parities = [parity_index(UniformParity(64).sample(rng)) for _ in range(20)]
+    paulis = [e.pauli for e in _sampled_pauli_batch(UniformPauli(64), rng, 20)]
+    parities = [parity_index(e) for e in UniformParity(64).draw(rng, 20)]
     assert max(p.x for p in paulis) >= 1 << 62 and max(p.z for p in paulis) >= 1 << 62
     assert max(parities) >= 1 << 62
 
@@ -128,7 +129,10 @@ def test_uniform_samplers_at_64_qubits():
 @pytest.mark.parametrize("d", [UniformPauli(65), UniformParity(65)])
 def test_uniform_samplers_reject_more_than_64_qubits(d):
     with pytest.raises(ValueError, match="at most 64 bits"):
-        d.sample(substream(4, "too-wide"))
+        d.draw(substream(4, "too-wide"), 3)
+    mixed = MaximallyMixed(65)
+    with pytest.raises(ValueError, match="at most 64 bits"):
+        inner_product(mixed, mixed, d, MonteCarlo(3, 4))
 
 
 @pytest.mark.parametrize("n", [0, -1])

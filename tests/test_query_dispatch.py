@@ -44,7 +44,7 @@ from paulisq.oracle import (
     eta_grid_search,
     expectation_on_maximally_mixed,
 )
-from paulisq.pauli import BudgetExceeded, DimensionMismatch, PauliMeasurement, PauliOperator
+from paulisq.pauli import BudgetExceeded, PauliMeasurement, PauliOperator
 from paulisq.pconcept import (
     BlochVector,
     HaarSingleQubitProduct,
@@ -284,7 +284,7 @@ def test_the_exact_mixed_reference_reads_the_table_bound_at_construction(monkeyp
     q = _axis_queries(n)[1][0]
     want = DepolarizingNoise(0.4).correct(
         StatisticalQueryOracle(state, d, inner.config).query(SQQuery(q, 0.1)),
-        expectation_on_maximally_mixed(q, d, n),
+        expectation_on_maximally_mixed(q, d),
     )
 
     def called(*args, **kwargs):
@@ -336,28 +336,6 @@ def test_classification_parts_answer_as_before_and_keep_their_hash():
         got = ClassificationCorrectedOracle(inner, 0.2).query(SQQuery(q, 0.1))
         table = ClassificationNoise(0.2).label_weights(_atoms(state, d))
         assert got == interleaved_evaluate(table, even) + ClassificationNoise(0.2).correct(interleaved_evaluate(table, odd))
-
-
-# --- the mixed reference's qubit count --------------------------------------------
-
-
-def test_exact_mixed_reference_on_another_qubit_count_is_refused(monkeypatch):
-    def looked_up(*args):
-        raise AssertionError("a table was looked up before the qubit count was checked")
-
-    monkeypatch.setattr(oracle_module, "_mixed_table", looked_up)
-    with pytest.raises(DimensionMismatch, match="qubit counts differ: 3 != 2"):
-        expectation_on_maximally_mixed(label_query, UniformPauli(2), 3)
-    with pytest.raises(DimensionMismatch):
-        expectation_on_maximally_mixed(label_query, HaarSingleQubitProduct(4), 1)
-
-
-def test_sampled_mixed_reference_on_another_qubit_count_is_refused_before_a_draw():
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
-    with pytest.raises(DimensionMismatch, match="qubit counts differ: 3 != 2"):
-        expectation_on_maximally_mixed(label_query, UniformPauli(2), 3, samples=1000, rng=rng)
-    assert rng.bit_generator.state == before
 
 
 # --- the hand-written constructors keep the dataclass contract ---------------------

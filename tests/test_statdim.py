@@ -1,19 +1,23 @@
 """Average correlation, SDA sweeps and bounds, and the lower-bound bookkeeping."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from paulisq.pauli import DimensionMismatch
 from paulisq.pconcept import (
+    EXACT,
     HaarSingleQubitProduct,
     MaximallyMixed,
     StabilizerState,
     UniformParity,
     UniformPauli,
+    inner_product,
 )
 from paulisq.stabilizer import StabilizerGroup, enumerate_stabilizer_groups
 from paulisq.statdim import (
+    SDA_SWEEP_LIMIT,
     ConceptClass,
     average_correlation,
     correlation_matrix,
@@ -21,6 +25,7 @@ from paulisq.statdim import (
     sda_exact,
     verify_query_lower_bound,
 )
+from paulisq.streams import substream
 
 
 def stabilizer_class(n):
@@ -206,9 +211,31 @@ def test_state_class_on_another_qubit_count_than_its_distribution_is_refused():
     assert len(ConceptClass(("c0", "c1"), UniformPauli(2), inner=lambda a, b, d: Fraction(int(a == b)))) == 2
 
 
+# verify-lemmas checks the cross correlations of row 0 only: by Clifford
+# symmetry every row of the stabilizer correlation matrix is the same multiset
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_every_stabilizer_correlation_row_is_row_zero_as_a_multiset(n):
+    mat = correlation_matrix(stabilizer_class(n))
+    assert all(Counter(row) == Counter(mat[0]) for row in mat)
+
+
+def test_seeded_stabilizer_correlation_rows_at_three_qubits_are_row_zero_as_a_multiset():
+    states = [StabilizerState(g) for g in enumerate_stabilizer_groups(3)]
+
+    def row(i):
+        return Counter(inner_product(states[i], s, UniformPauli(3), EXACT) for s in states)
+
+    first = row(0)
+    picked = substream(71, "rows").choice(len(states), size=8, replace=False).tolist()
+    assert all(row(i) == first for i in picked)
+
+
 def test_sweep_budget_falls_back_to_bound():
     cls = stabilizer_class(2)  # 60 concepts, beyond any subset sweep
-    report = sda_exact(cls, Fraction(1, 4), sweep_limit=16)
+    assert len(cls) > SDA_SWEEP_LIMIT
+    report = sda_exact(cls, Fraction(1, 4))
     assert report.is_lower_bound
     assert report.sda_value == 60
 
