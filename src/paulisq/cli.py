@@ -79,7 +79,7 @@ from .stabilizer import (
 )
 from .statdim import ConceptClass, average_correlation, jsonable, sda_bound, sda_exact
 from .statdim import verify_query_lower_bound
-from .streams import substream
+from .streams import check_seed, substream
 
 STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080}
 # verify-lemmas and sda enumerate stabilizer states; noisy lpn sweeps 2^n secrets
@@ -126,8 +126,7 @@ class ExperimentConfig:
         for name in ("n", "trials", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed, "seed")
         for name in ("samples", "lpn_m"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

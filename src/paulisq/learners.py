@@ -98,8 +98,8 @@ class _AxisSignQuery:
 
     def on_projectors(self, qubits: np.ndarray, directions: np.ndarray) -> tuple:
         """(phi(E, 1), phi(E, -1)) for every projector of a table at once."""
-        component = directions[:, self.axis]
-        plus = np.where(qubits == self.qubit, (component > 0).astype(float) - (component < 0), 0.0)
+        # np.sign gives +0.0 at +-0.0, as the scalar form does
+        plus = np.where(qubits == self.qubit, np.sign(directions[:, self.axis]), 0.0)
         return plus, 0.0 - plus  # not -plus: off the qubit the scalar form gives +0.0
 
 

@@ -65,12 +65,15 @@ read, by a true `_reads_one_qubit` and an int phi.qubit: phi(E, y) is then
 +-0.0 for both labels on every projector acting on another qubit.  A
 projector table answers such a query on that qubit's atoms only (1/n of
 the Haar atoms), with the same result bit for bit (see `_Table`); draws,
-and tables of other measurements, read every atom or example.  The
+and tables of other measurements, read every atom or example.  Where each
+qubit's atoms lie is found once per batch (`ProjectorBatch._qubit_runs`),
+so every table on a distribution's shared support reuses one search and
+one set of per-qubit batches, and slices only its own weights.  The
 learners' axis queries declare their qubit; a query's field named `qubit`
-alone declares nothing.  One
-helper, `_values`, reads phi for every answer, and either way it checks
-|phi| <= 1 on each value the answer uses: both labels of every atom a
-table reads, or the drawn label of every example.
+alone declares nothing.  One helper, `_values`, reads phi for every
+answer, and either way it checks |phi| <= 1 on each value the answer
+uses: both labels of every atom a table reads, in one pass, or the drawn
+label of every example.
 """
 
 from __future__ import annotations
@@ -94,11 +97,12 @@ from .pconcept import (
     QuantumState,
     acceptance_probability,
     batch_of,
+    check_samples,
     concatenate,
     draw_outcomes,
     reduced_bloch,
 )
-from .streams import substream
+from .streams import check_seed, substream
 
 _BOUND_SLACK = 1e-9
 # answers a table keeps before it starts over
@@ -149,9 +153,13 @@ class ExactPolicy(ResponsePolicy):
 
 @dataclass(frozen=True)
 class RandomWithinTau(ResponsePolicy):
-    """Answer with truth plus uniform noise over [-tau, tau]."""
+    """Answer with truth plus uniform noise over [-tau, tau], from the stream
+    of a seed >= 0."""
 
     seed: int = 0
+
+    def __post_init__(self):
+        check_seed(self.seed, "within-tau seed")
 
     def stream(self):
         return substream(self.seed, "within-tau")
@@ -184,15 +192,18 @@ class EmpiricalFromSamples(ResponsePolicy):
 
     With samples=None the per-query sample size is ceil(2 ln(2/delta)/tau^2)
     with delta = EMPIRICAL_DELTA: by Hoeffding's bound each answer is
-    tau-accurate except with probability delta.
+    tau-accurate except with probability delta.  A given `samples` must be
+    an int >= 1, and `seed` must be >= 0; both are checked when the policy
+    is built.
     """
 
     samples: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples is not None and self.samples < 1:
-            raise ValueError(f"empirical samples must be at least 1, got {self.samples}")
+        if self.samples is not None:
+            check_samples(self.samples, "empirical samples")
+        check_seed(self.seed, "empirical seed")
 
     def stream(self):
         return substream(self.seed, "empirical")
@@ -425,9 +436,10 @@ class _Table:
     On a projector table, a query that declares the one qubit it reads is
     evaluated on that qubit's view only (see _qubit_views): the atoms it
     drops add terms of +-0.0, which leave the running sum's normalised
-    result as it is.  The views are built together, on the first such
-    query.  Any other query, and any other table, is evaluated on all the
-    weights.
+    result as it is.  The batch finds its per-qubit runs once, for every
+    table that shares it; the table slices its weights by them, for every
+    qubit at once, on its first such query.  Any other query, and any other
+    table, is evaluated on all the weights.
 
     The table keeps the answer to every hashable query it has evaluated; its
     weights never change, and neither does the answer.  A query that cannot
@@ -470,24 +482,20 @@ class _Table:
 
 def _qubit_views(weights: tuple) -> tuple:
     """(batch, accept, reject) of each qubit's atoms of a projector table, in
-    table order: a slice where they are contiguous, as the qubit-major Haar
-    atoms are, and their index run where they are not (a malicious table's
-    concatenation, a FiniteWeighted support).  A qubit with no atoms gets
-    the whole table.  A slice shares the table's memory; an index run copies
-    ~48 B per atom, held for as long as the table is cached."""
+    table order: the batch's run and view batch for the qubit (see
+    ProjectorBatch._qubit_runs), and the run of the table's weights.  A
+    qubit with no atoms gets the whole table.  The runs and view batches
+    belong to the batch, so tables on the same support share them; a table
+    adds only its weights' runs, which copy ~16 B per atom where a run is an
+    index run, held for as long as the table is cached."""
     batch, accept, reject = weights
-    order = np.argsort(batch.qubits, kind="stable")
     views = []
-    start = 0
-    for end in np.cumsum(np.bincount(batch.qubits, minlength=batch.n)).tolist():
-        if end == start:
+    for entry in batch._qubit_runs:
+        if entry is None:
             views.append(weights)
             continue
-        run = order[start:end]
-        if run[-1] - run[0] == end - start - 1:
-            run = slice(int(run[0]), int(run[-1]) + 1)
-        views.append((ProjectorBatch(batch.n, batch.qubits[run], batch.directions[run]), accept[run], reject[run]))
-        start = end
+        run, view = entry
+        views.append((view, accept[run], reject[run]))
     return tuple(views)
 
 
@@ -506,9 +514,9 @@ def _mixed_table(distribution: MeasurementDistribution) -> _Table:
 
 def _check_bound(values: np.ndarray) -> np.ndarray:
     """The values, once each has passed |v| <= 1 + _BOUND_SLACK (NaN fails)."""
-    outside = ~(np.abs(values) <= 1.0 + _BOUND_SLACK)
-    if outside.any():
-        raise UnboundedQuery(f"query returned {values[outside][0]}, outside [-1, 1]")
+    inside = np.abs(values) <= 1.0 + _BOUND_SLACK
+    if not inside.all():
+        raise UnboundedQuery(f"query returned {values[~inside][0]}, outside [-1, 1]")
     return values
 
 
@@ -526,7 +534,10 @@ def _values(phi, batch: MeasurementBatch, labels: Optional[np.ndarray] = None):
     if native is not None and isinstance(batch, ProjectorBatch):
         plus, minus = native(batch.qubits, batch.directions)
         if labels is None:
-            return _check_bound(np.asarray(plus, dtype=float)), _check_bound(np.asarray(minus, dtype=float))
+            plus, minus = np.asarray(plus, dtype=float), np.asarray(minus, dtype=float)
+            # both labels in one check, which reports a bad phi(E, 1) before any phi(E, -1)
+            _check_bound(np.concatenate((plus, minus), axis=None))
+            return plus, minus
         return _check_bound(np.where(labels == 1, plus, minus))
     if labels is None:
         pairs = ((e, y) for e in batch for y in (1, -1))
@@ -552,11 +563,6 @@ def _sample_mean(phi, batch: MeasurementBatch, labels: np.ndarray) -> float:
     return float(np.cumsum(_values(phi, batch, labels))[-1] + 0.0) / len(labels)
 
 
-def _check_mixed_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError(f"mixed-reference samples must be at least 1, got {samples}")
-
-
 def expectation_on_maximally_mixed(
     phi, distribution: MeasurementDistribution, *, samples: Optional[int] = None, rng=None
 ) -> float:
@@ -569,7 +575,7 @@ def expectation_on_maximally_mixed(
     """
     if samples is None:
         return _mixed_table(distribution).answer(phi)
-    _check_mixed_samples(samples)
+    check_samples(samples, "mixed-reference samples")
     rng = rng if rng is not None else np.random.default_rng(0)
     return _sample_mean(phi, *NoNoise().draw(MaximallyMixed(distribution.n), distribution, rng, samples))
 
@@ -737,12 +743,15 @@ class DepolarizingCorrectedOracle(_WrapperOracle):
     The noisy query is issued at tolerance tau (1 - eta) / 2 and the
     state-independent reference phi[I/2^n] is computed from the distribution
     alone: read off the distribution's I/2^n table, which the wrapper fetches
-    when it is built, or estimated from `mixed_samples` unlabeled draws.
+    when it is built, or estimated from `mixed_samples` unlabeled draws of
+    the stream of `seed`.  Both are checked when the wrapper is built: an
+    int >= 1 and a seed >= 0.
     """
 
     def __init__(self, inner, eta: float, mixed_samples: Optional[int] = None, seed: int = 0):
         if mixed_samples is not None:
-            _check_mixed_samples(mixed_samples)
+            check_samples(mixed_samples, "mixed-reference samples")
+        check_seed(seed, "mixed-reference seed")
         super().__init__(inner)
         self.noise = DepolarizingNoise(eta)
         self.eta = eta

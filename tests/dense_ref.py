@@ -372,10 +372,81 @@ def interleaved_evaluate(table, phi) -> float:
         values[0::2], values[1::2] = native(batch.qubits, batch.directions)
     else:
         values = np.array([phi(e, y) for e in batch for y in (1, -1)], dtype=float)
+    check_bound(values)
+    return float(np.cumsum(accept * values[0::2] + reject * values[1::2])[-1] + 0.0)
+
+
+def check_bound(values: np.ndarray) -> np.ndarray:
+    """The values, once each has passed |v| <= 1 + _BOUND_SLACK (NaN fails):
+    the oracle's check as it read before it took one comparison and all()."""
     outside = ~(np.abs(values) <= 1.0 + _BOUND_SLACK)
     if outside.any():
         raise UnboundedQuery(f"query returned {values[outside][0]}, outside [-1, 1]")
-    return float(np.cumsum(accept * values[0::2] + reject * values[1::2])[-1] + 0.0)
+    return values
+
+
+def reference_values(phi, batch, labels=None):
+    """oracle._values as it read before it checked an array form's two label
+    arrays in one pass: phi(E, 1) checked first, then phi(E, -1)."""
+    native = getattr(phi, "on_projectors", None)
+    if native is not None and isinstance(batch, ProjectorBatch):
+        plus, minus = native(batch.qubits, batch.directions)
+        if labels is None:
+            return check_bound(np.asarray(plus, dtype=float)), check_bound(np.asarray(minus, dtype=float))
+        return check_bound(np.where(labels == 1, plus, minus))
+    if labels is None:
+        values = np.array([phi(e, y) for e in batch for y in (1, -1)], dtype=float)
+        plus, minus = check_bound(values).reshape(-1, 2).T
+        return plus, minus
+    return check_bound(np.array([phi(e, y) for e, y in zip(batch, labels.tolist())], dtype=float))
+
+
+def reference_evaluate(weights, phi) -> float:
+    """oracle._evaluate as it read before: reference_values, then np.cumsum
+    of the weighted terms in atom order."""
+    batch, accept, reject = weights
+    plus, minus = reference_values(phi, batch)
+    return float(np.cumsum(accept * plus + reject * minus)[-1] + 0.0)
+
+
+def reference_qubit_views(weights) -> tuple:
+    """oracle._qubit_views as each table built it before its batch kept the
+    per-qubit runs: a stable sort of the table's qubits, a slice where a
+    qubit's atoms are contiguous and an index run where not, a fresh view
+    batch per table, and the whole table for a qubit with no atoms."""
+    batch, accept, reject = weights
+    order = np.argsort(batch.qubits, kind="stable")
+    views = []
+    start = 0
+    for end in np.cumsum(np.bincount(batch.qubits, minlength=batch.n)).tolist():
+        if end == start:
+            views.append(weights)
+            continue
+        run = order[start:end]
+        if run[-1] - run[0] == end - start - 1:
+            run = slice(int(run[0]), int(run[-1]) + 1)
+        views.append((ProjectorBatch(batch.n, batch.qubits[run], batch.directions[run]), accept[run], reject[run]))
+        start = end
+    return tuple(views)
+
+
+def reference_table_answer(weights, phi) -> float:
+    """A table's answer as it was read before: a declared qubit's
+    reference view of a projector table, all the weights otherwise."""
+    qubit = getattr(phi, "qubit", None)
+    batch = weights[0]
+    if (getattr(phi, "_reads_one_qubit", False) and isinstance(batch, ProjectorBatch)
+            and type(qubit) is int and 0 <= qubit < batch.n):
+        weights = reference_qubit_views(weights)[qubit]
+    return reference_evaluate(weights, phi)
+
+
+def axis_sign_on_projectors(qubit: int, axis: int, qubits, directions) -> tuple:
+    """learners._AxisSignQuery.on_projectors as it read before it took the
+    sign in one ufunc: two comparisons, so a NaN component scores 0.0."""
+    component = directions[:, axis]
+    plus = np.where(qubits == qubit, (component > 0).astype(float) - (component < 0), 0.0)
+    return plus, 0.0 - plus
 
 
 def all_signed_paulis(n: int):

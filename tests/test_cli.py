@@ -412,11 +412,13 @@ def test_noise_demo_distribution_is_checked_at_the_boundary(distribution, messag
         ({"policy": {"kind": "empirical", "samples": 2.5}}, "policy 'samples' must be int or None, got 2.5"),
         ({"policy": {"kind": "random_within_tau", "seed": "x"}}, "policy 'seed' must be int, got 'x'"),
         ({"policy": {"kind": "empirical", "seed": 1.0}}, "policy 'seed' must be int, got 1.0"),
+        ({"policy": {"kind": "random_within_tau", "seed": -1}}, "within-tau seed must be non-negative, got -1"),
+        ({"policy": {"kind": "empirical", "seed": -1}}, "empirical seed must be non-negative, got -1"),
         ({"noise": {"kind": "classification", "eta": "x"}}, "noise 'eta' must be float, got 'x'"),
         ({"noise": {"kind": "bounded_channel", "eta": True}}, "noise 'eta' must be float, got True"),
     ],
     ids=["empirical-typo", "depolarizing-typo", "exact-seed", "parity-items", "finite-n", "fractional-samples",
-         "string-seed", "float-seed", "string-eta", "bool-eta"],
+         "string-seed", "float-seed", "negative-within-tau-seed", "negative-empirical-seed", "string-eta", "bool-eta"],
 )
 def test_descriptor_keys_and_values_are_checked_at_the_boundary(data, message, tmp_path, capsys):
     cfg = tmp_path / "config.json"

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -466,6 +467,50 @@ def test_depolarizing_round_trip_sampled_reference():
     want = clean.query(SQQuery(label_query, tau))
     got = wrapped.query(SQQuery(label_query, tau))
     assert abs(got - want) <= tau
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: EmpiricalFromSamples(samples=2.5), "empirical samples must be an int, got 2.5"),
+        (lambda: EmpiricalFromSamples(samples=True), "empirical samples must be an int, got True"),
+        (lambda: EmpiricalFromSamples(samples="40"), "empirical samples must be an int, got '40'"),
+        (lambda: EmpiricalFromSamples(samples=40, seed=-1), "empirical seed must be non-negative, got -1"),
+        (lambda: RandomWithinTau(seed=-1), "within-tau seed must be non-negative, got -1"),
+        (lambda: RandomWithinTau(seed=-(2**64)), "within-tau seed must be non-negative"),
+    ],
+    ids=["fractional-samples", "bool-samples", "string-samples", "negative-empirical-seed",
+         "negative-within-tau-seed", "seed-that-masks-to-zero"],
+)
+def test_policies_refuse_a_bad_count_or_seed_when_built(build, message):
+    # substream keeps a seed's low 64 bits, so a negative seed would run
+    # another seed's stream; a fractional count failed only at the first draw
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_policies_take_numpy_and_zero_seeds_and_counts():
+    assert EmpiricalFromSamples(samples=np.int64(40), seed=0).samples == 40
+    assert RandomWithinTau(seed=0).seed == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"mixed_samples": 30, "seed": -1}, "mixed-reference seed must be non-negative, got -1"),
+        ({"seed": -3}, "mixed-reference seed must be non-negative, got -3"),
+        ({"mixed_samples": 2.5}, "mixed-reference samples must be an int, got 2.5"),
+        ({"mixed_samples": True}, "mixed-reference samples must be an int, got True"),
+    ],
+    ids=["sampled", "exact", "fractional-samples", "bool-samples"],
+)
+def test_depolarizing_wrapper_refuses_a_bad_seed_or_count_when_built(kwargs, message):
+    inner = StatisticalQueryOracle(
+        KET0, UniformPauli(1), OracleConfig(ExactPolicy(), DepolarizingNoise(0.1))
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DepolarizingCorrectedOracle(inner, 0.1, **kwargs)
+    assert inner.query_count == 0
 
 
 @pytest.mark.parametrize("samples", [0, -2])

@@ -323,8 +323,9 @@ def test_mc_loss_matches_closed_form_haar():
 
 @pytest.mark.parametrize(
     "samples, seed, field",
-    [(0, 3, "samples"), (-3, 3, "samples"), (10, -1, "seed")],
-    ids=["no-samples", "negative-samples", "negative-seed"],
+    [(0, 3, "samples"), (-3, 3, "samples"), (10, -1, "seed"), (2.5, 3, "samples"), (True, 3, "samples"),
+     (3.0, 3, "samples")],
+    ids=["no-samples", "negative-samples", "negative-seed", "fractional-samples", "bool-samples", "float-samples"],
 )
 def test_monte_carlo_refuses_bad_input_at_construction(samples, seed, field):
     with pytest.raises(ValueError, match=f"MonteCarlo {field}"):
