@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -82,8 +83,6 @@ from .statdim import verify_query_lower_bound
 from .streams import check_seed, substream
 
 STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080}
-# verify-lemmas and sda enumerate stabilizer states; noisy lpn sweeps 2^n secrets
-MAX_N = {"verify-lemmas": ENUMERATION_LIMIT, "sda": 2}
 # noise-demo's exact round trip enumerates the support, within pconcept's budgets
 DISTRIBUTION_MAX_N = {"uniform_pauli": EXACT_PAULI_ENUMERATION_LIMIT, "uniform_parity": EXACT_PARITY_ENUMERATION_LIMIT}
 
@@ -123,30 +122,36 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        for name in ("n", "trials", "jobs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        check_seed(self.seed, "seed")
-        for name in ("samples", "lpn_m"):
+        command = COMMANDS.get(self.experiment)
+        if command is None:
+            raise ValueError(f"unknown experiment {self.experiment!r}; expected one of {', '.join(COMMANDS)}")
+        # a field the experiment does not read must keep its default, as a
+        # descriptor key its kind does not read must be absent
+        for f in fields(self):
+            if f.name not in ("experiment", "seed", "out", *command.reads) and getattr(self, f.name) != f.default:
+                raise ValueError(f"experiment {self.experiment!r} does not read {f.name!r}")
+        for name in ("n", "trials", "jobs", "samples", "lpn_m"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        check_seed(self.seed, "seed")
         if not 0 < self.epsilon <= 1:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if self.tau is not None and not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 <= self.lpn_eta < 0.5:
+            raise ValueError(f"lpn_eta must lie in [0, 1/2), got {self.lpn_eta}")
         # an --lpn-file instance is read here, so its size is checked like --n
         self.lpn_instance = None if self.lpn_file is None else _load_lpn_instance(self.lpn_file)
         if self.lpn_instance is not None and not self.lpn_instance.examples:
             raise ValueError(f"LPN instance {self.lpn_file} has no examples")
-        n, top, what = self.n, MAX_N.get(self.experiment), self.experiment
-        if self.experiment == "learn-product" and self.target == "basis":
+        # only lpn holds a noise rate or a file: any other experiment's n is its own
+        n, m, eta = _lpn_size(self)
+        top, what = command.max_n, self.experiment
+        if self.target == "basis":
             top, what = 64, "basis target"
-        if self.experiment == "lpn":
-            n, m, eta = _lpn_size(self)
-            if not 0 <= eta < 0.5:
-                raise ValueError(f"lpn_eta must lie in [0, 1/2), got {eta}")
-            top, what = (SWEEP_LIMIT, "noisy lpn") if eta > 0 else (64, "lpn")
-            if eta > 0 and m >= EXACT_SWEEP_EXAMPLES:
+        if eta > 0:
+            top, what = SWEEP_LIMIT, "noisy lpn"
+            if m >= EXACT_SWEEP_EXAMPLES:
                 raise ValueError(f"noisy lpn supports fewer than 2^24 examples, got m = {m}")
         if top is not None and n > top:
             raise ValueError(f"{what} supports n <= {top}, got n = {n}")
@@ -154,16 +159,14 @@ class ExperimentConfig:
         policy_from_descriptor(self.policy, self.seed)
         if self.distribution is not None:
             distribution_from_descriptor(self.distribution)
-        searchable = self.experiment == "learn-product" and self.target != "basis"
-        if self.grid_search and not (searchable and (self.noise or {}).get("kind") == "depolarizing"):
-            raise ValueError("grid_search runs only in learn-product with depolarizing noise and a non-basis target")
+        if self.grid_search and not (self.target != "basis" and (self.noise or {}).get("kind") == "depolarizing"):
+            raise ValueError("grid_search runs only with depolarizing noise and a non-basis target")
         if self.eta_upper is not None and not (self.grid_search and 0 <= self.eta_upper < 1):
             raise ValueError(f"eta_upper must lie in [0, 1) and needs grid_search, got {self.eta_upper}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         if "experiment" not in data:
@@ -301,33 +304,25 @@ def cmd_verify_lemmas(config: ExperimentConfig) -> dict:
 
     groups = enumerate_stabilizer_groups(n)
     results["stabilizer_count"] = len(groups)
-    assertions.append(
-        {"name": "stabilizer_count", "passed": len(groups) == STABILIZER_COUNTS[n]}
-    )
+    assertions.append({"name": "stabilizer_count", "passed": len(groups) == STABILIZER_COUNTS[n]})
 
     # exact correlation structure: norms 1/2^n, cross terms <= 1/2^{n+1}, tight
     d = UniformPauli(n)
     states = [StabilizerState(g) for g in groups]
-    norm_ok = all(
-        inner_product(s, s, d, EXACT) == Fraction(1, 2**n) for s in states
-    )
+    norm_ok = all(inner_product(s, s, d, EXACT) == Fraction(1, 2**n) for s in states)
     assertions.append({"name": "norm_squared_is_2^-n", "passed": norm_ok})
 
     # Clifford symmetry makes every row of the correlation matrix the same
     # multiset, so row 0 holds every cross value of the class
     bound = Fraction(1, 2 ** (n + 1))
     cross = [abs(inner_product(states[0], s, d, EXACT)) for s in states[1:]]
-    assertions.append(
-        {"name": "cross_correlation_at_most_2^-(n+1)", "passed": all(c <= bound for c in cross)}
-    )
+    assertions.append({"name": "cross_correlation_at_most_2^-(n+1)", "passed": all(c <= bound for c in cross)})
     witness = StabilizerState(StabilizerGroup.from_strings(["+" + "I" * i + "Z" + "I" * (n - 1 - i) for i in range(n)]))
     witness2_strings = ["+" + "I" * i + "Z" + "I" * (n - 1 - i) for i in range(n - 1)] + ["+" + "I" * (n - 1) + "X"]
     witness2 = StabilizerState(StabilizerGroup.from_strings(witness2_strings))
     tight_pair_value = abs(inner_product(witness, witness2, d, EXACT))
     results["tightness_witness_value"] = tight_pair_value
-    assertions.append(
-        {"name": "tightness_attained", "passed": tight_pair_value == bound and bound in cross}
-    )
+    assertions.append({"name": "tightness_attained", "passed": tight_pair_value == bound and bound in cross})
 
     # maximally mixed identity on random states
     mixed = MaximallyMixed(n)
@@ -516,12 +511,7 @@ def cmd_lpn(config: ExperimentConfig) -> dict:
     _, _, eta = _lpn_size(config)
     if secrets_known and eta < 0.45:
         threshold = 0.99 if eta == 0 else 0.95
-        assertions.append(
-            {
-                "name": "secret_recovery_rate",
-                "passed": recovered >= threshold * len(rows),
-            }
-        )
+        assertions.append({"name": "secret_recovery_rate", "passed": recovered >= threshold * len(rows)})
     return {
         "results": {"trials": rows, "recovered": recovered, "total": len(rows)},
         "assertions": assertions,
@@ -548,19 +538,13 @@ def cmd_sda(config: ExperimentConfig) -> dict:
     gamma_prime = Fraction(1, 2 ** (n + 1))
     bound = sda_bound(cls, gamma_pair, kappa, gamma_prime)
     results["pairwise_bound"] = bound.to_jsonable()
-    assertions.append(
-        {
-            "name": "bound_equals_class_size_at_threshold_2^-n",
-            "passed": bound.sda_value == len(cls) and bound.gamma == kappa,
-        }
-    )
+    passed = bound.sda_value == len(cls) and bound.gamma == kappa
+    assertions.append({"name": "bound_equals_class_size_at_threshold_2^-n", "passed": passed})
 
     if n == 1:
         exact = sda_exact(cls, Fraction(1, 2))
         results["sda_exact"] = exact.to_jsonable()
-        assertions.append(
-            {"name": "exact_at_least_bound", "passed": Fraction(exact.sda_value) >= bound.sda_value}
-        )
+        assertions.append({"name": "exact_at_least_bound", "passed": Fraction(exact.sda_value) >= bound.sda_value})
 
     # side-condition verdict at tau = epsilon = 3/8 (succeeds for n = 2,
     # fails for n = 1 where tolerance and loss cannot both fit the norms)
@@ -654,76 +638,91 @@ def cmd_noise_demo(config: ExperimentConfig) -> dict:
 # driver
 
 
-_COMMANDS = {
-    "verify-lemmas": cmd_verify_lemmas,
-    "learn-product": cmd_learn_product,
-    "lpn": cmd_lpn,
-    "sda": cmd_sda,
-    "noise-demo": cmd_noise_demo,
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its report body, the config fields it reads besides seed
+    and out, which also name its flags, and its cap on n, if it has one."""
+
+    run: Callable[[ExperimentConfig], dict]
+    reads: tuple[str, ...]
+    max_n: int | None = None
+
+
+# verify-lemmas and sda enumerate stabilizer states; lpn's cap drops to
+# SWEEP_LIMIT when it is noisy, as it then sweeps all 2^n secrets
+COMMANDS = {
+    "verify-lemmas": Command(cmd_verify_lemmas, ("n", "samples"), ENUMERATION_LIMIT),
+    "learn-product": Command(
+        cmd_learn_product,
+        ("n", "trials", "jobs", "epsilon", "tau", "target", "noise", "policy", "grid_search", "eta_upper"),
+    ),
+    "lpn": Command(cmd_lpn, ("n", "trials", "jobs", "lpn_m", "lpn_eta", "lpn_file"), 64),
+    "sda": Command(cmd_sda, ("n",), 2),
+    "noise-demo": Command(cmd_noise_demo, ("distribution", "tau")),
+}
+
+# The flag of each config field that has one, named after it (--lpn-m sets
+# lpn_m); --noise comes with --eta.  tau, eta_upper and distribution are set
+# in a config file only.
+_FLAGS = {
+    **dict.fromkeys(("seed", "n", "trials", "jobs", "samples", "lpn_m"), {"type": int}),
+    **dict.fromkeys(("epsilon", "lpn_eta"), {"type": float}),
+    **dict.fromkeys(("out", "lpn_file"), {"type": str}),
+    "target": {"choices": ["ball", "pure", "basis"]},
+    "noise": {"choices": list(NOISE_KINDS)},
+    "policy": {"choices": list(POLICY_KINDS)},
+    "grid_search": {"action": "store_true"},
 }
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     t0 = time.perf_counter()
-    body = _COMMANDS[config.experiment](config)
-    passed = all(a["passed"] for a in body["assertions"])
-    report = {
+    body = COMMANDS[config.experiment].run(config)
+    return {
         "config": config.to_dict(),
         "results": jsonable(body["results"]),
         "assertions": jsonable(body["assertions"]),
-        "passed": passed,
+        "passed": all(a["passed"] for a in body["assertions"]),
         "version": __version__,
         "meta": {"runtime_s": time.perf_counter() - t0, "timestamp": time.time()},
     }
-    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes --config and the flags of the fields it reads;
+    any other flag is argparse's usage error."""
     parser = argparse.ArgumentParser(prog="paulisq", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in _COMMANDS:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--target", type=str, default=None, choices=["ball", "pure", "basis"])
-        p.add_argument("--noise", type=str, default=None, choices=list(NOISE_KINDS))
-        p.add_argument("--eta", type=float, default=None, help="noise rate; required with a noisy --noise")
-        p.add_argument("--policy", type=str, default=None, choices=list(POLICY_KINDS))
-        p.add_argument("--grid-search", action="store_true", default=None)
-        p.add_argument("--lpn-m", type=int, default=None)
-        p.add_argument("--lpn-eta", type=float, default=None)
-        p.add_argument("--lpn-file", type=str, default=None)
+        for field in ("seed", "out", *command.reads):
+            if field in _FLAGS:
+                p.add_argument("--" + field.replace("_", "-"), default=None, **_FLAGS[field])
+        if "noise" in command.reads:
+            p.add_argument("--eta", type=float, default=None, help="noise rate; required with a noisy --noise")
     return parser
 
 
-# flags that override the config file field of the same name
-_OVERRIDES = ("seed", "out", "trials", "jobs", "n", "epsilon", "samples", "target",
-              "lpn_m", "lpn_eta", "lpn_file", "grid_search")
-
-
 def config_from_args(args) -> ExperimentConfig:
-    data = {"experiment": args.experiment}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+    flags = dict(vars(args))
+    data = {}
+    path = flags.pop("config")
+    if path:
+        with open(path, encoding="utf-8") as fh:
             data.update(json.load(fh))
-        data["experiment"] = args.experiment
-    for key in _OVERRIDES:
-        if getattr(args, key) is not None:
-            data[key] = getattr(args, key)
-    if args.eta is not None and args.noise is None:
+    noise, eta, policy = (flags.pop(key, None) for key in ("noise", "eta", "policy"))
+    # a flag overrides the config file's field of the same name, and the
+    # subcommand its experiment
+    data.update((key, value) for key, value in flags.items() if value is not None)
+    if eta is not None and noise is None:
         raise ValueError("--eta needs --noise")
-    if args.noise is not None:
-        if args.noise != "none" and args.eta is None:
-            raise ValueError(f"--eta is required with --noise {args.noise}")
-        data["noise"] = {"kind": args.noise, "eta": args.eta if args.eta is not None else 0.0}
-    if args.policy is not None:
-        data["policy"] = {"kind": args.policy}
+    if noise is not None:
+        if noise != "none" and eta is None:
+            raise ValueError(f"--eta is required with --noise {noise}")
+        data["noise"] = {"kind": noise, "eta": eta if eta is not None else 0.0}
+    if policy is not None:
+        data["policy"] = {"kind": policy}
     return ExperimentConfig.from_dict(data)
 
 

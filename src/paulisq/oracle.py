@@ -295,6 +295,8 @@ class MaliciousNoise(NoiseModel):
     def __post_init__(self):
         if not 0 <= self.eta <= 1:
             raise ValueError(f"malicious noise rate must lie in [0, 1], got {self.eta}")
+        if self.corruption is not None:
+            self._corruption_draws()  # its weights are checked as a FiniteWeighted's
 
     def label_weights(self, atoms) -> tuple:
         batch, accept, reject = super().label_weights(atoms)
@@ -314,6 +316,10 @@ class MaliciousNoise(NoiseModel):
             np.concatenate([keep * reject, bad_reject]),
         )
 
+    def _corruption_draws(self) -> FiniteWeighted:
+        """The explicit corruption's measurements, at its weights."""
+        return FiniteWeighted(tuple((e, w) for (e, _), w in self.corruption))
+
     def draw(self, state, distribution, rng, m: int) -> tuple:
         """Each example is corrupted with probability eta.  By default a corrupted
         example keeps its draw from D and gets a uniform label.  An explicit
@@ -327,7 +333,7 @@ class MaliciousNoise(NoiseModel):
             return batch, np.where(corrupted, 1 - 2 * rng.integers(0, 2, size=m), labels)
         k = int(rng.binomial(m, self.eta))
         batch, labels = super().draw(state, distribution, rng, m - k)
-        picks = FiniteWeighted(tuple((e, w) for (e, _), w in self.corruption)).draw(rng, k)
+        picks = self._corruption_draws().draw(rng, k)
         bad_labels = np.array([y for (_, y), _ in self.corruption])[picks.indices]
         return concatenate(batch, batch_of(tuple(picks))), np.concatenate([labels, bad_labels])
 
@@ -377,8 +383,8 @@ class BoundedChannelNoise(NoiseModel):
     channel: DepolarizingNoise
 
     def __post_init__(self):
-        if self.eta_diamond < 0:
-            raise ValueError("diamond bound must be nonnegative")
+        if not self.eta_diamond >= 0:
+            raise ValueError(f"diamond bound must be nonnegative, got {self.eta_diamond}")
 
     def mean(self, f, f_mixed):
         return self.channel.mean(f, f_mixed)

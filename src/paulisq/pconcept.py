@@ -57,7 +57,8 @@ class BlochVector:
         # stored in the instance dict, not through the frozen object.__setattr__
         fields = self.__dict__
         fields["x"], fields["y"], fields["z"] = float(x), float(y), float(z)
-        if self.norm() > 1 + 1e-12:
+        # written so that a NaN norm fails it too
+        if not self.norm() <= 1 + 1e-12:
             raise ValueError(f"Bloch vector has norm {self.norm()} > 1")
 
     def norm(self) -> float:
@@ -116,7 +117,7 @@ class SingleQubitProjector:
         # checked, then stored in the instance dict (see PauliOperator)
         if not 0 <= qubit < n:
             raise ValueError(f"qubit {qubit} out of range for n={n}")
-        if abs(axis.norm() - 1.0) > 1e-12:
+        if not abs(axis.norm() - 1.0) <= 1e-12:
             raise ValueError(f"projector axis must be unit length, got norm {axis.norm()}")
         fields = self.__dict__
         fields["n"] = n
@@ -346,6 +347,10 @@ class FiniteWeighted(_Enumerable):
     items: tuple[tuple[Measurement, object], ...]
 
     def __post_init__(self):
+        # written so that a NaN weight fails it too
+        for _, w in self.items:
+            if not 0 <= w <= 1:
+                raise ValueError(f"weights must lie in [0, 1], got {w}")
         total = sum(Fraction(w) if not isinstance(w, float) else w for _, w in self.items)
         if abs(float(total) - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {float(total)}, not 1")

@@ -11,6 +11,7 @@ import pytest
 
 import paulisq
 from paulisq.cli import (
+    COMMANDS,
     ExperimentConfig,
     build_parser,
     config_from_args,
@@ -367,13 +368,18 @@ def test_config_file_rejects_bad_values(data, message, tmp_path, capsys):
         ExperimentConfig.from_dict({"experiment": "learn-product", **data})
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(data))
-    # noise-demo once ran a zero tau as its 0.01 default
+    (field,) = data
+    # noise-demo once ran a zero tau as its 0.01 default; a value of the wrong
+    # JSON type is refused first, and any other value of a field that the
+    # subcommand does not read is refused as unread
     for command in ("learn-product", "verify-lemmas", "noise-demo"):
+        read = field in COMMANDS[command].reads or message.startswith("config field")
+        expected = message if read else f"experiment {command!r} does not read {field!r}"
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--config", str(cfg)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err and message in err.splitlines()[-1]
+        assert "Traceback" not in err and expected in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize(
@@ -386,9 +392,11 @@ def test_config_file_rejects_bad_values(data, message, tmp_path, capsys):
         ({"kind": "uniform_pauli", "n": 9}, "uniform_pauli distribution supports n <= 6, got n = 9"),
         ({"kind": "uniform_parity", "n": 26}, "uniform_parity distribution supports n <= 16, got n = 26"),
         ({"kind": "finite", "items": [["Z", 0.5], ["XX", 0.5]]}, "all act on one qubit count"),
+        ({"kind": "finite", "items": [["Z", 2.0], ["X", -1.0]]}, "weights must lie in [0, 1], got 2.0"),
+        ({"kind": "finite", "items": [["Z", float("nan")]]}, "weights must lie in [0, 1], got nan"),
     ],
     ids=["unknown-kind", "zero-qubits", "weights-sum-to-half", "haar-without-n", "pauli-over-budget",
-         "parity-over-cap", "mixed-qubit-counts"],
+         "parity-over-cap", "mixed-qubit-counts", "negative-weight", "nan-weight"],
 )
 def test_noise_demo_distribution_is_checked_at_the_boundary(distribution, message, tmp_path, capsys):
     cfg = tmp_path / "config.json"
@@ -564,7 +572,7 @@ def test_lpn_file_rate_decides_the_recovery_assertion(tmp_path, capsys):
     "argv, data, message",
     [
         (["learn-product", "--noise", "classification", "--eta", "0.1", "--grid-search"], None, "grid_search runs only"),
-        (["lpn", "--grid-search"], None, "grid_search runs only"),
+        (["lpn", "--grid-search"], None, "unrecognized arguments: --grid-search"),
         (["learn-product", "--target", "basis", "--noise", "depolarizing", "--eta", "0.3", "--grid-search"],
          None, "grid_search runs only"),
         (["learn-product"], {"noise": {"kind": "depolarizing", "eta": 0.3}, "grid_search": True, "eta_upper": 1.0},
@@ -582,3 +590,67 @@ def test_grid_search_options_only_where_a_search_runs(argv, data, message, tmp_p
         main(argv)
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err.splitlines()[-1]
+
+
+SUBCOMMAND_FLAGS = {
+    "verify-lemmas": ["--config", "--seed", "--out", "--n", "--samples"],
+    "learn-product": ["--config", "--seed", "--out", "--n", "--trials", "--jobs", "--epsilon", "--target",
+                      "--noise", "--policy", "--grid-search", "--eta"],
+    "lpn": ["--config", "--seed", "--out", "--n", "--trials", "--jobs", "--lpn-m", "--lpn-eta", "--lpn-file"],
+    "sda": ["--config", "--seed", "--out", "--n"],
+    "noise-demo": ["--config", "--seed", "--out"],
+}
+
+
+def test_each_subcommand_offers_the_flags_of_the_fields_it_reads():
+    import argparse
+
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    offered = {
+        name: [flag for action in p._actions for flag in action.option_strings if flag not in ("-h", "--help")]
+        for name, p in subparsers.choices.items()
+    }
+    assert offered == SUBCOMMAND_FLAGS
+    assert sum(map(len, offered.values())) == 33
+
+
+@pytest.mark.parametrize(
+    "command, unread, data",
+    [
+        ("verify-lemmas", ["--trials", "3"], {"trials": 3}),
+        ("learn-product", ["--lpn-eta", "0.1"], {"samples": 5}),
+        ("lpn", ["--noise", "depolarizing", "--eta", "0.4"], {"noise": {"kind": "depolarizing", "eta": 0.4}}),
+        ("sda", ["--trials", "3"], {"jobs": 3}),
+        ("noise-demo", ["--n", "5"], {"n": 5}),
+    ],
+)
+def test_an_unread_flag_or_config_field_is_a_usage_error(command, unread, data, tmp_path, capsys):
+    # each of these once ran and wrote a report whose config claimed it
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--seed", "1", *unread])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == "paulisq: error: unrecognized arguments: " + " ".join(unread)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", str(cfg)])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    (field,) = data
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1].endswith(f"experiment {command!r} does not read {field!r}")
+
+
+def test_the_constructor_refuses_unread_fields_but_takes_their_defaults():
+    with pytest.raises(ValueError, match="experiment 'lpn' does not read 'noise'"):
+        ExperimentConfig(experiment="lpn", noise={"kind": "depolarizing", "eta": 0.4})
+    with pytest.raises(ValueError, match="experiment 'sda' does not read 'trials'"):
+        ExperimentConfig(experiment="sda", trials=7)
+    # a report's config block holds every field, at its default where unread
+    for name in COMMANDS:
+        block = ExperimentConfig(experiment=name).to_dict()
+        assert ExperimentConfig.from_dict(block) == ExperimentConfig(experiment=name)
+    with pytest.raises(ValueError, match="unknown experiment 'bogus'"):
+        ExperimentConfig(experiment="bogus")

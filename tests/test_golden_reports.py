@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from paulisq.cli import ExperimentConfig, run_experiment
+from paulisq.cli import ExperimentConfig, main, run_experiment
 
 FIXTURE = pathlib.Path(__file__).with_name("golden_reports.json")
 
@@ -87,6 +87,18 @@ def test_fixture_covers_every_config(golden):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_report_matches_golden(golden, name):
     assert _body(CONFIGS[name]) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_config_block_run_through_the_cli_reproduces_the_report(golden, name, tmp_path, capsys):
+    # the block holds every field, unread ones at their defaults, which --config takes
+    block = run_experiment(ExperimentConfig.from_dict(CONFIGS[name]))["config"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(block))
+    main([block["experiment"], "--config", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"] == block
+    assert {k: report[k] for k in ("results", "assertions")} == golden[name]
 
 
 if __name__ == "__main__":

@@ -57,6 +57,7 @@ from paulisq.stabilizer import StabilizerGroup, random_stabilizer_group
 from paulisq.streams import substream
 
 E_Z = PauliMeasurement(PauliOperator.from_string("Z"))
+E_X = PauliMeasurement(PauliOperator.from_string("X"))
 KET0 = StabilizerState(StabilizerGroup.from_strings(["+Z"]))
 POINT_MASS_Z = FiniteWeighted(((E_Z, 1.0),))
 
@@ -287,6 +288,29 @@ def test_exact_policy_errors_beyond_enumeration_budget_but_empirical_works():
     assert abs(empirical.query(SQQuery(label_query, 0.1))) <= 0.1
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((3.0,), "weights must lie in [0, 1], got 3.0"),
+        ((2.0, -1.0), "weights must lie in [0, 1], got 2.0"),
+        ((float("nan"), 1.0), "weights must lie in [0, 1], got nan"),
+        ((0.5, 0.25), "weights sum to 0.75, not 1"),
+    ],
+    ids=["three", "negative", "nan", "short-sum"],
+)
+def test_malicious_corruption_weights_are_checked_when_built(weights, message):
+    # a weight of 3.0 once built and answered the label query with 2.0
+    corruption = tuple(((e, -1), w) for e, w in zip((E_Z, E_X), weights))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MaliciousNoise(0.25, corruption)
+
+
+@pytest.mark.parametrize("bound", [float("nan"), -0.1])
+def test_bounded_channel_refuses_a_negative_or_nan_diamond_bound(bound):
+    with pytest.raises(ValueError, match=f"diamond bound must be nonnegative, got {bound}"):
+        BoundedChannelNoise(bound, DepolarizingNoise(0.01))
+
+
 def test_oracle_rejects_dimension_mismatch():
     from paulisq.pauli import DimensionMismatch
 
@@ -302,7 +326,6 @@ def test_unbounded_query_rejected():
         SQQuery(label_query, 0.0)
 
 
-E_X = PauliMeasurement(PauliOperator.from_string("X"))
 RARE_X = FiniteWeighted(((E_Z, 0.999999), (E_X, 0.000001)))
 # half of every noisy draw is the example (X, +1), which D itself never yields
 CORRUPT_TO_X = MaliciousNoise(0.5, (((E_X, 1), 1.0),))

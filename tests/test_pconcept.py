@@ -474,6 +474,33 @@ def test_finite_weighted_distribution():
         FiniteWeighted(((e1, 0.5), (e2, 0.25)))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(2.0, -1.0), (Fraction(3, 2), Fraction(-1, 2)), (NAN, NAN), (1.0, NAN), (INF, -INF)],
+    ids=["negative", "negative-fraction", "nan", "nan-beside-one", "infinite"],
+)
+def test_finite_weights_must_each_lie_in_zero_to_one(weights):
+    # each pair once slipped past the sum check: (2, -1) answered y on |0> with 2.0
+    e1 = PauliMeasurement(PauliOperator.from_string("Z"))
+    e2 = PauliMeasurement(PauliOperator.from_string("X"))
+    with pytest.raises(ValueError, match=re.escape("weights must lie in [0, 1], got ")):
+        FiniteWeighted(((e1, weights[0]), (e2, weights[1])))
+
+
+def test_nan_bloch_vectors_and_projector_axes_are_refused():
+    for xyz in ((NAN, 0, 0), (0, NAN, 0), (0, 0, NAN), (INF, 0, 0)):
+        with pytest.raises(ValueError, match="Bloch vector has norm (nan|inf)"):
+            BlochVector(*xyz)
+    # the projector checks its axis itself: this one is built past BlochVector's check
+    axis = object.__new__(BlochVector)
+    axis.__dict__.update(x=NAN, y=0.0, z=0.0)
+    with pytest.raises(ValueError, match="unit length, got norm nan"):
+        SingleQubitProjector(1, 0, axis)
+
+
 def test_reduced_bloch_stabilizer_is_exact_ints():
     s = StabilizerGroup.from_strings(["+XX", "+ZZ"])  # Bell-type pair
     assert reduced_bloch(StabilizerState(s), 0) == (0, 0, 0)
