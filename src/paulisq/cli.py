@@ -140,6 +140,12 @@ class ExperimentConfig:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not 0 <= self.lpn_eta < 0.5:
             raise ValueError(f"lpn_eta must lie in [0, 1/2), got {self.lpn_eta}")
+        # a field the experiment reads only in some configs must keep its
+        # default in the others
+        unread = command.unread(self)
+        for f in fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise ValueError(f"experiment {self.experiment!r} does not read {f.name!r} {unread[f.name]}")
         # an --lpn-file instance is read here, so its size is checked like --n
         self.lpn_instance = None if self.lpn_file is None else _load_lpn_instance(self.lpn_file)
         if self.lpn_instance is not None and not self.lpn_instance.examples:
@@ -646,6 +652,19 @@ class Command:
     run: Callable[[ExperimentConfig], dict]
     reads: tuple[str, ...]
     max_n: int | None = None
+    # the fields of `reads` that a config leaves unread, each with the reason
+    unread: Callable[[ExperimentConfig], dict] = lambda config: {}
+
+
+def _lpn_unread(config: ExperimentConfig) -> dict:
+    if config.lpn_file is None:
+        return {}
+    return dict.fromkeys(("n", "lpn_m", "lpn_eta"), "with an lpn_file, whose instance sets it")
+
+
+def _noise_demo_unread(config: ExperimentConfig) -> dict:
+    # tau is the tolerance of the round trip on a custom distribution
+    return {} if config.distribution is not None else {"tau": "without a distribution"}
 
 
 # verify-lemmas and sda enumerate stabilizer states; lpn's cap drops to
@@ -656,9 +675,9 @@ COMMANDS = {
         cmd_learn_product,
         ("n", "trials", "jobs", "epsilon", "tau", "target", "noise", "policy", "grid_search", "eta_upper"),
     ),
-    "lpn": Command(cmd_lpn, ("n", "trials", "jobs", "lpn_m", "lpn_eta", "lpn_file"), 64),
+    "lpn": Command(cmd_lpn, ("n", "trials", "jobs", "lpn_m", "lpn_eta", "lpn_file"), 64, _lpn_unread),
     "sda": Command(cmd_sda, ("n",), 2),
-    "noise-demo": Command(cmd_noise_demo, ("distribution", "tau")),
+    "noise-demo": Command(cmd_noise_demo, ("distribution", "tau"), unread=_noise_demo_unread),
 }
 
 # The flag of each config field that has one, named after it (--lpn-m sets

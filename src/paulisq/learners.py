@@ -15,7 +15,7 @@ maximum-likelihood sweep (noisy, n <= 24) as the classical baselines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from typing import Optional, Union
@@ -75,11 +75,15 @@ class _AxisSignQuery:
     contribute exactly 1/2 and score zero.  So the query declares, by
     `_reads_one_qubit`, that `qubit` is the one qubit it reads, and an atom
     table answers it on that qubit's atoms only (see the oracle module
-    docstring).
+    docstring).  A query built by `_AxisFamily` also declares, in `_family`,
+    the family of its qubit's three axis queries, and a projector table
+    answers it and its later siblings in one pass; the declaration takes no
+    part in equality or the hash.
     """
 
     qubit: int
     axis: int
+    _family: Optional[_AxisFamily] = field(default=None, init=False, compare=False, repr=False)
     _reads_one_qubit = True
 
     def __hash__(self) -> int:
@@ -103,12 +107,36 @@ class _AxisSignQuery:
         return plus, 0.0 - plus  # not -plus: off the qubit the scalar form gives +0.0
 
 
+class _AxisFamily:
+    """The axis queries of one qubit, in `members` by axis, with one array
+    form for all three: they read the same atoms with the same weights, so
+    an atom table answers a member and its later siblings in one pass over
+    that array form (see oracle._Table).  Each member declares the family
+    in its `_family`."""
+
+    __slots__ = ("qubit", "members")
+
+    def __init__(self, qubit: int):
+        self.qubit = qubit
+        self.members = tuple(_AxisSignQuery(qubit, axis) for axis in range(3))
+        for member in self.members:
+            object.__setattr__(member, "_family", self)
+
+    def on_projectors(self, qubits: np.ndarray, directions: np.ndarray) -> tuple:
+        """(plus, minus) as (3, m) arrays: row a is member a's on_projectors,
+        bit for bit."""
+        # rows contiguous, so that every later pass over them runs along a row
+        plus = np.where(qubits == self.qubit, np.sign(np.ascontiguousarray(directions.T)), 0.0)
+        return plus, 0.0 - plus
+
+
 @lru_cache(maxsize=64)
 def _axis_queries(n: int) -> tuple:
-    """_AxisSignQuery(i, j) for every qubit i < n and axis j, built once per n:
-    each learner asks the same objects, so an atom table's memo hits them by
-    identity and never compares two of them."""
-    return tuple(tuple(_AxisSignQuery(i, j) for j in range(3)) for i in range(n))
+    """_AxisSignQuery(i, j) for every qubit i < n and axis j, built once per n
+    as the members of each qubit's _AxisFamily: each learner asks the same
+    objects, so an atom table's memo hits them by identity and never
+    compares two of them."""
+    return tuple(_AxisFamily(i).members for i in range(n))
 
 
 def _require_haar(oracle) -> int:

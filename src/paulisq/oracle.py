@@ -74,6 +74,13 @@ alone declares nothing.  One helper, `_values`, reads phi for every
 answer, and either way it checks |phi| <= 1 on each value the answer
 uses: both labels of every atom a table reads, in one pass, or the drawn
 label of every example.
+
+A query may also declare, by `_family`, a family of queries that read the
+same atoms, with one array form for all of them.  A qubit's three axis
+queries are one family, and a projector table answers an asked member and
+its later siblings in one pass, each bit for bit as alone (see `_Table`):
+the product learner, asking X, Y and Z in turn, reads each qubit's atoms
+once.  The classification wrapper's label parts declare no family.
 """
 
 from __future__ import annotations
@@ -447,6 +454,18 @@ class _Table:
     qubit at once, on its first such query.  Any other query, and any other
     table, is evaluated on all the weights.
 
+    A query may also declare, in `_family`, a family of queries that read
+    the same view: `family.members` in order, and an array form
+    family.on_projectors(qubits, directions) -> (plus, minus) as (k, m)
+    arrays, row a equal to member a's array form bit for bit.  On a miss
+    for a member, on a projector view, the table evaluates that member and
+    its later siblings in one pass: one bound check covers all their values
+    and each row is summed as `_evaluate` sums one query, so every answer is
+    the one its member would get alone.  If any of the values fails the
+    bound, the asked member is evaluated alone, so it answers or raises as
+    before, and no sibling is kept.  The last member has no later sibling
+    and is evaluated alone.
+
     The table keeps the answer to every hashable query it has evaluated; its
     weights never change, and neither does the answer.  A query that cannot
     be hashed is evaluated every time.  A query that fails its bound check
@@ -467,11 +486,40 @@ class _Table:
         except TypeError:
             return _evaluate(self._read_by(phi), phi)
         if value is None:
-            value = _evaluate(self._read_by(phi), phi)
-            if len(self._answers) >= _ANSWER_CAP:
-                self._answers.clear()
-            self._answers[phi] = value
+            view = self._read_by(phi)
+            value = self._answer_family(view, phi)
+            if value is None:
+                value = _evaluate(view, phi)
+                self._keep(phi, value)
         return value
+
+    def _answer_family(self, view: tuple, phi) -> Optional[float]:
+        """phi's answer from one pass over its family's array form, with its
+        later siblings' answers kept beside it; None where there is no such
+        pass (see the class docstring)."""
+        family = getattr(phi, "_family", None)
+        batch = view[0]
+        if family is None or not isinstance(batch, ProjectorBatch):
+            return None
+        members = family.members
+        first = members.index(phi)
+        if first == len(members) - 1:
+            return None
+        plus, minus = family.on_projectors(batch.qubits, batch.directions)
+        try:
+            plus, minus = _checked(plus[first:], minus[first:])
+        except UnboundedQuery:
+            return None
+        values = _sums(view, plus, minus).tolist()
+        for member, value in zip(members[first:], values):
+            self._keep(member, value)
+        return values[0]
+
+    def _keep(self, phi, value: float):
+        answers = self._answers
+        if len(answers) >= _ANSWER_CAP and phi not in answers:
+            answers.clear()
+        answers[phi] = value
 
     def _read_by(self, phi) -> tuple:
         """The weights phi is evaluated on: its declared qubit's view, or all of them."""
@@ -526,6 +574,15 @@ def _check_bound(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _checked(plus, minus) -> tuple:
+    """The array form's (phi(E, 1), phi(E, -1)) as float arrays, once every
+    value has passed |v| <= 1 + _BOUND_SLACK."""
+    plus, minus = np.asarray(plus, dtype=float), np.asarray(minus, dtype=float)
+    # both labels in one check, which reports a bad phi(E, 1) before any phi(E, -1)
+    _check_bound(np.concatenate((plus, minus), axis=None))
+    return plus, minus
+
+
 def _values(phi, batch: MeasurementBatch, labels: Optional[np.ndarray] = None):
     """phi at the pairs an answer uses, each checked against |phi| <= 1: the
     two arrays (phi(E, 1), phi(E, -1)) over the measurements E of the batch,
@@ -540,10 +597,7 @@ def _values(phi, batch: MeasurementBatch, labels: Optional[np.ndarray] = None):
     if native is not None and isinstance(batch, ProjectorBatch):
         plus, minus = native(batch.qubits, batch.directions)
         if labels is None:
-            plus, minus = np.asarray(plus, dtype=float), np.asarray(minus, dtype=float)
-            # both labels in one check, which reports a bad phi(E, 1) before any phi(E, -1)
-            _check_bound(np.concatenate((plus, minus), axis=None))
-            return plus, minus
+            return _checked(plus, minus)
         return _check_bound(np.where(labels == 1, plus, minus))
     if labels is None:
         pairs = ((e, y) for e in batch for y in (1, -1))
@@ -554,19 +608,27 @@ def _values(phi, batch: MeasurementBatch, labels: Optional[np.ndarray] = None):
     return _check_bound(values)
 
 
+def _sums(table, plus: np.ndarray, minus: np.ndarray):
+    """sum_atoms accept plus + reject minus over a table's weights, or over
+    one qubit's view of them, the terms summed in atom order from 0.0 as a
+    loop would (np.sum and np.dot add pairwise): one sum of (m,) values, or
+    one per row of k queries' values stacked as (k, m), each row's the same
+    accumulation as alone."""
+    _, accept, reject = table
+    # .T[-1]: the last running sum of each row, or of the one (m,) row
+    return (accept * plus + reject * minus).cumsum(-1).T[-1] + 0.0
+
+
 def _evaluate(table, phi) -> float:
-    """sum_atoms accept phi(E, 1) + reject phi(E, -1) over a table's weights,
-    or over one qubit's view of them, the terms summed in atom order from 0.0
-    as a loop would (np.sum and np.dot add pairwise)."""
-    batch, accept, reject = table
-    plus, minus = _values(phi, batch)
-    return float(np.cumsum(accept * plus + reject * minus)[-1] + 0.0)
+    """phi's answer on a table's weights, or on one qubit's view of them: the
+    running sum of its checked values (see _sums)."""
+    return float(_sums(table, *_values(phi, table[0])))
 
 
 def _sample_mean(phi, batch: MeasurementBatch, labels: np.ndarray) -> float:
     """Mean of phi over the drawn examples (E, y), as a running total in draw
     order (sum() compensates rounding from Python 3.12 on)."""
-    return float(np.cumsum(_values(phi, batch, labels))[-1] + 0.0) / len(labels)
+    return float(_values(phi, batch, labels).cumsum()[-1] + 0.0) / len(labels)
 
 
 def expectation_on_maximally_mixed(

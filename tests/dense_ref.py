@@ -409,6 +409,12 @@ def reference_evaluate(weights, phi) -> float:
     return float(np.cumsum(accept * plus + reject * minus)[-1] + 0.0)
 
 
+def reference_sample_mean(phi, batch, labels) -> float:
+    """oracle._sample_mean as it read before: np.cumsum of reference_values
+    over the drawn examples, in draw order."""
+    return float(np.cumsum(reference_values(phi, batch, labels))[-1] + 0.0) / len(labels)
+
+
 def reference_qubit_views(weights) -> tuple:
     """oracle._qubit_views as each table built it before its batch kept the
     per-qubit runs: a stable sort of the table's qubits, a slice where a

@@ -569,6 +569,51 @@ def test_lpn_file_rate_decides_the_recovery_assertion(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, data",
+    [
+        (["--n", "9"], {"n": 9}),
+        (["--lpn-m", "5"], {"lpn_m": 5}),
+        (["--lpn-eta", "0.3"], {"lpn_eta": 0.3}),
+    ],
+    ids=["n", "lpn_m", "lpn_eta"],
+)
+def test_lpn_file_refuses_the_size_flags_its_instance_sets(flags, data, tmp_path, capsys):
+    # each once ran on the file's 6-bit instance and recorded the flag's value
+    path = _lpn_file(tmp_path, 6, 30, 0.0, 65)
+    (field,) = data
+    expected = f"experiment 'lpn' does not read {field!r} with an lpn_file, whose instance sets it"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        ExperimentConfig(experiment="lpn", lpn_file=path, **data)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"lpn_file": path, **data}))
+    for argv in (["lpn", "--lpn-file", path, *flags], ["lpn", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--trials", "1"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1].endswith(expected)
+    # at their defaults they are taken, and the file's instance is solved
+    assert main(["lpn", "--lpn-file", path, "--n", "2", "--lpn-eta", "0.0", "--trials", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["results"]["recovered"] == 1
+
+
+def test_noise_demo_refuses_tau_without_a_distribution(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"tau": 0.5}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["noise-demo", "--config", str(cfg)])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].endswith("experiment 'noise-demo' does not read 'tau' without a distribution")
+    # with a distribution, tau is the round trip's tolerance
+    cfg.write_text(json.dumps({"tau": 0.5, "distribution": {"kind": "haar_product", "n": 2}}))
+    assert main(["noise-demo", "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["tau"] == 0.5 and "custom_distribution_round_trip_gap" in report["results"]
+
+
+@pytest.mark.parametrize(
     "argv, data, message",
     [
         (["learn-product", "--noise", "classification", "--eta", "0.1", "--grid-search"], None, "grid_search runs only"),
