@@ -83,8 +83,6 @@ from .statdim import verify_query_lower_bound
 from .streams import check_seed, substream
 
 STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080}
-# noise-demo's exact round trip enumerates the support, within pconcept's budgets
-DISTRIBUTION_MAX_N = {"uniform_pauli": EXACT_PAULI_ENUMERATION_LIMIT, "uniform_parity": EXACT_PARITY_ENUMERATION_LIMIT}
 
 
 # the JSON values accepted for each type named in ExperimentConfig's annotations
@@ -140,8 +138,13 @@ class ExperimentConfig:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not 0 <= self.lpn_eta < 0.5:
             raise ValueError(f"lpn_eta must lie in [0, 1/2), got {self.lpn_eta}")
-        # a field the experiment reads only in some configs must keep its
-        # default in the others
+        if self.eta_upper is not None and not 0 <= self.eta_upper < 1:
+            raise ValueError(f"eta_upper must lie in [0, 1), got {self.eta_upper}")
+        noise_from_descriptor(self.noise)
+        policy_from_descriptor(self.policy, self.seed)
+        if self.distribution is not None:
+            distribution_from_descriptor(self.distribution)
+        # a field the experiment reads only in some configs must keep its default in the others
         unread = command.unread(self)
         for f in fields(self):
             if f.name in unread and getattr(self, f.name) != f.default:
@@ -150,25 +153,9 @@ class ExperimentConfig:
         self.lpn_instance = None if self.lpn_file is None else _load_lpn_instance(self.lpn_file)
         if self.lpn_instance is not None and not self.lpn_instance.examples:
             raise ValueError(f"LPN instance {self.lpn_file} has no examples")
-        # only lpn holds a noise rate or a file: any other experiment's n is its own
-        n, m, eta = _lpn_size(self)
-        top, what = command.max_n, self.experiment
-        if self.target == "basis":
-            top, what = 64, "basis target"
-        if eta > 0:
-            top, what = SWEEP_LIMIT, "noisy lpn"
-            if m >= EXACT_SWEEP_EXAMPLES:
-                raise ValueError(f"noisy lpn supports fewer than 2^24 examples, got m = {m}")
-        if top is not None and n > top:
-            raise ValueError(f"{what} supports n <= {top}, got n = {n}")
-        noise_from_descriptor(self.noise)
-        policy_from_descriptor(self.policy, self.seed)
-        if self.distribution is not None:
-            distribution_from_descriptor(self.distribution)
-        if self.grid_search and not (self.target != "basis" and (self.noise or {}).get("kind") == "depolarizing"):
-            raise ValueError("grid_search runs only with depolarizing noise and a non-basis target")
-        if self.eta_upper is not None and not (self.grid_search and 0 <= self.eta_upper < 1):
-            raise ValueError(f"eta_upper must lie in [0, 1) and needs grid_search, got {self.eta_upper}")
+        for top, what, n in command.caps(self):
+            if n > top:
+                raise ValueError(f"{what} supports n <= {top}, got n = {n}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -193,85 +180,91 @@ def _finite_item(meas, weight) -> tuple:
     return SingleQubitProjector(meas["n"], meas["qubit"], BlochVector(*meas["axis"])), weight
 
 
-# Descriptor kind -> object.  These tables are the one list of accepted
-# kinds: the descriptor parsers and the --noise/--policy choices read them.
+def _finite(desc: dict) -> FiniteWeighted:
+    try:
+        d = FiniteWeighted(tuple(_finite_item(*item) for item in desc["items"]))
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"finite distribution items must be [measurement, weight] pairs: {exc!r}") from None
+    if len({e.n for e, _ in d.items}) != 1:
+        raise ValueError("finite distribution items must all act on one qubit count")
+    return d
+
+
+def _qubits(desc: dict, top: int | None = None) -> int:
+    # noise-demo's exact round trip enumerates the support, within pconcept's budget `top`
+    n = desc.get("n")
+    if not _json_type_ok("int", n) or n < 1:
+        raise ValueError(f"distribution kind {desc['kind']!r} needs an int n >= 1, got {n!r}")
+    if top is not None and n > top:
+        raise ValueError(f"{desc['kind']} distribution supports n <= {top}, got n = {n}")
+    return n
+
+
+def _rate(desc: dict) -> float:
+    if "eta" not in desc:
+        raise ValueError(f"noise kind {desc['kind']!r} needs an eta")
+    return desc["eta"]
+
+
+def _no_noise(desc: dict) -> NoNoise:
+    if desc.get("eta", 0.0) != 0.0:
+        raise ValueError(f"noise kind 'none' does not read 'eta' but the 0.0 that --noise none records, got {desc['eta']!r}")
+    return NoNoise()
+
+
+# Descriptor kind -> (constructor, which takes the descriptor and, for a
+# policy, its default seed; the keys the kind reads besides "kind", each with
+# the JSON type of its value, or None where the constructor checks it).  These
+# tables are the one list of accepted kinds: the parsers and --noise/--policy read them.
 DISTRIBUTION_KINDS = {
-    "uniform_pauli": lambda desc: UniformPauli(desc["n"]),
-    "uniform_parity": lambda desc: UniformParity(desc["n"]),
-    "haar_product": lambda desc: HaarSingleQubitProduct(desc["n"]),
-    "finite": lambda desc: FiniteWeighted(tuple(_finite_item(*item) for item in desc["items"])),
+    "uniform_pauli": (lambda desc: UniformPauli(_qubits(desc, EXACT_PAULI_ENUMERATION_LIMIT)), {"n": None}),
+    "uniform_parity": (lambda desc: UniformParity(_qubits(desc, EXACT_PARITY_ENUMERATION_LIMIT)), {"n": None}),
+    "haar_product": (lambda desc: HaarSingleQubitProduct(_qubits(desc)), {"n": None}),
+    "finite": (_finite, {"items": None}),
 }
 
 NOISE_KINDS = {
-    "none": lambda eta: NoNoise(),
-    "classification": ClassificationNoise,
-    "malicious": MaliciousNoise,
-    "depolarizing": DepolarizingNoise,
-    "bounded_channel": lambda eta: BoundedChannelNoise(2.0 * eta, DepolarizingNoise(eta)),
+    "none": (_no_noise, {"eta": "float"}),
+    "classification": (lambda desc: ClassificationNoise(_rate(desc)), {"eta": "float"}),
+    "malicious": (lambda desc: MaliciousNoise(_rate(desc)), {"eta": "float"}),
+    "depolarizing": (lambda desc: DepolarizingNoise(_rate(desc)), {"eta": "float"}),
+    "bounded_channel": (lambda desc: BoundedChannelNoise(2.0 * _rate(desc), DepolarizingNoise(_rate(desc))), {"eta": "float"}),
 }
 
 POLICY_KINDS = {
-    "exact": lambda desc, seed: ExactPolicy(),
-    "random_within_tau": lambda desc, seed: RandomWithinTau(desc.get("seed", seed)),
-    "adversarial": lambda desc, seed: AdversarialCallback(DefaultAdversary()),
-    "empirical": lambda desc, seed: EmpiricalFromSamples(desc.get("samples"), desc.get("seed", seed)),
-}
-
-# The keys each descriptor kind reads besides "kind", with the JSON type of
-# each value that no constructor checks (a distribution's n and items are
-# checked where they are read).  Any other key is refused.
-DESCRIPTOR_KEYS = {
-    **dict.fromkeys(("uniform_pauli", "uniform_parity", "haar_product"), {"n": None}),
-    "finite": {"items": None},
-    **dict.fromkeys(NOISE_KINDS, {"eta": "float"}),
-    **dict.fromkeys(("exact", "adversarial"), {}),
-    "random_within_tau": {"seed": "int"},
-    "empirical": {"samples": "int | None", "seed": "int"},
+    "exact": (lambda desc, seed: ExactPolicy(), {}),
+    "random_within_tau": (lambda desc, seed: RandomWithinTau(desc.get("seed", seed)), {"seed": "int"}),
+    "adversarial": (lambda desc, seed: AdversarialCallback(DefaultAdversary()), {}),
+    "empirical": (lambda desc, seed: EmpiricalFromSamples(desc.get("samples"), desc.get("seed", seed)),
+                  {"samples": "int | None", "seed": "int"}),
 }
 
 
-def _kind(desc: dict, table: dict, what: str) -> str:
+def _kind(desc: dict, table: dict, what: str) -> Callable:
     kind = desc.get("kind")
     if kind not in table:
         raise ValueError(f"unknown {what} kind {kind!r}; expected one of {', '.join(table)}")
-    keys = DESCRIPTOR_KEYS[kind]
+    make, keys = table[kind]
     for key, value in desc.items():
         if key != "kind" and key not in keys:
             raise ValueError(f"{what} kind {kind!r} does not read {key!r}")
         if keys.get(key) and not _json_type_ok(keys[key], value):
             raise ValueError(f"{what} {key!r} must be {keys[key].replace(' | ', ' or ')}, got {value!r}")
-    return kind
+    return make
 
 
 def distribution_from_descriptor(desc: dict):
-    kind = _kind(desc, DISTRIBUTION_KINDS, "distribution")
-    if kind == "finite":
-        try:
-            d = DISTRIBUTION_KINDS[kind](desc)
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ValueError(f"finite distribution items must be [measurement, weight] pairs: {exc!r}") from None
-        if len({e.n for e, _ in d.items}) != 1:
-            raise ValueError("finite distribution items must all act on one qubit count")
-        return d
-    n, top = desc.get("n"), DISTRIBUTION_MAX_N.get(kind)
-    if not _json_type_ok("int", n) or n < 1:
-        raise ValueError(f"distribution kind {kind!r} needs an int n >= 1, got {n!r}")
-    if top is not None and n > top:
-        raise ValueError(f"{kind} distribution supports n <= {top}, got n = {n}")
-    return DISTRIBUTION_KINDS[kind](desc)
+    return _kind(desc, DISTRIBUTION_KINDS, "distribution")(desc)
 
 
 def noise_from_descriptor(desc: dict | None):
     desc = {"kind": "none"} if desc is None else desc
-    kind = _kind(desc, NOISE_KINDS, "noise")
-    if kind != "none" and "eta" not in desc:
-        raise ValueError(f"noise kind {kind!r} needs an eta")
-    return NOISE_KINDS[kind](desc.get("eta"))
+    return _kind(desc, NOISE_KINDS, "noise")(desc)
 
 
 def policy_from_descriptor(desc: dict | None, default_seed: int):
     desc = {"kind": "exact"} if desc is None else desc
-    return POLICY_KINDS[_kind(desc, POLICY_KINDS, "policy")](desc, default_seed)
+    return _kind(desc, POLICY_KINDS, "policy")(desc, default_seed)
 
 
 def _random_product_state(n: int, rng, target: str) -> ProductState:
@@ -552,20 +545,15 @@ def cmd_sda(config: ExperimentConfig) -> dict:
         results["sda_exact"] = exact.to_jsonable()
         assertions.append({"name": "exact_at_least_bound", "passed": Fraction(exact.sda_value) >= bound.sda_value})
 
-    # side-condition verdict at tau = epsilon = 3/8 (succeeds for n = 2,
-    # fails for n = 1 where tolerance and loss cannot both fit the norms)
+    # side-condition verdict at tau = epsilon = 3/8 (n = 2) or 9/16 (n = 1); it must refuse,
+    # as the zero-query learner that outputs I/2^n is within 2^-n - 4^-n < epsilon of every state
     tau = 3.0 / 8.0 if n == 2 else 9.0 / 16.0
     beta = 2.0 ** (-n / 2.0)
-    gamma_prime_v = Fraction(9, 64) - gamma_pair if n == 2 else Fraction(81, 256) - gamma_pair
-    verdict_report = sda_bound(cls, gamma_pair, kappa, gamma_prime_v)
-    verdict = verify_query_lower_bound(verdict_report, epsilon=tau, beta=beta, tau=tau)
-    results["verdict"] = {
-        "ok": verdict.ok,
-        "checks": verdict.checks,
-        "statement": verdict.statement,
-        "implied_queries": verdict.implied_queries,
-    }
-    assertions.append({"name": "verdict_consistent", "passed": verdict.ok == (n == 2)})
+    verdict_report = sda_bound(cls, gamma_pair, kappa, Fraction(tau) ** 2 - gamma_pair)
+    reference_loss = min(squared_loss(s, MaximallyMixed(n), cls.distribution, EXACT) for s in cls.concepts)
+    verdict = verify_query_lower_bound(verdict_report, epsilon=tau, beta=beta, tau=tau, reference_loss=reference_loss)
+    results["verdict"] = asdict(verdict)
+    assertions.append({"name": "verdict_consistent", "passed": not verdict.checks["reference_loss_above_epsilon"]})
 
     return {"results": results, "assertions": assertions}
 
@@ -647,13 +635,25 @@ def cmd_noise_demo(config: ExperimentConfig) -> dict:
 @dataclass(frozen=True)
 class Command:
     """A subcommand: its report body, the config fields it reads besides seed
-    and out, which also name its flags, and its cap on n, if it has one."""
+    and out, which also name its flags, those of them that a config leaves
+    unread, each with the reason, and the caps (top, what, n) a config sets."""
 
     run: Callable[[ExperimentConfig], dict]
     reads: tuple[str, ...]
-    max_n: int | None = None
-    # the fields of `reads` that a config leaves unread, each with the reason
     unread: Callable[[ExperimentConfig], dict] = lambda config: {}
+    caps: Callable[[ExperimentConfig], list] = lambda config: []
+
+
+def _learn_product_unread(config: ExperimentConfig) -> dict:
+    # a basis target is read off n queries exactly; a grid search's learners run at epsilon/4 with their own tolerance
+    unread = dict.fromkeys(("epsilon", "tau"), "with a basis target") if config.target == "basis" else {}
+    if config.target == "basis" or (config.noise or {}).get("kind") != "depolarizing":
+        unread["grid_search"] = "without depolarizing noise and a non-basis target"
+    if config.grid_search:
+        unread.setdefault("tau", "with grid_search, whose learners set their own tolerance")
+    else:
+        unread["eta_upper"] = "without grid_search"
+    return unread
 
 
 def _lpn_unread(config: ExperimentConfig) -> dict:
@@ -662,22 +662,32 @@ def _lpn_unread(config: ExperimentConfig) -> dict:
     return dict.fromkeys(("n", "lpn_m", "lpn_eta"), "with an lpn_file, whose instance sets it")
 
 
+def _lpn_caps(config: ExperimentConfig) -> list:
+    # a noisy instance is solved by sweeping all 2^n secrets, with float32 counts
+    n, m, eta = _lpn_size(config)
+    if eta > 0 and m >= EXACT_SWEEP_EXAMPLES:
+        raise ValueError(f"noisy lpn supports fewer than 2^24 examples, got m = {m}")
+    return [(SWEEP_LIMIT, "noisy lpn", n) if eta > 0 else (64, "lpn", n)]
+
+
 def _noise_demo_unread(config: ExperimentConfig) -> dict:
     # tau is the tolerance of the round trip on a custom distribution
     return {} if config.distribution is not None else {"tau": "without a distribution"}
 
 
-# verify-lemmas and sda enumerate stabilizer states; lpn's cap drops to
-# SWEEP_LIMIT when it is noisy, as it then sweeps all 2^n secrets
+# verify-lemmas and sda enumerate stabilizer states; caps are checked before any exponential work
 COMMANDS = {
-    "verify-lemmas": Command(cmd_verify_lemmas, ("n", "samples"), ENUMERATION_LIMIT),
+    "verify-lemmas": Command(cmd_verify_lemmas, ("n", "samples"),
+                             caps=lambda config: [(ENUMERATION_LIMIT, "verify-lemmas", config.n)]),
     "learn-product": Command(
         cmd_learn_product,
         ("n", "trials", "jobs", "epsilon", "tau", "target", "noise", "policy", "grid_search", "eta_upper"),
+        _learn_product_unread,
+        lambda config: [(64, "basis target", config.n)] if config.target == "basis" else [],
     ),
-    "lpn": Command(cmd_lpn, ("n", "trials", "jobs", "lpn_m", "lpn_eta", "lpn_file"), 64, _lpn_unread),
-    "sda": Command(cmd_sda, ("n",), 2),
-    "noise-demo": Command(cmd_noise_demo, ("distribution", "tau"), unread=_noise_demo_unread),
+    "lpn": Command(cmd_lpn, ("n", "trials", "jobs", "lpn_m", "lpn_eta", "lpn_file"), _lpn_unread, _lpn_caps),
+    "sda": Command(cmd_sda, ("n",), caps=lambda config: [(2, "sda", config.n)]),
+    "noise-demo": Command(cmd_noise_demo, ("distribution", "tau"), _noise_demo_unread),
 }
 
 # The flag of each config field that has one, named after it (--lpn-m sets

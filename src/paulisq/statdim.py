@@ -215,10 +215,16 @@ class Verdict:
     statement: str
 
 
-def verify_query_lower_bound(report: SDAReport, epsilon: float, beta: float, tau: float) -> Verdict:
+def verify_query_lower_bound(report: SDAReport, epsilon: float, beta: float, tau: float, reference_loss) -> Verdict:
     """Machine-check the side conditions that turn an SDA value into a query
-    lower bound: norms at least beta, tau <= epsilon, epsilon^2 <= beta/3, and
-    the report's threshold at most tau^2.
+    lower bound: norms at least beta, tau <= epsilon, epsilon^2 <= beta/3, the
+    report's threshold at most tau^2, and `reference_loss` above epsilon.
+
+    `reference_loss` is the smallest squared loss of any concept of the class
+    to the reference p-concept I/2^n.  At or below epsilon, the learner that
+    asks no query and outputs I/2^n already reaches loss epsilon on that
+    concept, so the dimension, which counts queries against that reference,
+    bounds nothing.
 
     This validates hypothesis bookkeeping; it does not empirically prove
     hardness.  When all checks pass, any SQ learner reaching squared loss
@@ -230,6 +236,7 @@ def verify_query_lower_bound(report: SDAReport, epsilon: float, beta: float, tau
         "tau_at_most_epsilon": tau <= epsilon,
         "epsilon_sq_at_most_beta_third": epsilon * epsilon <= beta / 3.0 + 1e-15,
         "threshold_at_most_tau_sq": float(report.gamma) <= tau * tau + 1e-15,
+        "reference_loss_above_epsilon": float(reference_loss) > epsilon,
     }
     ok = all(checks.values())
     if ok:

@@ -518,8 +518,10 @@ def test_every_table_kind_parses_from_the_command_line():
 
     parser = build_parser()
     for kind in NOISE_KINDS:
-        config = config_from_args(parser.parse_args(["learn-product", "--noise", kind, "--eta", "0.1"]))
-        assert type(noise_from_descriptor(config.noise)) is type(NOISE_KINDS[kind](0.1))
+        eta = "0.0" if kind == "none" else "0.1"
+        config = config_from_args(parser.parse_args(["learn-product", "--noise", kind, "--eta", eta]))
+        make, _ = NOISE_KINDS[kind]
+        assert type(noise_from_descriptor(config.noise)) is type(make({"kind": kind, "eta": float(eta)}))
     for kind in POLICY_KINDS:
         config = config_from_args(parser.parse_args(["learn-product", "--policy", kind]))
         assert policy_from_descriptor(config.policy, 0) is not None
@@ -616,13 +618,56 @@ def test_noise_demo_refuses_tau_without_a_distribution(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, data, message",
     [
-        (["learn-product", "--noise", "classification", "--eta", "0.1", "--grid-search"], None, "grid_search runs only"),
+        (["--target", "basis", "--epsilon", "0.9"], {"target": "basis", "epsilon": 0.9},
+         "experiment 'learn-product' does not read 'epsilon' with a basis target"),
+        # tau is set in a config file only
+        (None, {"target": "basis", "tau": 0.1}, "experiment 'learn-product' does not read 'tau' with a basis target"),
+        (None, {"noise": {"kind": "depolarizing", "eta": 0.3}, "grid_search": True, "tau": 0.5},
+         "experiment 'learn-product' does not read 'tau' with grid_search, whose learners set their own tolerance"),
+        (["--noise", "none", "--eta", "0.3"], {"noise": {"kind": "none", "eta": 0.3}},
+         "noise kind 'none' does not read 'eta' but the 0.0 that --noise none records, got 0.3"),
+    ],
+    ids=["basis-epsilon", "basis-tau", "grid-search-tau", "none-eta"],
+)
+def test_learn_product_refuses_a_setting_its_run_does_not_read(argv, data, message, tmp_path, capsys):
+    # each once exited 0 with a report that recorded the setting
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_dict({"experiment": "learn-product", **data})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    for flags in ([] if argv is None else [argv]) + [["--config", str(cfg)]]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(["learn-product", *flags, "--trials", "1"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err and err.splitlines()[-1].endswith(message)
+
+
+def test_no_noise_takes_the_eta_that_its_flag_records(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    for data in ({"kind": "none", "eta": 0.0}, {"kind": "none"}):
+        cfg.write_text(json.dumps({"noise": data, "trials": 1}))
+        assert main(["learn-product", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["noise"] == data
+    for eta in ([], ["--eta", "0.0"]):
+        assert main(["learn-product", "--noise", "none", *eta, "--trials", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["noise"] == {"kind": "none", "eta": 0.0}
+
+
+_NO_SEARCH = "experiment 'learn-product' does not read 'grid_search' without depolarizing noise and a non-basis target"
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["learn-product", "--noise", "classification", "--eta", "0.1", "--grid-search"], None, _NO_SEARCH),
         (["lpn", "--grid-search"], None, "unrecognized arguments: --grid-search"),
         (["learn-product", "--target", "basis", "--noise", "depolarizing", "--eta", "0.3", "--grid-search"],
-         None, "grid_search runs only"),
+         None, _NO_SEARCH),
         (["learn-product"], {"noise": {"kind": "depolarizing", "eta": 0.3}, "grid_search": True, "eta_upper": 1.0},
-         "eta_upper must lie in [0, 1)"),
-        (["learn-product"], {"noise": {"kind": "depolarizing", "eta": 0.3}, "eta_upper": 0.5}, "needs grid_search"),
+         "eta_upper must lie in [0, 1), got 1.0"),
+        (["learn-product"], {"noise": {"kind": "depolarizing", "eta": 0.3}, "eta_upper": 0.5},
+         "experiment 'learn-product' does not read 'eta_upper' without grid_search"),
     ],
     ids=["classification", "lpn", "basis-target", "eta-upper-1", "eta-upper-without-search"],
 )

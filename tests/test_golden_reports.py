@@ -11,13 +11,17 @@ the names of the reports whose body changed.
 
 import json
 import pathlib
+import re
+import shlex
 import sys
+from dataclasses import fields
 
 import pytest
 
-from paulisq.cli import ExperimentConfig, main, run_experiment
+from paulisq.cli import COMMANDS, ExperimentConfig, build_parser, config_from_args, main, run_experiment
 
 FIXTURE = pathlib.Path(__file__).with_name("golden_reports.json")
+WORKFLOW = pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
 
 _PRODUCT = {"experiment": "learn-product", "n": 2, "epsilon": 0.25, "seed": 3, "trials": 2}
 
@@ -28,6 +32,11 @@ def _product(**extra) -> dict:
 
 def _empirical(noise: dict | None) -> dict:
     return _product(trials=1, noise=noise, policy={"kind": "empirical", "samples": 40})
+
+
+def _basis(**extra) -> dict:
+    # a basis target reads no epsilon
+    return {key: value for key, value in _product(n=3, target="basis", **extra).items() if key != "epsilon"}
 
 
 CONFIGS = {
@@ -48,10 +57,8 @@ CONFIGS = {
     "empirical-depolarizing": _empirical({"kind": "depolarizing", "eta": 0.5}),
     "empirical-bounded-channel": _empirical({"kind": "bounded_channel", "eta": 0.005}),
     "empirical-malicious": _empirical({"kind": "malicious", "eta": 0.3}),
-    "target-basis": _product(n=3, target="basis", policy={"kind": "adversarial"}),
-    "target-basis-classification": _product(
-        n=3, target="basis", noise={"kind": "classification", "eta": 0.1}
-    ),
+    "target-basis": _basis(policy={"kind": "adversarial"}),
+    "target-basis-classification": _basis(noise={"kind": "classification", "eta": 0.1}),
     "target-pure-bounded-tau": _product(
         target="pure", tau=0.1, noise={"kind": "bounded_channel", "eta": 0.01}
     ),
@@ -99,6 +106,44 @@ def test_config_block_run_through_the_cli_reproduces_the_report(golden, name, tm
     report = json.loads(capsys.readouterr().out)
     assert report["config"] == block
     assert {k: report[k] for k in ("results", "assertions")} == golden[name]
+
+
+class _RecordingConfig(ExperimentConfig):
+    """An ExperimentConfig that adds the name of each attribute read to
+    `read`, once the test sets it after construction."""
+
+    def __getattribute__(self, name):
+        read = object.__getattribute__(self, "__dict__").get("read")
+        if read is not None:
+            read.add(name)
+        return object.__getattribute__(self, name)
+
+
+def _smoke_configs() -> dict:
+    """The config of each report that the CI smoke step writes, by its command line."""
+    commands = re.findall(r'python -m paulisq (.+?) > "\$RUNNER_TEMP/[\w-]+\.json"', WORKFLOW.read_text())
+    return {argv: config_from_args(build_parser().parse_args(shlex.split(argv))).to_dict() for argv in commands}
+
+
+def test_the_smoke_step_is_found():
+    assert len(_smoke_configs()) == 11
+
+
+@pytest.mark.parametrize("data", [*CONFIGS.values(), *_smoke_configs().values()], ids=[*CONFIGS, *_smoke_configs()])
+def test_every_recorded_setting_is_read(data):
+    # serial, so that every trial reads the one recording config
+    config = _RecordingConfig.from_dict({**data, "jobs": 1})
+    config.read = set()
+    COMMANDS[data["experiment"]].run(config)
+    read = set(config.read)
+    # the instance is what __post_init__ read from the file
+    if "lpn_instance" in read:
+        read.add("lpn_file")
+    unread = [
+        f.name for f in fields(ExperimentConfig)
+        if f.name not in read | {"experiment"} and getattr(config, f.name) != f.default
+    ]
+    assert unread == []
 
 
 if __name__ == "__main__":

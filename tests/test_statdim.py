@@ -14,11 +14,13 @@ from paulisq.pconcept import (
     UniformParity,
     UniformPauli,
     inner_product,
+    squared_loss,
 )
 from paulisq.stabilizer import StabilizerGroup, enumerate_stabilizer_groups
 from paulisq.statdim import (
     SDA_SWEEP_LIMIT,
     ConceptClass,
+    SDAReport,
     average_correlation,
     correlation_matrix,
     sda_bound,
@@ -152,21 +154,70 @@ def test_parity_class_orthogonality():
                 assert mat[i][j] == (Fraction(1) if i == j else Fraction(0))
 
 
-def test_verdict_positive_instantiation_n2():
+def reference_loss(cls):
+    """The smallest squared loss of a concept to I/2^n."""
+    mixed = MaximallyMixed(cls.distribution.n)
+    return min(squared_loss(s, mixed, cls.distribution, EXACT) for s in cls.concepts)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_reference_loss_of_the_stabilizer_class_is_2_to_the_minus_n_less_4_to_the_minus_n(n):
+    cls = stabilizer_class(n)
+    mixed = MaximallyMixed(n)
+    losses = {squared_loss(s, mixed, cls.distribution, EXACT) for s in cls.concepts}
+    assert losses == {Fraction(1, 2**n) - Fraction(1, 4**n)}
+    assert reference_loss(cls) == (Fraction(1, 4) if n == 1 else Fraction(3, 16))
+
+
+def test_verdict_refuses_the_n2_instantiation_that_the_mixed_state_meets():
+    # every other side condition holds, but the zero-query learner that
+    # outputs I/4 reaches loss 3/16 < 3/8 on every state
     cls = stabilizer_class(2)
     gamma_pair = Fraction(1, 8)
     report = sda_bound(cls, gamma_pair, Fraction(1, 4), Fraction(9, 64) - gamma_pair)
-    verdict = verify_query_lower_bound(report, epsilon=3 / 8, beta=0.5, tau=3 / 8)
+    verdict = verify_query_lower_bound(report, epsilon=3 / 8, beta=0.5, tau=3 / 8, reference_loss=reference_loss(cls))
+    assert not verdict.ok
+    assert [name for name, passed in verdict.checks.items() if not passed] == ["reference_loss_above_epsilon"]
+    assert verdict.implied_queries is None
+    assert verdict.statement == "side conditions violated: reference_loss_above_epsilon"
+
+
+@pytest.mark.parametrize("beta", [2.0**-4, 2.0**-8], ids=["beta-as-norm", "beta-as-squared-norm"])
+def test_verdict_refuses_the_n8_case_that_the_mixed_state_meets(beta):
+    # n = 8, epsilon 0.01, tau = sqrt(epsilon)/(2n): the four other checks
+    # pass under either reading of beta, but I/2^8 is within 2^-8 - 4^-8 of every state
+    n, epsilon = 8, 0.01
+    tau = epsilon**0.5 / (2 * n)
+    report = SDAReport(
+        gamma=Fraction(1, 2**16), sda_value=10**6, is_lower_bound=True, kappa=Fraction(1, 2**n),
+        gamma_pair=Fraction(1, 2 ** (n + 1)), min_norm_sq=Fraction(1, 2**n), class_size=10**6,
+    )
+    loss = Fraction(1, 2**n) - Fraction(1, 4**n)
+    verdict = verify_query_lower_bound(report, epsilon=epsilon, beta=beta, tau=tau, reference_loss=loss)
+    assert [name for name, passed in verdict.checks.items() if not passed] == ["reference_loss_above_epsilon"]
+    assert not verdict.ok and verdict.implied_queries is None
+
+
+def test_verdict_positive_instantiation_on_a_hand_built_report():
+    report = SDAReport(
+        gamma=Fraction(9, 64), sda_value=Fraction(15, 2), is_lower_bound=True, kappa=Fraction(1, 4),
+        gamma_pair=Fraction(1, 8), min_norm_sq=Fraction(1, 4), class_size=60,
+    )
+    verdict = verify_query_lower_bound(report, epsilon=3 / 8, beta=0.5, tau=3 / 8, reference_loss=Fraction(1, 2))
     assert verdict.ok
     assert all(verdict.checks.values())
     assert verdict.implied_queries == Fraction(15, 2)
-    assert "at least" in verdict.statement
+    assert verdict.statement == (
+        "any SQ learner reaching squared loss 0.375 with tolerance-0.375 queries needs at least 15/2 queries (lower bound)"
+    )
+    # at a reference loss of exactly epsilon, the mixed state already meets the target
+    assert not verify_query_lower_bound(report, epsilon=3 / 8, beta=0.5, tau=3 / 8, reference_loss=Fraction(3, 8)).ok
 
 
 def test_verdict_rejects_tau_above_epsilon():
     cls = stabilizer_class(1)
     report = sda_bound(cls, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
-    verdict = verify_query_lower_bound(report, epsilon=0.1, beta=0.5, tau=0.2)
+    verdict = verify_query_lower_bound(report, epsilon=0.1, beta=0.5, tau=0.2, reference_loss=reference_loss(cls))
     assert not verdict.ok
     assert not verdict.checks["tau_at_most_epsilon"]
     assert verdict.implied_queries is None
@@ -175,7 +226,7 @@ def test_verdict_rejects_tau_above_epsilon():
 def test_verdict_rejects_epsilon_sq_above_beta_third():
     cls = stabilizer_class(1)
     report = sda_bound(cls, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
-    verdict = verify_query_lower_bound(report, epsilon=0.9, beta=0.5, tau=0.7072)
+    verdict = verify_query_lower_bound(report, epsilon=0.9, beta=0.5, tau=0.7072, reference_loss=reference_loss(cls))
     assert not verdict.ok
     assert not verdict.checks["epsilon_sq_at_most_beta_third"]
 
