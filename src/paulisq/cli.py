@@ -23,6 +23,7 @@ from . import __version__
 from .learners import (
     EXACT_SWEEP_EXAMPLES,
     SWEEP_LIMIT,
+    basis_tolerance,
     decode_state_learning_dataset,
     exhaustive_lpn_solver,
     gaussian_elimination_parity,
@@ -32,6 +33,7 @@ from .learners import (
     learn_product_state,
     lpn_instance_from_json,
     make_lpn_as_state_learning,
+    product_tolerance,
 )
 from .oracle import (
     AdversarialCallback,
@@ -387,42 +389,42 @@ def _run_trials(trial, config: ExperimentConfig) -> list[dict]:
     return sorted(rows, key=lambda r: r["trial"])
 
 
+def _tolerance(config: ExperimentConfig) -> float:
+    """The tolerance the config's learner issues its queries at, outside a
+    grid search: the learners' own rule for the target."""
+    return basis_tolerance(config.n) if config.target == "basis" else product_tolerance(config.n, config.epsilon, config.tau)
+
+
 def _product_trial(config: ExperimentConfig, trial: int) -> dict:
     n = config.n
     rng = substream(config.seed, "trial", trial)
     dist = HaarSingleQubitProduct(n)
     noise = noise_from_descriptor(config.noise)
     oracle_config = OracleConfig(policy_from_descriptor(config.policy, config.seed * 7919 + trial), noise)
-
-    if config.target == "basis":
-        bits = random_bits(rng, n)
-        state = StabilizerState(StabilizerGroup.basis_state(bits, n))
-        hypothesis = learn_basis_state(StatisticalQueryOracle(state, dist, oracle_config))
-        loss = float(squared_loss(state, hypothesis.state, dist, EXACT))
-        recovered = bool(hypothesis.state == state)
-        return {"trial": trial, "queries": hypothesis.queries_used, "loss": loss, "recovered": recovered}
-
-    state = _random_product_state(n, rng, config.target)
-    epsilon = config.epsilon
+    basis = config.target == "basis"
+    state = (StabilizerState(StabilizerGroup.basis_state(random_bits(rng, n), n)) if basis
+             else _random_product_state(n, rng, config.target))
 
     if config.grid_search:
         # the rate is unknown to the learner: search over guesses up to eta_upper
         eta_upper = config.eta_upper if config.eta_upper is not None else noise.eta
-        delta = grid_step(epsilon, eta_upper)
+        delta = grid_step(config.epsilon, eta_upper)
         validation = draw_validation_set(state, dist, 20_000, substream(config.seed, "val", trial))
 
         def run(guess: float):
             inner = StatisticalQueryOracle(state, dist, oracle_config)
             corrected = DepolarizingCorrectedOracle(inner, guess)
-            return learn_product_state(corrected, epsilon / 4)
+            return learn_product_state(corrected, config.epsilon / 4)
 
         _, hypothesis = eta_grid_search(run, eta_upper, delta, validation)
     else:
+        # either learner queries through the noise model's reduction to a clean oracle
         oracle = noise.learner_oracle(StatisticalQueryOracle(state, dist, oracle_config))
-        hypothesis = learn_product_state(oracle, epsilon, tau=config.tau)
+        hypothesis = learn_basis_state(oracle) if basis else learn_product_state(oracle, config.epsilon, _tolerance(config))
 
     loss = float(squared_loss(state, hypothesis.state, dist, EXACT))
-    return {"trial": trial, "queries": hypothesis.queries_used, "loss": loss, "passed": loss <= epsilon}
+    row = {"trial": trial, "queries": hypothesis.queries_used, "loss": loss}
+    return {**row, "recovered": bool(hypothesis.state == state)} if basis else {**row, "passed": loss <= config.epsilon}
 
 
 def cmd_learn_product(config: ExperimentConfig) -> dict:
@@ -656,6 +658,14 @@ def _learn_product_unread(config: ExperimentConfig) -> dict:
     return unread
 
 
+def _learn_product_caps(config: ExperimentConfig) -> list:
+    # a bounded channel's wrapper takes its margin, 2 eta_diamond = 4 eta, off the learner's tolerance
+    noise, tau = noise_from_descriptor(config.noise), _tolerance(config)
+    if isinstance(noise, BoundedChannelNoise) and not tau > 2.0 * noise.eta_diamond:
+        raise ValueError(f"bounded_channel margin 4 eta = {2.0 * noise.eta_diamond} is not below the learner's tolerance {tau}")
+    return [(64, "basis target", config.n)] if config.target == "basis" else []
+
+
 def _lpn_unread(config: ExperimentConfig) -> dict:
     if config.lpn_file is None:
         return {}
@@ -683,7 +693,7 @@ COMMANDS = {
         cmd_learn_product,
         ("n", "trials", "jobs", "epsilon", "tau", "target", "noise", "policy", "grid_search", "eta_upper"),
         _learn_product_unread,
-        lambda config: [(64, "basis target", config.n)] if config.target == "basis" else [],
+        _learn_product_caps,
     ),
     "lpn": Command(cmd_lpn, ("n", "trials", "jobs", "lpn_m", "lpn_eta", "lpn_file"), _lpn_unread, _lpn_caps),
     "sda": Command(cmd_sda, ("n",), caps=lambda config: [(2, "sda", config.n)]),

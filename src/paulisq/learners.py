@@ -72,19 +72,16 @@ class _AxisSignQuery:
 
     This is the sign of 2^{1-n} tr(E (I x ... x (I+P_axis)/2 x ... x I)) - 1/2
     evaluated directly on the sampled projector: measurements on other qubits
-    contribute exactly 1/2 and score zero.  So the query declares, by
-    `_reads_one_qubit`, that `qubit` is the one qubit it reads, and an atom
-    table answers it on that qubit's atoms only (see the oracle module
-    docstring).  A query built by `_AxisFamily` also declares, in `_family`,
-    the family of its qubit's three axis queries, and a projector table
-    answers it and its later siblings in one pass; the declaration takes no
-    part in equality or the hash.
+    contribute exactly 1/2 and score zero.  A query built by `_AxisFamily`
+    declares, in `_family`, the family of its qubit's three axis queries, so
+    a projector table answers it on that qubit's atoms only, with its later
+    siblings in one pass (see the oracle module docstring); the declaration
+    takes no part in equality or the hash.
     """
 
     qubit: int
     axis: int
-    _family: Optional[_AxisFamily] = field(default=None, init=False, compare=False, repr=False)
-    _reads_one_qubit = True
+    _family: Optional[_AxisFamily] = field(default=None, compare=False, repr=False)
 
     def __hash__(self) -> int:
         # equal queries share (qubit, axis), so this is a hash; it skips the
@@ -109,18 +106,16 @@ class _AxisSignQuery:
 
 class _AxisFamily:
     """The axis queries of one qubit, in `members` by axis, with one array
-    form for all three: they read the same atoms with the same weights, so
-    an atom table answers a member and its later siblings in one pass over
-    that array form (see oracle._Table).  Each member declares the family
-    in its `_family`."""
+    form for all three: they read only `qubit`'s atoms, with the same
+    weights, so an atom table answers a member and its later siblings in one
+    pass over that array form on the qubit's view (see oracle._Table).  Each
+    member declares the family in its `_family`."""
 
     __slots__ = ("qubit", "members")
 
     def __init__(self, qubit: int):
         self.qubit = qubit
-        self.members = tuple(_AxisSignQuery(qubit, axis) for axis in range(3))
-        for member in self.members:
-            object.__setattr__(member, "_family", self)
+        self.members = tuple(_AxisSignQuery(qubit, axis, self) for axis in range(3))
 
     def on_projectors(self, qubits: np.ndarray, directions: np.ndarray) -> tuple:
         """(plus, minus) as (3, m) arrays: row a is member a's on_projectors,
@@ -148,6 +143,17 @@ def _require_haar(oracle) -> int:
     return d.n
 
 
+def product_tolerance(n: int, epsilon: float, tau: Optional[float] = None) -> float:
+    """The tolerance learn_product_state issues its queries at: tau, or
+    sqrt(epsilon)/(2n) where tau is None."""
+    return math.sqrt(epsilon) / (2 * n) if tau is None else tau
+
+
+def basis_tolerance(n: int) -> float:
+    """The tolerance learn_basis_state issues its queries at, 1/(4n)."""
+    return 1.0 / (4 * n)
+
+
 def learn_product_state(oracle, epsilon: float, tau: Optional[float] = None) -> LearnedHypothesis:
     """Learn a product state to squared loss epsilon with exactly 3n queries.
 
@@ -162,8 +168,7 @@ def learn_product_state(oracle, epsilon: float, tau: Optional[float] = None) -> 
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     n = _require_haar(oracle)
     start = oracle.query_count
-    if tau is None:
-        tau = math.sqrt(epsilon) / (2 * n)
+    tau = product_tolerance(n, epsilon, tau)
     blochs = []
     for axes in _axis_queries(n):
         coords = [2 * n * oracle.query(SQQuery(q, tau)) for q in axes]
@@ -183,7 +188,7 @@ def learn_basis_state(oracle) -> LearnedHypothesis:
     """
     n = _require_haar(oracle)
     start = oracle.query_count
-    tau = 1.0 / (4 * n)
+    tau = basis_tolerance(n)
     bits = 0
     for i, axes in enumerate(_axis_queries(n)):
         answer = oracle.query(SQQuery(axes[2], tau))

@@ -60,27 +60,25 @@ Haar table and Haar draw) a query with an array form is answered in one
 call: a table weighs the two arrays by its accept and reject weights as
 they are, and a draw picks each example's value at its label.  Otherwise
 phi is called pair by pair on measurements made from the batch one at a
-time.  The package's own queries may also declare the one qubit they
-read, by a true `_reads_one_qubit` and an int phi.qubit: phi(E, y) is then
-+-0.0 for both labels on every projector acting on another qubit.  A
-projector table answers such a query on that qubit's atoms only (1/n of
-the Haar atoms), with the same result bit for bit (see `_Table`); draws,
-and tables of other measurements, read every atom or example.  Where each
-qubit's atoms lie is found once per batch (`ProjectorBatch._qubit_runs`),
-so every table on a distribution's shared support reuses one search and
-one set of per-qubit batches, and slices only its own weights.  The
-learners' axis queries declare their qubit; a query's field named `qubit`
-alone declares nothing.  One helper, `_values`, reads phi for every
-answer, and either way it checks |phi| <= 1 on each value the answer
-uses: both labels of every atom a table reads, in one pass, or the drawn
-label of every example.
+time.  One helper, `_values`, reads phi for every answer, and either way it
+checks |phi| <= 1 on each value the answer uses: both labels of every atom
+a table reads, in one pass, or the drawn label of every example.
 
-A query may also declare, by `_family`, a family of queries that read the
-same atoms, with one array form for all of them.  A qubit's three axis
-queries are one family, and a projector table answers an asked member and
-its later siblings in one pass, each bit for bit as alone (see `_Table`):
-the product learner, asking X, Y and Z in turn, reads each qubit's atoms
-once.  The classification wrapper's label parts declare no family.
+The package's own queries may also declare, by `_family`, a family of
+queries that read one qubit, with one array form for all of them:
+phi(E, y) is +-0.0 for both labels on every projector acting on another
+qubit.  A projector table answers an asked member on that qubit's atoms
+only (1/n of the Haar atoms), together with its later siblings in one
+pass, each bit for bit as alone (see `_Table`); draws, and tables of
+other measurements, read every atom or example.  Where each qubit's atoms
+lie is found once per batch (`ProjectorBatch._qubit_runs`), so every
+table on a distribution's shared support reuses one search and one set of
+per-qubit batches, and slices only its own weights.  A qubit's three axis
+queries are one family, so the product learner, asking X, Y and Z in
+turn, reads each qubit's atoms once.  The classification wrapper's label
+parts of a family's members are one family too, read in one pass over the
+base family's array form.  A query's field named `qubit` alone declares
+nothing.
 """
 
 from __future__ import annotations
@@ -446,25 +444,24 @@ class _Table:
     """An atom table: `weights` is (batch, accept, reject) as
     NoiseModel.label_weights gives it, and `answer` reads a query off it.
 
-    On a projector table, a query that declares the one qubit it reads is
-    evaluated on that qubit's view only (see _qubit_views): the atoms it
-    drops add terms of +-0.0, which leave the running sum's normalised
-    result as it is.  The batch finds its per-qubit runs once, for every
-    table that shares it; the table slices its weights by them, for every
-    qubit at once, on its first such query.  Any other query, and any other
-    table, is evaluated on all the weights.
-
-    A query may also declare, in `_family`, a family of queries that read
-    the same view: `family.members` in order, and an array form
+    A query may declare, in `_family`, a family of queries that read one
+    qubit: `family.qubit`, `family.members` in order, and an array form
     family.on_projectors(qubits, directions) -> (plus, minus) as (k, m)
-    arrays, row a equal to member a's array form bit for bit.  On a miss
-    for a member, on a projector view, the table evaluates that member and
-    its later siblings in one pass: one bound check covers all their values
-    and each row is summed as `_evaluate` sums one query, so every answer is
-    the one its member would get alone.  If any of the values fails the
-    bound, the asked member is evaluated alone, so it answers or raises as
-    before, and no sibling is kept.  The last member has no later sibling
-    and is evaluated alone.
+    arrays, row a equal to member a's array form bit for bit.  Every member
+    is +-0.0 for both labels on every projector acting on another qubit.
+    On a miss for a member, a projector table reads the qubit's view only
+    (see _qubit_views): the atoms it drops add terms of +-0.0, which leave
+    the running sum's normalised result as it is.  On that view it
+    evaluates the asked member and its later siblings in one pass: one
+    bound check covers all their values and each row is summed as
+    `_evaluate` sums one query, so every answer is the one its member would
+    get alone.  If any of the values fails the bound, the asked member is
+    evaluated alone, so it answers or raises as before, and no sibling is
+    kept.  A family whose qubit is outside the table reads all the weights.
+    The batch finds its per-qubit runs once, for every table that shares
+    it; the table slices its weights by them, for every qubit at once, on
+    its first family pass.  Any other query, and any other table, is
+    evaluated on all the weights.
 
     The table keeps the answer to every hashable query it has evaluated; its
     weights never change, and neither does the answer.  A query that cannot
@@ -484,50 +481,37 @@ class _Table:
         try:
             value = self._answers.get(phi)
         except TypeError:
-            return _evaluate(self._read_by(phi), phi)
+            return _evaluate(self.weights, phi)
         if value is None:
-            view = self._read_by(phi)
-            value = self._answer_family(view, phi)
-            if value is None:
-                value = _evaluate(view, phi)
-                self._keep(phi, value)
+            members, values = self._pass(phi)
+            answers = self._answers
+            for member, kept in zip(members, values):
+                if len(answers) >= _ANSWER_CAP and member not in answers:
+                    answers.clear()
+                answers[member] = kept
+            value = values[0]
         return value
 
-    def _answer_family(self, view: tuple, phi) -> Optional[float]:
-        """phi's answer from one pass over its family's array form, with its
-        later siblings' answers kept beside it; None where there is no such
-        pass (see the class docstring)."""
+    def _pass(self, phi) -> tuple:
+        """(members, values): phi and its family's later members, with their
+        answers from one pass over the family's array form on its qubit's
+        view, or phi alone with its answer (see the class docstring)."""
         family = getattr(phi, "_family", None)
-        batch = view[0]
-        if family is None or not isinstance(batch, ProjectorBatch):
-            return None
-        members = family.members
-        first = members.index(phi)
-        if first == len(members) - 1:
-            return None
-        plus, minus = family.on_projectors(batch.qubits, batch.directions)
+        if family is None or not isinstance(self.weights[0], ProjectorBatch):
+            return (phi,), [_evaluate(self.weights, phi)]
+        view = self._view(family.qubit)
+        first = family.members.index(phi)
         try:
+            plus, minus = family.on_projectors(view[0].qubits, view[0].directions)
             plus, minus = _checked(plus[first:], minus[first:])
         except UnboundedQuery:
-            return None
-        values = _sums(view, plus, minus).tolist()
-        for member, value in zip(members[first:], values):
-            self._keep(member, value)
-        return values[0]
+            return (phi,), [_evaluate(view, phi)]
+        return family.members[first:], _sums(view, plus, minus).tolist()
 
-    def _keep(self, phi, value: float):
-        answers = self._answers
-        if len(answers) >= _ANSWER_CAP and phi not in answers:
-            answers.clear()
-        answers[phi] = value
-
-    def _read_by(self, phi) -> tuple:
-        """The weights phi is evaluated on: its declared qubit's view, or all of them."""
-        batch = self.weights[0]
-        if not getattr(phi, "_reads_one_qubit", False) or not isinstance(batch, ProjectorBatch):
-            return self.weights
-        qubit = getattr(phi, "qubit", None)
-        if type(qubit) is not int or not 0 <= qubit < batch.n:
+    def _view(self, qubit) -> tuple:
+        """The weights a family on `qubit` reads: that qubit's view of a
+        projector table, or all of them for a qubit outside the table."""
+        if type(qubit) is not int or not 0 <= qubit < self.weights[0].n:
             return self.weights
         if self._views is None:
             self._views = _qubit_views(self.weights)
@@ -744,27 +728,31 @@ class _LabelPart:
 
     A query outside [-1, 1] can have bounded parts, so phi itself is checked
     on both labels of every atom or example the part is evaluated at.  The
-    part has an array form, and declares a qubit, exactly when phi does.
-    Parts are equal when their (phi, odd) are, so an atom table reads each
-    part once.
+    part has an array form exactly when phi does, and declares a family
+    exactly when phi does: the one `_LabelFamily` of phi's family, whose
+    members are the parts of its members.  Parts are equal when their
+    (phi, odd) are, so an atom table reads each part once.
     """
 
     def __init__(self, phi, odd: bool):
         self.phi = phi
         self.odd = odd
-        if getattr(phi, "_reads_one_qubit", False):
-            # both parts are +-0.0 wherever phi is
-            self._reads_one_qubit = True
-            self.qubit = phi.qubit
 
+    # both are read through properties: a bound method kept on a part, or a
+    # label family kept on one of its own member parts, would make a
+    # reference cycle, left for the cyclic collector to free
     @property
     def on_projectors(self):
-        """The array form, where phi has one.  A bound method kept on the
-        instance would make each part a reference cycle, left for the cyclic
-        collector to free."""
+        """The array form, where phi has one."""
         if not hasattr(self.phi, "on_projectors"):
             raise AttributeError("on_projectors")
         return self._on_projectors
+
+    @property
+    def _family(self):
+        """The label parts of phi's family, where phi declares one."""
+        family = getattr(self.phi, "_family", None)
+        return None if family is None else _label_family(family)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, _LabelPart) and (self.phi, self.odd) == (other.phi, other.odd)
@@ -773,16 +761,42 @@ class _LabelPart:
         return hash((self.phi, self.odd))
 
     def __call__(self, e, y: int) -> float:
-        plus, minus = self.phi(e, 1), self.phi(e, -1)
-        _check_bound(np.array([plus, minus], dtype=float))
-        return 0.5 * y * (plus - minus) if self.odd else 0.5 * (plus + minus)
+        even, odd = _label_parts((self.phi(e, 1), self.phi(e, -1)))
+        return y * odd if self.odd else even
 
     def _on_projectors(self, qubits: np.ndarray, directions: np.ndarray) -> tuple:
-        plus, minus = _check_bound(np.array(self.phi.on_projectors(qubits, directions), dtype=float))
-        if self.odd:
-            return 0.5 * (plus - minus), -0.5 * (plus - minus)
-        even = 0.5 * (plus + minus)
-        return even, even
+        even, odd = _label_parts(self.phi.on_projectors(qubits, directions))
+        return (odd, -odd) if self.odd else (even, even)
+
+
+def _label_parts(values) -> tuple:
+    """(even, odd): the label-free part 0.5 (phi(E, 1) + phi(E, -1)) of the
+    values (phi(E, 1), phi(E, -1)), two scalars or two arrays, and the
+    label-odd part at y = 1, 0.5 (phi(E, 1) - phi(E, -1)), once every value
+    has passed the bound."""
+    plus, minus = _check_bound(np.array(values, dtype=float))
+    return 0.5 * (plus + minus), 0.5 * (plus - minus)
+
+
+class _LabelFamily:
+    """The label parts of a family's members, even then odd for each member
+    in order, with one array form: the base family's, checked on both
+    labels, with every part's rows formed as `_LabelPart` forms them."""
+
+    def __init__(self, base):
+        self.qubit = base.qubit
+        self.members = tuple(_LabelPart(phi, odd) for phi in base.members for odd in (False, True))
+        self._base = base
+
+    def on_projectors(self, qubits: np.ndarray, directions: np.ndarray) -> tuple:
+        """(plus, minus) as (2k, m) arrays: rows 2a and 2a + 1 are the even
+        and odd parts of base member a, each bit for bit as alone."""
+        even, odd = _label_parts(self._base.on_projectors(qubits, directions))
+        return tuple(np.stack(rows, 1).reshape(2 * len(even), -1) for rows in ((even, odd), (even, -odd)))
+
+
+# each base family's label family, built once
+_label_family = lru_cache(maxsize=256)(_LabelFamily)
 
 
 class ClassificationCorrectedOracle(_WrapperOracle):

@@ -437,14 +437,24 @@ def reference_qubit_views(weights) -> tuple:
 
 
 def reference_table_answer(weights, phi) -> float:
-    """A table's answer as it was read before: a declared qubit's
-    reference view of a projector table, all the weights otherwise."""
-    qubit = getattr(phi, "qubit", None)
+    """A table's answer as it was read before, phi alone: the reference
+    view of a projector table for the qubit of phi's declared family, all
+    the weights otherwise."""
+    qubit = getattr(getattr(phi, "_family", None), "qubit", None)
     batch = weights[0]
-    if (getattr(phi, "_reads_one_qubit", False) and isinstance(batch, ProjectorBatch)
-            and type(qubit) is int and 0 <= qubit < batch.n):
+    if isinstance(batch, ProjectorBatch) and type(qubit) is int and 0 <= qubit < batch.n:
         weights = reference_qubit_views(weights)[qubit]
     return reference_evaluate(weights, phi)
+
+
+def label_part_on_projectors(phi, odd: bool, qubits, directions) -> tuple:
+    """oracle._LabelPart's array form as it read before the label family
+    shared its formula: the odd part's y = -1 row as -0.5 (plus - minus)."""
+    plus, minus = check_bound(np.array(phi.on_projectors(qubits, directions), dtype=float))
+    if odd:
+        return 0.5 * (plus - minus), -0.5 * (plus - minus)
+    even = 0.5 * (plus + minus)
+    return even, even
 
 
 def axis_sign_on_projectors(qubit: int, axis: int, qubits, directions) -> tuple:

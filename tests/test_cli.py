@@ -181,6 +181,32 @@ def test_learn_product_with_bounded_channel():
     assert report["passed"]
 
 
+@pytest.mark.parametrize("noise", [
+    {"kind": "classification", "eta": 0.3},
+    {"kind": "depolarizing", "eta": 0.6},
+    {"kind": "bounded_channel", "eta": 0.02},
+    {"kind": "malicious", "eta": 0.05},
+], ids=lambda noise: noise["kind"])
+def test_basis_target_queries_through_the_noise_models_correction(noise):
+    # uncorrected, classification noise at 0.3 and depolarizing noise at 0.6
+    # pull every answer into the dead zone of the basis learner
+    report = run_experiment(
+        ExperimentConfig(experiment="learn-product", n=3, target="basis", seed=2, trials=3, noise=noise)
+    )
+    assert report["passed"] and all(r["recovered"] and r["queries"] == 3 for r in report["results"]["trials"])
+
+
+@pytest.mark.parametrize("tau, refused", [(0.5, False), (0.4, True), (0.1, True)])
+def test_bounded_channel_margin_is_checked_against_the_configured_tau(tau, refused):
+    # learn-product reads tau as the product learner's tolerance, and the margin 4 eta = 0.4 must stay below it
+    config = {"experiment": "learn-product", "n": 2, "trials": 1, "tau": tau, "noise": {"kind": "bounded_channel", "eta": 0.1}}
+    if refused:
+        with pytest.raises(ValueError, match=f"margin 4 eta = 0.4 is not below the learner's tolerance {tau}"):
+            ExperimentConfig.from_dict(config)
+    else:
+        assert run_experiment(ExperimentConfig.from_dict(config))["results"]["trials"][0]["queries"] == 6
+
+
 def test_noise_demo_custom_distribution():
     report = run_experiment(
         ExperimentConfig(
@@ -235,6 +261,13 @@ def test_lpn_instance_file_round_trip(tmp_path):
         (["lpn", "--lpn-m", "-5"], "lpn_m must be at least 1, got -5"),
         (["verify-lemmas", "--n", "1", "--seed", "-1"], "seed must be non-negative, got -1"),
         (["lpn", "--seed", "-5"], "seed must be non-negative, got -5"),
+        (["learn-product", "--n", "2", "--noise", "bounded_channel", "--eta", "0.1"],
+         "bounded_channel margin 4 eta = 0.4 is not below the learner's tolerance 0.025"),
+        (["learn-product", "--target", "basis", "--n", "3", "--noise", "bounded_channel", "--eta", "0.03"],
+         "bounded_channel margin 4 eta = 0.12 is not below the learner's tolerance 0.0833"),
+        # a margin equal to the tolerance leaves the learner nothing
+        (["learn-product", "--n", "2", "--noise", "bounded_channel", "--eta", "0.00625"],
+         "bounded_channel margin 4 eta = 0.025 is not below the learner's tolerance 0.025"),
     ],
 )
 def test_cli_rejects_bad_input_with_usage_error(argv, message, capsys):
@@ -518,7 +551,8 @@ def test_every_table_kind_parses_from_the_command_line():
 
     parser = build_parser()
     for kind in NOISE_KINDS:
-        eta = "0.0" if kind == "none" else "0.1"
+        # a bounded channel's margin 4 eta must stay below the default tolerance 0.025
+        eta = "0.0" if kind == "none" else "0.005"
         config = config_from_args(parser.parse_args(["learn-product", "--noise", kind, "--eta", eta]))
         make, _ = NOISE_KINDS[kind]
         assert type(noise_from_descriptor(config.noise)) is type(make({"kind": kind, "eta": float(eta)}))

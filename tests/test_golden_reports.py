@@ -126,7 +126,7 @@ def _smoke_configs() -> dict:
 
 
 def test_the_smoke_step_is_found():
-    assert len(_smoke_configs()) == 11
+    assert len(_smoke_configs()) == 12
 
 
 @pytest.mark.parametrize("data", [*CONFIGS.values(), *_smoke_configs().values()], ids=[*CONFIGS, *_smoke_configs()])

@@ -1,4 +1,4 @@
-"""A query that declares the one qubit it reads is answered on that qubit's
+"""A query that declares a family on one qubit is answered on that qubit's
 atoms of a projector table only, and the answer is the full-table answer bit
 for bit: every atom it drops adds a term of +-0.0 to the running sum."""
 
@@ -28,6 +28,7 @@ from paulisq.oracle import (
     UnboundedQuery,
     _atoms,
     _evaluate,
+    _label_family,
     _LabelPart,
     _mixed_table,
     _qubit_views,
@@ -86,8 +87,22 @@ DISTRIBUTIONS = {
 }
 
 
+class _Family:
+    """A family of `members` on `qubit`, its array form their array forms
+    stacked as rows; each member declares it in its `_family`."""
+
+    def __init__(self, qubit, members):
+        self.qubit, self.members = qubit, tuple(members)
+        for member in self.members:
+            member._family = self
+
+    def on_projectors(self, qubits, directions):
+        rows = [member.on_projectors(qubits, directions) for member in self.members]
+        return np.stack([plus for plus, _ in rows]), np.stack([minus for _, minus in rows])
+
+
 class _Undeclared:
-    """phi with its array form and its scalar form, but no declared qubit."""
+    """phi with its array form and its scalar form, but no declared family."""
 
     def __init__(self, phi):
         self.phi = phi
@@ -162,7 +177,7 @@ def test_learner_hypothesis_is_unchanged_by_the_views(monkeypatch):
 
     fast = learned()
     _table.cache_clear()
-    monkeypatch.setattr(_Table, "_read_by", lambda self, phi: self.weights)
+    monkeypatch.setattr(_Table, "_view", lambda self, qubit: self.weights)
     assert learned() == fast
     _table.cache_clear()
 
@@ -196,12 +211,12 @@ def test_a_qubit_without_atoms_reads_the_whole_table():
 
 
 class _Counting:
-    """A declared axis query that records how many atoms each call reads."""
-
-    _reads_one_qubit = True
+    """An axis query, declared as the one member of a family on its qubit,
+    that records how many atoms each call reads."""
 
     def __init__(self, qubit: int, axis: int, seen: list):
-        self.qubit, self._q, self._seen = qubit, _AxisSignQuery(qubit, axis), seen
+        self._q, self._seen = _AxisSignQuery(qubit, axis), seen
+        _Family(qubit, [self])
 
     def __call__(self, e, y):
         self._seen.append(1)
@@ -232,9 +247,17 @@ def test_a_declared_query_reads_its_qubits_atoms_only():
 def test_an_out_of_range_or_non_int_declaration_reads_the_whole_table(qubit):
     n = 4
     table = _table.__wrapped__(_product_state(n, 5), HaarSingleQubitProduct(n), NoNoise())
-    q = _Counting(1, 2, [])
-    q.qubit = qubit
-    assert table._read_by(q) is table.weights
+    seen = []
+    q = _Counting(1, 2, seen)
+    q._family.qubit = qubit
+    assert table._view(qubit) is table.weights
+    # the family and the family of its label parts both read every atom
+    for phi in _forms(q):
+        assert phi._family.qubit is qubit
+        seen.clear()
+        assert table.answer(phi).hex() == _evaluate(table.weights, phi).hex()
+        assert seen[0] == len(table.weights[0])
+    assert table._views is None
 
 
 class _NamesAQubit:
@@ -256,7 +279,7 @@ def test_a_qubit_field_without_the_declaration_reads_the_whole_table(distributio
     d = DISTRIBUTIONS[distribution](n)
     table = _table.__wrapped__(_product_state(n, 8), d, ClassificationNoise(0.2))
     for phi in (_NamesAQubit(), _LabelPart(_NamesAQubit(), odd=False), _LabelPart(_NamesAQubit(), odd=True)):
-        assert table._read_by(phi) is table.weights
+        assert getattr(phi, "_family", None) is None
         assert table.answer(phi).hex() == _evaluate(table.weights, phi).hex()
     assert table._views is None
     assert table.answer(_NamesAQubit()) != 0.0
@@ -281,11 +304,11 @@ def test_a_table_builds_each_qubits_view_once(monkeypatch):
         views.append(table._views)
     assert len(calls) == 1 and views[0] is views[1]
     for qubit in range(n):
-        assert table._read_by(_AxisSignQuery(qubit, 0)) is views[0][qubit]
+        assert table._view(qubit) is views[0][qubit]
 
 
 def _declared_spike(qubit: int, value: float):
-    """Declares `qubit`; inside [-1, 1] except at that qubit's last atom on y = -1."""
+    """Declares a family on `qubit`; inside [-1, 1] except at that qubit's last atom on y = -1."""
     class Spike(_Counting):
         def on_projectors(self, qubits, directions):
             plus = np.zeros(len(qubits))
@@ -320,28 +343,38 @@ def test_a_value_outside_the_bound_on_the_declared_qubit_raises(value, distribut
 
 
 def test_a_label_part_declares_its_querys_qubit_and_array_form():
-    q = _AxisSignQuery(2, 1)
+    # a part's family is the label family of its query's family, which
+    # carries the qubit: one object per base family, whose members are the
+    # parts (even, odd) of each base member
+    axes = _axis_queries(3)[2]
+    q = axes[1]
     scalar = lambda e, y: 0.0  # noqa: E731
+    family = _LabelPart(q, False)._family
+    assert family is _LabelPart(q, True)._family is _label_family(q._family)
+    assert family.qubit == 2 and family.members == tuple(_LabelPart(a, odd) for a in axes for odd in (False, True))
     for odd in (False, True):
-        assert _LabelPart(q, odd).qubit == 2 and hasattr(_LabelPart(q, odd), "on_projectors")
-        assert not hasattr(_LabelPart(scalar, odd), "qubit")
+        assert hasattr(_LabelPart(q, odd), "on_projectors")
+        assert _LabelPart(scalar, odd)._family is None and _LabelPart(_AxisSignQuery(2, 1), odd)._family is None
         assert getattr(_LabelPart(scalar, odd), "on_projectors", None) is None
     # a part of a part keeps both
-    assert _LabelPart(_LabelPart(q, True), False).qubit == 2
+    assert _LabelPart(_LabelPart(q, True), False)._family.qubit == 2
+    assert _LabelPart(_LabelPart(q, True), False)._family is _label_family(family)
     assert hasattr(_LabelPart(_LabelPart(q, True), False), "on_projectors")
     # a field named qubit is no declaration
     for odd in (False, True):
-        assert not hasattr(_LabelPart(_NamesAQubit(), odd), "_reads_one_qubit")
+        assert _LabelPart(_NamesAQubit(), odd)._family is None
 
 
 def test_a_label_part_is_freed_without_the_cyclic_collector():
     # the classification wrapper makes two parts per query; a part that kept
-    # its own bound method would wait for a full collection to be freed
+    # its own bound method would wait for a full collection to be freed, and
+    # reading a family member's part's family must keep nothing on the part
     gc.disable()
     try:
-        for phi in (_AxisSignQuery(0, 1), lambda e, y: 0.0):
+        for phi in (_AxisSignQuery(0, 1), _axis_queries(2)[1][0], lambda e, y: 0.0):
             part = _LabelPart(phi, odd=True)
             getattr(part, "on_projectors", None)
+            getattr(part, "_family", None)
             ref = weakref.ref(part)
             del part
             assert ref() is None

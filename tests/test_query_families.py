@@ -1,8 +1,10 @@
-"""A qubit's three axis queries form a family, and a projector table answers
-an asked member and its later siblings in one pass over the family's array
-form.  Every answer must be the answer its member gets alone, as
-tests/dense_ref.py reads it, bit for bit, or fail with the same message; a
-member whose value fails its bound is kept by no pass but its own."""
+"""A qubit's three axis queries form a family, and so do the classification
+wrapper's label parts of them; a projector table answers an asked member
+and its later siblings in one pass over the family's array form, on the
+family's qubit's atoms.  Every answer must be the answer its member gets
+alone, as tests/dense_ref.py reads it, bit for bit, or fail with the same
+message; a member whose value fails its bound is kept by no pass but its
+own."""
 
 import math
 
@@ -12,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paulisq.oracle as oracle_module
-from dense_ref import reference_sample_mean, reference_table_answer
+from dense_ref import label_part_on_projectors, reference_sample_mean, reference_table_answer
 from paulisq.learners import _AxisFamily, _AxisSignQuery, _axis_queries, learn_basis_state, learn_product_state
 from paulisq.oracle import (
     AdversarialCallback,
     BoundedChannelNoise,
+    ClassificationCorrectedOracle,
     ClassificationNoise,
     DefaultAdversary,
     DepolarizingNoise,
@@ -26,9 +29,15 @@ from paulisq.oracle import (
     NoNoise,
     OracleConfig,
     RandomWithinTau,
+    SQQuery,
     StatisticalQueryOracle,
+    UnboundedQuery,
+    _evaluate,
+    _label_family,
+    _LabelFamily,
     _LabelPart,
     _mixed_table,
+    _qubit_views,
     _sample_mean,
     _sums,
     _Table,
@@ -38,12 +47,13 @@ from paulisq.pconcept import (
     BlochVector,
     HaarSingleQubitProduct,
     ProductState,
+    ProjectorBatch,
     StabilizerState,
     draw_outcomes,
 )
 from paulisq.stabilizer import StabilizerGroup
 from paulisq.streams import substream
-from test_qubit_views import NOISES
+from test_qubit_views import NOISES, _Family
 from test_table_kernel import DISTRIBUTIONS, EDGE_VALUES, _outcome, _product_state, _projectors, _Valued
 
 # the ask orders, as axes asked of each qubit in turn: the product learner's,
@@ -103,6 +113,52 @@ def test_family_rows_are_the_members_array_forms():
                 assert minus[axis].tobytes() == member[1].tobytes()
 
 
+def test_label_family_rows_are_the_parts_array_forms():
+    # signed zeros, subnormals and huge values, on rows of every qubit: on
+    # the whole batch, on a non-contiguous slice of it, and on each qubit's
+    # view of a table over it, as index runs and, once sorted, as slices.
+    # Each row is its part's array form bit for bit, as it reads now and as
+    # it read before the label family shared its formula
+    components = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.3, -0.7, 1e300, -1e300]
+    n = 3
+    rng = substream(2, "label-family-rows")
+    directions = rng.choice(components, size=(4 * len(components), 3))
+    qubits = rng.integers(0, n, size=len(directions))
+    batches = [(qubits, directions), (qubits[1::3], directions[1::3])]
+    for order in (np.arange(len(qubits)), np.argsort(qubits, kind="stable")):
+        batch = ProjectorBatch(n, qubits[order], directions[order])
+        weights = (batch, np.ones(len(batch)), np.ones(len(batch)))
+        batches += [(view[0].qubits, view[0].directions) for view in _qubit_views(weights)]
+    for axes in _axis_queries(n):
+        family = _label_family(axes[0]._family)
+        assert family.qubit == axes[0].qubit
+        for batch in batches:
+            plus, minus = family.on_projectors(*batch)
+            assert plus.shape == minus.shape == (6, len(batch[0]))
+            for row, part in enumerate(family.members):
+                assert (part.phi, part.odd) == (axes[row // 2], row % 2 == 1)
+                for form in (part.on_projectors(*batch), label_part_on_projectors(part.phi, part.odd, *batch)):
+                    assert plus[row].tobytes() == form[0].tobytes()
+                    assert minus[row].tobytes() == form[1].tobytes()
+
+
+def test_a_label_family_checks_every_base_value_on_both_labels():
+    n = 2
+    qubits = np.array([0, 1, 0, 1])
+    directions = np.full((4, 3), 0.6)
+    for row in range(4):
+        for column in range(3):
+            bad = directions.copy()
+            bad[row, column] = math.nan
+            family = _label_family(_axis_queries(n)[int(qubits[row])][0]._family)
+            with pytest.raises(UnboundedQuery, match="query returned nan"):
+                family.on_projectors(qubits, bad)
+            # an off-qubit NaN is +0.0 in every member, and no part of the family reads it
+            other = _label_family(_axis_queries(n)[1 - int(qubits[row])][0]._family)
+            plus, minus = other.on_projectors(qubits, bad)
+            assert not np.isnan(plus).any() and not np.isnan(minus).any()
+
+
 @pytest.mark.parametrize("order", list(ORDERS), ids=list(ORDERS))
 @pytest.mark.parametrize("distribution", list(DISTRIBUTIONS), ids=list(DISTRIBUTIONS))
 @pytest.mark.parametrize("noise", list(NOISES), ids=list(NOISES))
@@ -135,6 +191,55 @@ def test_family_answers_match_the_reference_up_to_16_qubits(n, data, noise, dist
             assert _outcome(lambda: table.answer(q)) == _outcome(lambda: reference_table_answer(table.weights, q))
 
 
+def _assert_wrapper_matches_reference(n: int, d, noise, seed: int, asks):
+    """Asks each (qubit, axis) of `asks` in turn through a classification
+    wrapper over a fresh table, and checks each answer against the
+    reference answers of its two parts, each read alone."""
+    _table.cache_clear()
+    inner = StatisticalQueryOracle(_product_state(n, seed), d, OracleConfig(ExactPolicy(), noise))
+    wrapper = ClassificationCorrectedOracle(inner, 0.2)
+    expected = {}
+    for qubit, axis in asks:
+        q = _axis_queries(n)[qubit][axis]
+        answer = wrapper.query(SQQuery(q, 0.1))
+        if q not in expected:
+            even, odd = (reference_table_answer(inner._exact.weights, _LabelPart(q, odd)) for odd in (False, True))
+            expected[q] = even + wrapper.noise.correct(odd)
+        assert answer.hex() == expected[q].hex()
+    assert inner.query_count == 2 * len(asks)
+    _table.cache_clear()
+
+
+@pytest.mark.parametrize("order", list(ORDERS), ids=list(ORDERS))
+@pytest.mark.parametrize("distribution", list(DISTRIBUTIONS), ids=list(DISTRIBUTIONS))
+@pytest.mark.parametrize("noise", list(NOISES), ids=list(NOISES))
+def test_answers_through_the_classification_wrapper_match_the_reference(noise, distribution, order):
+    for n in (1, 2, 3):
+        d = DISTRIBUTIONS[distribution](n)
+        asks = [(qubit, axis) for qubit in range(n) for axis in ORDERS[order]]
+        for seed in range(2):
+            _assert_wrapper_matches_reference(n, d, NOISES[noise](n), 10 * n + seed, asks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 16),
+    data=st.data(),
+    noise=st.sampled_from(sorted(NOISES)),
+    distribution=st.sampled_from(["haar", "finite"]),
+    seed=st.integers(0, 2**16),
+)
+def test_answers_through_the_classification_wrapper_match_the_reference_up_to_16_qubits(
+    n, data, noise, distribution, seed
+):
+    if distribution == "haar":
+        d = HaarSingleQubitProduct(n)
+    else:
+        d = _projectors(n, data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=24)), seed)
+    asks = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2)), min_size=1, max_size=8))
+    _assert_wrapper_matches_reference(n, d, NOISES[noise](n), seed, asks)
+
+
 def _counting_passes(monkeypatch) -> dict:
     """Counts calls of the family's and the members' array forms."""
     calls = {"family": 0, "member": 0}
@@ -162,11 +267,11 @@ def test_a_pass_reads_the_asked_member_and_its_later_siblings_only(monkeypatch):
     _table.cache_clear()
     learn_product_state(StatisticalQueryOracle(state, d), 0.01)
     assert calls == {"family": n, "member": 0}
-    # the basis learner asks Z only, the last member: one pass of its own
+    # the basis learner asks Z only, the last member: a pass of one row per qubit
     calls.update(family=0, member=0)
     _table.cache_clear()
     learn_basis_state(StatisticalQueryOracle(StabilizerState(StabilizerGroup.basis_state(5, n)), d))
-    assert calls == {"family": 0, "member": n}
+    assert calls == {"family": n, "member": 0}
     _table.cache_clear()
     # Y then X: Y's pass keeps Y and Z, and X's keeps X and rewrites the same Y and Z
     table = _table.__wrapped__(state, d, NoNoise())
@@ -179,6 +284,39 @@ def test_a_pass_reads_the_asked_member_and_its_later_siblings_only(monkeypatch):
     assert set(table._answers) == set(axes) and calls == {"family": 2, "member": 0}
 
 
+def test_the_classification_wrapper_reads_each_qubit_in_one_pass(monkeypatch):
+    # the wrapper asks the even and odd parts of each query in turn: the first
+    # part asked of a qubit is answered, with its later siblings, by one pass
+    # over the label family, which reads the axis family's array form once
+    n = 4
+    d = HaarSingleQubitProduct(n)
+    calls = _counting_passes(monkeypatch)
+    label_form, part_form = _LabelFamily.on_projectors, _LabelPart._on_projectors
+
+    def label(self, qubits, directions):
+        calls["labels"] += 1
+        return label_form(self, qubits, directions)
+
+    def part(self, qubits, directions):
+        calls["parts"] += 1
+        return part_form(self, qubits, directions)
+
+    monkeypatch.setattr(_LabelFamily, "on_projectors", label)
+    monkeypatch.setattr(_LabelPart, "_on_projectors", part)
+    targets = [
+        (_product_state(n, 3), lambda oracle: learn_product_state(oracle, 0.01), 3 * n),
+        (StabilizerState(StabilizerGroup.basis_state(5, n)), learn_basis_state, n),
+    ]
+    for target, learn, queries in targets:
+        calls.update(family=0, member=0, labels=0, parts=0)
+        _table.cache_clear()
+        inner = StatisticalQueryOracle(target, d, OracleConfig(ExactPolicy(), ClassificationNoise(0.2)))
+        assert learn(ClassificationCorrectedOracle(inner, 0.2)).queries_used == queries
+        assert calls == {"family": n, "member": 0, "labels": n, "parts": 0}
+        assert inner.query_count == 2 * queries
+    _table.cache_clear()
+
+
 def test_a_family_pass_on_a_pauli_corrupted_table_is_not_taken(monkeypatch):
     # a Pauli corruption leaves an IndexBatch: each member is read pair by pair
     n = 2
@@ -189,20 +327,7 @@ def test_a_family_pass_on_a_pauli_corrupted_table_is_not_taken(monkeypatch):
     assert calls == {"family": 0, "member": 0} and len(table._answers) == 3 * n
 
 
-class _StackedFamily:
-    """A family of _Valued members, its array form their rows stacked."""
-
-    def __init__(self, members):
-        self.members = tuple(members)
-        for member in self.members:
-            member._family = self
-
-    def on_projectors(self, qubits, directions):
-        rows = [member.on_projectors(qubits, directions) for member in self.members]
-        return np.stack([plus for plus, _ in rows]), np.stack([minus for _, minus in rows])
-
-
-def _valued_family(qubit: int, bad_row: int, bad_value: float, label: int) -> _StackedFamily:
+def _valued_family(qubit: int, bad_row: int, bad_value: float, label: int) -> _Family:
     """Three _Valued members on `qubit`, reading axes 0, 1 and 2, inside the
     bound except `bad_value` on member `bad_row`'s label `label`."""
     members = []
@@ -211,7 +336,7 @@ def _valued_family(qubit: int, bad_row: int, bad_value: float, label: int) -> _S
         if row == bad_row:
             values[label] = bad_value
         members.append(_Valued(qubit, row, values))
-    return _StackedFamily(members)
+    return _Family(qubit, members)
 
 
 @pytest.mark.parametrize("bad_value", [math.nan, 1.0 + 2e-9, -(1.0 + 2e-9)], ids=["nan", "above", "below"])
@@ -241,6 +366,30 @@ def test_a_member_past_the_bound_raises_as_alone_and_is_never_kept(bad_value, ba
     if distribution == "haar":
         # every qubit has atoms with both signs of every component
         assert len(raised) == 2 * n
+
+
+@pytest.mark.parametrize("bad_value", [math.nan, 1.0 + 2e-9, -(1.0 + 2e-9)], ids=["nan", "above", "below"])
+@pytest.mark.parametrize("bad_row", [0, 1, 2])
+def test_a_label_part_past_the_bound_raises_as_alone_and_is_never_kept(bad_value, bad_row):
+    # the label family checks every base member, so a bad sibling sends each
+    # asked part to be read alone; both parts of the bad member raise
+    n = 3
+    d = HaarSingleQubitProduct(n)
+    for qubit in range(n):
+        for label in (0, 3):
+            for table in _tables(n, d, ClassificationNoise(0.1), qubit):
+                parts = _label_family(_valued_family(qubit, bad_row, bad_value, label)).members
+                alone = [_outcome(lambda: reference_table_answer(table.weights, part)) for part in parts]
+                assert [a.startswith("raised") for a in alone] == [row // 2 == bad_row for row in range(6)]
+                for order in ((0, 1, 2, 3, 4, 5), (3, 2, 5, 4, 1, 0), (1, 1, 0, 4, 5, 2, 3)):
+                    table._answers.clear()
+                    for row in order:
+                        # a fresh part, as the wrapper asks it
+                        part = _LabelPart(parts[row].phi, parts[row].odd)
+                        assert _outcome(lambda: table.answer(part)) == alone[row]
+                        for kept, expected in zip(parts, alone):
+                            if kept in table._answers:
+                                assert table._answers[kept].hex() == expected
 
 
 @pytest.mark.parametrize("filled", [3, 2, 1, 0], ids=["room-for-three", "room-for-two", "room-for-one", "full"])
@@ -325,7 +474,7 @@ def test_counts_and_transcripts_are_those_of_one_pass_per_query(wrapper, policy,
     ]
     for target in targets:
         with_families = _transcripts(OracleConfig(POLICIES[policy](), noise), wrap, n, target)
-        monkeypatch.setattr(_Table, "_answer_family", lambda self, view, phi: None)
+        monkeypatch.setattr(_Table, "_pass", lambda self, phi: ((phi,), [_evaluate(self.weights, phi)]))
         alone = _transcripts(OracleConfig(POLICIES[policy](), noise), wrap, n, target)
         monkeypatch.undo()
         assert with_families == alone

@@ -47,7 +47,7 @@ from paulisq.pconcept import (
     draw_outcomes,
 )
 from paulisq.streams import substream
-from test_qubit_views import NOISES
+from test_qubit_views import NOISES, _Family
 
 # values a query may return on either label: signed zeros, the bound itself,
 # the bound's slack and just past it, and NaN
@@ -86,12 +86,12 @@ DISTRIBUTIONS = {
 
 
 class _OldAxis:
-    """An axis query with its two-comparison array form from dense_ref."""
-
-    _reads_one_qubit = True
+    """An axis query with its two-comparison array form from dense_ref,
+    declared as the one member of a family on its qubit."""
 
     def __init__(self, q: _AxisSignQuery):
-        self.qubit, self._q = q.qubit, q
+        self._q = q
+        _Family(q.qubit, [self])
 
     def __call__(self, e, y):
         return self._q(e, y)
@@ -101,15 +101,14 @@ class _OldAxis:
 
 
 class _Valued:
-    """A query that declares `qubit`: on a projector of that qubit it returns
-    values[0] for y = 1 and values[1] for y = -1 where component `axis` is
-    positive, and values[2], values[3] where it is not; on any other
-    measurement `off` for both labels."""
-
-    _reads_one_qubit = True
+    """A query that declares a family on `qubit`, of itself alone: on a
+    projector of that qubit it returns values[0] for y = 1 and values[1]
+    for y = -1 where component `axis` is positive, and values[2], values[3]
+    where it is not; on any other measurement `off` for both labels."""
 
     def __init__(self, qubit: int, axis: int, values, off: float = 0.0):
         self.qubit, self.axis, self.values, self.off = qubit, axis, tuple(values), off
+        _Family(qubit, [self])
 
     def __call__(self, e, y):
         if isinstance(e, SingleQubitProjector) and e.qubit == self.qubit:
@@ -342,7 +341,7 @@ def test_tables_over_one_haar_distribution_share_the_view_batches():
     assert first.weights[0] is second.weights[0] is mixed.weights[0]
     for axes in _axis_queries(n):
         q = axes[0]
-        views = [table._read_by(q) for table in (first, second, mixed)]
+        views = [table._view(q._family.qubit) for table in (first, second, mixed)]
         assert views[0][0] is views[1][0] is views[2][0]
         # each table's weights are its own, sliced from its arrays
         assert views[0][1].tobytes() != views[1][1].tobytes()
@@ -350,4 +349,4 @@ def test_tables_over_one_haar_distribution_share_the_view_batches():
     assert first.weights[0]._qubit_runs is second.weights[0]._qubit_runs
     # a malicious table's concatenated batch finds runs of its own
     malicious = _table.__wrapped__(_product_state(n, 1), d, MaliciousNoise(0.1))
-    assert malicious._read_by(_AxisSignQuery(0, 0))[0] is not first._read_by(_AxisSignQuery(0, 0))[0]
+    assert malicious._view(0)[0] is not first._view(0)[0]
