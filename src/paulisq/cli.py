@@ -184,12 +184,9 @@ def _finite_item(meas, weight) -> tuple:
 
 def _finite(desc: dict) -> FiniteWeighted:
     try:
-        d = FiniteWeighted(tuple(_finite_item(*item) for item in desc["items"]))
+        return FiniteWeighted(tuple(_finite_item(*item) for item in desc["items"]))
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"finite distribution items must be [measurement, weight] pairs: {exc!r}") from None
-    if len({e.n for e, _ in d.items}) != 1:
-        raise ValueError("finite distribution items must all act on one qubit count")
-    return d
 
 
 def _qubits(desc: dict, top: int | None = None) -> int:
@@ -659,10 +656,11 @@ def _learn_product_unread(config: ExperimentConfig) -> dict:
 
 
 def _learn_product_caps(config: ExperimentConfig) -> list:
-    # a bounded channel's wrapper takes its margin, 2 eta_diamond = 4 eta, off the learner's tolerance
-    noise, tau = noise_from_descriptor(config.noise), _tolerance(config)
-    if isinstance(noise, BoundedChannelNoise) and not tau > 2.0 * noise.eta_diamond:
-        raise ValueError(f"bounded_channel margin 4 eta = {2.0 * noise.eta_diamond} is not below the learner's tolerance {tau}")
+    # the learner oracle takes the noise's margin off the learner's tolerance;
+    # only a bounded channel has one, 2 eta_diamond = 4 eta
+    margin, tau = noise_from_descriptor(config.noise).margin, _tolerance(config)
+    if not tau > margin:
+        raise ValueError(f"bounded_channel margin 4 eta = {margin} is not below the learner's tolerance {tau}")
     return [(64, "basis target", config.n)] if config.target == "basis" else []
 
 

@@ -232,7 +232,11 @@ def haar_sign_moment_mc(
 @dataclass(frozen=True)
 class LPNInstance:
     """Noisy parity examples: labels are x . secret mod 2, each flipped
-    independently with probability eta in [0, 1/2); a known secret is < 2^n."""
+    independently with probability eta in [0, 1/2); a known secret is < 2^n.
+
+    Every example is an (x, b) pair in [0, 2^n) x {0, 1}: the first that is
+    not is refused here, with a ValueError that names it, and `examples`
+    keeps the checked pairs as a tuple."""
 
     n: int
     eta: float
@@ -245,6 +249,7 @@ class LPNInstance:
         # a negative int shifts to -1, so one shift tests both ends
         if self.secret is not None and self.secret >> self.n:
             raise ValueError(f"secret {self.secret} lies outside [0, 2^{self.n})")
+        object.__setattr__(self, "examples", tuple(_checked_examples(self.examples, self.n)))
 
 
 def _bits_to_string(bits: int, n: int) -> str:
@@ -286,9 +291,7 @@ def lpn_instance_to_json(instance: LPNInstance) -> dict:
 
 def lpn_instance_from_json(data: dict) -> LPNInstance:
     n = data["n"]
-    rows = ((_string_to_bits(x, n), int(b)) for x, b in data["examples"])
-    # a label outside {0, 1} is refused while the file is read
-    examples = tuple(_checked_examples(rows, n))
+    examples = tuple((_string_to_bits(x, n), int(b)) for x, b in data["examples"])
     secret = _string_to_bits(data["secret"], n) if "secret" in data else None
     return LPNInstance(n, float(data["eta"]), examples, secret)
 
@@ -437,8 +440,8 @@ def exhaustive_lpn_solver(instance: LPNInstance) -> MaximumLikelihoodSecret:
     one Walsh-Hadamard transform of the signed example histogram, so the
     sweep costs O(2^n n + m) rather than O(2^n m).  The histogram and the
     transform are float32, exact while there are fewer than 2^24 examples.
-    An example that is not a pair, or lies outside [0, 2^n) x {0, 1}, is
-    refused before the sweep, with a ValueError that names it.
+    The instance has checked its examples, so the 2m ints are read in one
+    flat pass.
     """
     n = instance.n
     if n > SWEEP_LIMIT:
@@ -446,16 +449,7 @@ def exhaustive_lpn_solver(instance: LPNInstance) -> MaximumLikelihoodSecret:
     m = len(instance.examples)
     if m >= EXACT_SWEEP_EXAMPLES:
         raise BudgetExceeded(f"the float32 sweep is exact below 2^24 examples, got {m}")
-    # the 2m ints in one flat pass, once every example is a pair: a short
-    # example beside a long one would fill the count and shift the pairs after it
-    try:
-        pairs = set(map(len, instance.examples)) <= {2}
-        flat = np.fromiter(chain.from_iterable(instance.examples), np.int64, 2 * m) if pairs else None
-    except (TypeError, OverflowError):  # an unsized example; an int beyond int64 is out of range
-        flat = None
-    if flat is None or ((flat[0::2] >> n) | (flat[1::2] >> 1)).any():
-        for _ in _checked_examples(instance.examples, n):  # raises at the first bad example
-            pass
+    flat = np.fromiter(chain.from_iterable(instance.examples), np.int64, 2 * m)
     hist = np.zeros(1 << n, dtype=np.float32)
     np.add.at(hist, flat[0::2], (1 - 2 * flat[1::2]).astype(np.float32))
     # hist[y] = sum_i (-1)^{b_i + x_i.y} = m - 2 disagreements(y)

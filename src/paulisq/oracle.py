@@ -23,7 +23,8 @@ and `adjoint` pushes it onto a measurement where a closed form exists.
 clean one, and is the one entry point to a correction: Kearns'
 split-and-rescale for classification noise, subtracting the I/2^n
 reference for depolarizing noise, and a tolerance tightened by the
-channel's margin for a bounded channel.  Each `ResponsePolicy` owns its
+channel's margin for a bounded channel; `margin` states the most that
+learner oracle takes off a query tolerance.  Each `ResponsePolicy` owns its
 `answer` and the random `stream` an oracle opens for it once.
 `StatisticalQueryOracle` only calls the pair.
 
@@ -233,7 +234,13 @@ class DefaultAdversary:
 
 
 class NoiseModel:
-    """Base of the noise models (see the module docstring); by itself, no noise."""
+    """Base of the noise models (see the module docstring); by itself, no
+    noise.  `margin` is the most `learner_oracle` subtracts from a query's
+    tolerance, which must stay above it: 0 for every model but the bounded
+    channel, as the correction wrappers scale a tolerance instead.  It is
+    derived, and read-only, as every model is a frozen dataclass."""
+
+    margin = 0.0
 
     def mean(self, f, f_mixed):
         """Noisy outcome mean from the clean one, elementwise; f_mixed() gives
@@ -291,8 +298,9 @@ class ClassificationNoise(NoiseModel):
 class MaliciousNoise(NoiseModel):
     """With probability eta the whole example is replaced by a draw from an
     adversarial distribution; `corruption` is a tuple of ((E, y), weight)
-    entries, or None for the default of E ~ D with a uniform label.
-    Learners query it uncorrected; see MaliciousAbsorbingOracle."""
+    entries with y = +-1 and weights as a FiniteWeighted's, or None for the
+    default of E ~ D with a uniform label.  Learners query it uncorrected;
+    see MaliciousAbsorbingOracle."""
 
     eta: float
     corruption: Optional[tuple] = None
@@ -302,6 +310,8 @@ class MaliciousNoise(NoiseModel):
             raise ValueError(f"malicious noise rate must lie in [0, 1], got {self.eta}")
         if self.corruption is not None:
             self._corruption_draws()  # its weights are checked as a FiniteWeighted's
+            if any(y not in (1, -1) for (_, y), _ in self.corruption):
+                raise ValueError(f"corruption labels must be +1 or -1, got {[y for (_, y), _ in self.corruption]}")
 
     def label_weights(self, atoms) -> tuple:
         batch, accept, reject = super().label_weights(atoms)
@@ -393,6 +403,10 @@ class BoundedChannelNoise(NoiseModel):
 
     def mean(self, f, f_mixed):
         return self.channel.mean(f, f_mixed)
+
+    @property
+    def margin(self) -> float:
+        return _diamond_margin(self.eta_diamond)
 
     def learner_oracle(self, oracle):
         return BoundedChannelAbsorbingOracle(oracle, self.eta_diamond)
@@ -876,8 +890,9 @@ class _AbsorbingOracle(_WrapperOracle):
         return self.inner.query(SQQuery(q.phi, tau))
 
 
-class BoundedChannelAbsorbingOracle(_AbsorbingOracle):
-    """Tightens every tolerance by 2 eta_diamond and forwards the answer.
+def _diamond_margin(eta_diamond: float) -> float:
+    """2 eta_diamond, the most a channel within eta_diamond of the identity
+    moves a query bounded by 1.
 
     The margin is exact for the halved convention, eta_diamond >= (1/2)
     ||Phi(rho) - rho||_1: an acceptance probability then moves by at most
@@ -885,9 +900,15 @@ class BoundedChannelAbsorbingOracle(_AbsorbingOracle):
     trace-norm convention, ||Phi - id||_<> <= eta_diamond, a query moves by
     at most eta_diamond, so there the margin is conservative by a factor 2.
     """
+    return 2.0 * eta_diamond
+
+
+class BoundedChannelAbsorbingOracle(_AbsorbingOracle):
+    """Tightens every tolerance by _diamond_margin(eta_diamond) and forwards
+    the answer."""
 
     def __init__(self, inner, eta_diamond: float):
-        super().__init__(inner, 2.0 * eta_diamond)
+        super().__init__(inner, _diamond_margin(eta_diamond))
         self.eta_diamond = eta_diamond
 
 

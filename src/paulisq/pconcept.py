@@ -342,7 +342,9 @@ class HaarSingleQubitProduct:
 
 @dataclass(frozen=True)
 class FiniteWeighted(_Enumerable):
-    """An explicit finite distribution over measurements."""
+    """An explicit finite distribution over measurements: (measurement,
+    weight) items whose weights lie in [0, 1] and sum to 1, all on one qubit
+    count n."""
 
     items: tuple[tuple[Measurement, object], ...]
 
@@ -354,6 +356,8 @@ class FiniteWeighted(_Enumerable):
         total = sum(Fraction(w) if not isinstance(w, float) else w for _, w in self.items)
         if abs(float(total) - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {float(total)}, not 1")
+        if len({e.n for e, _ in self.items}) != 1:
+            raise ValueError("finite distribution items must all act on one qubit count")
 
     @property
     def n(self) -> int:

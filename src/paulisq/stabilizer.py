@@ -136,7 +136,8 @@ class StabilizerGroup:
     r <= n generator rows, none for the group {I} of the maximally mixed state.
     The rows must be canonical_rows' (from_generators builds them): each row
     pivots on its lowest set bit (see _pivots), and membership and traces
-    raise ValueError on other rows."""
+    raise ValueError on other rows.  A row on other than n qubits is refused
+    here, with DimensionMismatch."""
 
     n: int
     generators: tuple[PauliOperator, ...]
@@ -144,6 +145,8 @@ class StabilizerGroup:
     def __post_init__(self):
         if len(self.generators) > self.n:
             raise ValueError(f"need at most {self.n} generators, got {len(self.generators)}")
+        if any(g.n != self.n for g in self.generators):
+            raise DimensionMismatch(f"generators must act on {self.n} qubits, got {[g.n for g in self.generators]}")
 
     @classmethod
     def from_generators(cls, generators) -> "StabilizerGroup":

@@ -217,8 +217,14 @@ class Verdict:
 
 def verify_query_lower_bound(report: SDAReport, epsilon: float, beta: float, tau: float, reference_loss) -> Verdict:
     """Machine-check the side conditions that turn an SDA value into a query
-    lower bound: norms at least beta, tau <= epsilon, epsilon^2 <= beta/3, the
+    lower bound: norms at least beta, tau <= epsilon, epsilon <= beta^2/3, the
     report's threshold at most tau^2, and `reference_loss` above epsilon.
+
+    beta is a norm and epsilon a squared loss, so both conditions that read
+    beta compare squares: min_norm_sq >= beta^2, and the squared loss epsilon
+    against the squared norm beta^2.  Only the paper's abstract is at hand,
+    and it does not state the condition, so this reading rests on units
+    alone and keeps the constant 1/3 as written.
 
     `reference_loss` is the smallest squared loss of any concept of the class
     to the reference p-concept I/2^n.  At or below epsilon, the learner that
@@ -234,7 +240,7 @@ def verify_query_lower_bound(report: SDAReport, epsilon: float, beta: float, tau
     checks = {
         "norm_at_least_beta": float(report.min_norm_sq) >= beta * beta - 1e-15,
         "tau_at_most_epsilon": tau <= epsilon,
-        "epsilon_sq_at_most_beta_third": epsilon * epsilon <= beta / 3.0 + 1e-15,
+        "epsilon_at_most_beta_sq_third": epsilon <= beta * beta / 3.0 + 1e-15,
         "threshold_at_most_tau_sq": float(report.gamma) <= tau * tau + 1e-15,
         "reference_loss_above_epsilon": float(reference_loss) > epsilon,
     }

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +22,7 @@ from paulisq.cli import (
     noise_from_descriptor,
     run_experiment,
 )
-from paulisq.learners import EXACT_SWEEP_EXAMPLES, SWEEP_LIMIT, LPNInstance
+from paulisq.learners import EXACT_SWEEP_EXAMPLES, SWEEP_LIMIT
 from paulisq.oracle import BoundedChannelNoise, ClassificationNoise, NoNoise
 from paulisq.pconcept import HaarSingleQubitProduct, UniformParity, UniformPauli
 
@@ -355,8 +356,10 @@ def test_noisy_lpn_example_count_is_checked_at_the_boundary(monkeypatch, capsys)
     ExperimentConfig(experiment="lpn", n=4, lpn_m=EXACT_SWEEP_EXAMPLES)
     with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig(experiment="lpn", n=4, lpn_eta=0.1, lpn_m=EXACT_SWEEP_EXAMPLES)
-    # a file's example count is checked from its length; a range is never built
-    monkeypatch.setattr(cli, "_load_lpn_instance", lambda path: LPNInstance(4, 0.1, range(EXACT_SWEEP_EXAMPLES)))
+    # a file's example count is checked from its length; a range is never
+    # built, and the stand-in is not an LPNInstance, which checks every example
+    instance = SimpleNamespace(n=4, eta=0.1, examples=range(EXACT_SWEEP_EXAMPLES))
+    monkeypatch.setattr(cli, "_load_lpn_instance", lambda path: instance)
     for argv in (
         ["lpn", "--n", "4", "--lpn-eta", "0.1", "--lpn-m", str(EXACT_SWEEP_EXAMPLES)],
         ["lpn", "--lpn-file", "instance.json"],

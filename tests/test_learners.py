@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -483,17 +484,11 @@ def test_gaussian_elimination_reads_a_generator_once_and_reduces_only_up_to_full
         (((1, 1), (2, 0), (3, 0), (2**64, 0)), 3),  # beyond int64, after a contradiction
     ],
 )
-def test_lpn_solvers_refuse_an_example_outside_the_cube(examples, bad, monkeypatch):
-    import paulisq.learners as learners
-
-    def no_sweep(v):
-        raise AssertionError("the sweep ran")
-
-    monkeypatch.setattr(learners, "_walsh_hadamard", no_sweep)
+def test_lpn_instance_and_elimination_refuse_an_example_outside_the_cube(examples, bad):
     x, b = examples[bad]
     message = re.escape(f"example {bad}, ({x}, {b}), lies outside [0, 2^2) x {{0, 1}}")
     with pytest.raises(ValueError, match=message):
-        exhaustive_lpn_solver(LPNInstance(2, 0.0, examples))
+        LPNInstance(2, 0.0, examples)
     with pytest.raises(ValueError, match=message):
         gaussian_elimination_parity(examples, 2)
     with pytest.raises(ValueError, match=message):
@@ -502,31 +497,43 @@ def test_lpn_solvers_refuse_an_example_outside_the_cube(examples, bad, monkeypat
 
 @pytest.mark.parametrize("bad", [0, 2, 4], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("malformed", [(2,), (2, 1, 0), 3, ()], ids=repr)
-def test_lpn_solvers_refuse_an_example_that_is_not_a_pair(malformed, bad, monkeypatch):
-    import paulisq.learners as learners
-
-    def no_sweep(v):
-        raise AssertionError("the sweep ran")
-
-    monkeypatch.setattr(learners, "_walsh_hadamard", no_sweep)
+def test_lpn_instance_and_elimination_refuse_an_example_that_is_not_a_pair(malformed, bad):
     examples = [(1, 0), (2, 1), (4, 0), (8, 1), (3, 1)]
     examples[bad] = malformed
     message = re.escape(f"example {bad}, {malformed!r}, is not an (x, b) pair")
     with pytest.raises(ValueError, match=message):
-        exhaustive_lpn_solver(LPNInstance(4, 0.0, tuple(examples)))
+        LPNInstance(4, 0.0, tuple(examples))
     with pytest.raises(ValueError, match=message):
         gaussian_elimination_parity(examples, 4)
 
 
-def test_exhaustive_solver_refuses_a_long_example_beside_a_short_one(monkeypatch):
+def test_lpn_instance_refuses_a_long_example_beside_a_short_one():
     # (1, 0, 1) and (0,) hold four ints, so a flat read of 2m ints would fill
     # and pair the rest off by one
-    import paulisq.learners as learners
-
-    monkeypatch.setattr(learners, "_walsh_hadamard", lambda v: pytest.fail("the sweep ran"))
     for examples, bad in ((((1, 0, 1), (0,), (2, 1)), 0), (((2, 1), (0,), (1, 0, 1)), 1)):
         with pytest.raises(ValueError, match=re.escape(f"example {bad}, {examples[bad]!r}, is not an (x, b) pair")):
-            exhaustive_lpn_solver(LPNInstance(4, 0.0, examples))
+            LPNInstance(4, 0.0, examples)
+
+
+def test_lpn_instance_refuses_a_bad_example_before_the_embedding_reads_it(monkeypatch):
+    # a label of 5 was embedded as outcome 9 and decoded back to 5, and a
+    # one-int example ended inside the embedding in a bare unpacking error
+    import paulisq.learners as learners
+
+    monkeypatch.setattr(learners, "parity_measurement", lambda *args: pytest.fail("the embedding ran"))
+    for examples, message in (
+        (((1, 5), (2, 0)), "example 0, (1, 5), lies outside [0, 2^2) x {0, 1}"),
+        (((1,),), "example 0, (1,), is not an (x, b) pair"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_lpn_as_state_learning(LPNInstance(2, 0.0, examples))
+
+
+def test_lpn_instance_keeps_its_checked_examples_as_a_tuple_of_pairs():
+    instance = LPNInstance(3, 0.1, [[5, 1], (2, 0)], secret=1)
+    assert instance.examples == ((5, 1), (2, 0))
+    assert type(instance.examples) is tuple and all(type(e) is tuple for e in instance.examples)
+    assert exhaustive_lpn_solver(instance).ties == exhaustive_lpn_solver(LPNInstance(3, 0.1, instance.examples)).ties
 
 
 def test_exhaustive_solver_agrees_with_elimination_noiseless():
@@ -646,7 +653,8 @@ def test_exhaustive_solver_refuses_inexact_example_counts_before_reading_them(mo
         raise AssertionError("the sweep allocated")
 
     monkeypatch.setattr(np, "zeros", no_allocation)
-    instance = LPNInstance(SWEEP_LIMIT, 0.1, _UnbuiltExamples(EXACT_SWEEP_EXAMPLES))
+    # an LPNInstance would read every example as it is built
+    instance = SimpleNamespace(n=SWEEP_LIMIT, eta=0.1, examples=_UnbuiltExamples(EXACT_SWEEP_EXAMPLES))
     with pytest.raises(BudgetExceeded, match="2\\^24"):
         exhaustive_lpn_solver(instance)
 

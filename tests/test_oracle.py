@@ -997,6 +997,41 @@ def test_noise_models_pick_the_learner_oracle():
     assert (bounded.inner, bounded.eta_diamond) == (inner, 0.02)
 
 
+@pytest.mark.parametrize(
+    "noise, margin",
+    [
+        (NoNoise(), 0.0),
+        (ClassificationNoise(0.1), 0.0),
+        (MaliciousNoise(0.1), 0.0),
+        (MaliciousNoise(0.1, (((E_X, -1), 1.0),)), 0.0),
+        (DepolarizingNoise(0.3), 0.0),
+        (BoundedChannelNoise(0.02, DepolarizingNoise(0.01)), 0.04),
+    ],
+    ids=["none", "classification", "malicious", "malicious-custom", "depolarizing", "bounded"],
+)
+def test_each_noise_model_states_the_margin_its_learner_oracle_takes(noise, margin):
+    assert noise.margin == margin
+    with pytest.raises(AttributeError):
+        noise.margin = 0.5
+    learner = noise.learner_oracle(StatisticalQueryOracle(KET0, POINT_MASS_Z, OracleConfig(noise=noise)))
+    learner.query(SQQuery(label_query, margin + 1e-3))
+    if margin:
+        assert learner.margin == margin
+        with pytest.raises(ToleranceExhausted):
+            learner.query(SQQuery(label_query, margin))
+
+
+@pytest.mark.parametrize("label", [2, 0, -2, 0.5])
+def test_malicious_noise_refuses_a_corruption_label_other_than_plus_or_minus_one(label):
+    # a label of 2 once dropped its weight from the atom table: on the point
+    # mass at Z, at eta 0.5, the query phi = 1 answered 0.5
+    with pytest.raises(ValueError, match=re.escape(f"corruption labels must be +1 or -1, got [1, {label!r}]")):
+        MaliciousNoise(0.5, (((E_Z, 1), 0.5), ((E_X, label), 0.5)))
+    noise = MaliciousNoise(0.5, (((E_Z, 1), 0.5), ((E_Z, -1), 0.5)))
+    oracle = StatisticalQueryOracle(KET0, POINT_MASS_Z, OracleConfig(noise=noise))
+    assert oracle.query(SQQuery(lambda e, y: 1.0, 0.1)) == 1.0
+
+
 @pytest.mark.parametrize("distribution", [UniformPauli(2), HaarSingleQubitProduct(2)], ids=["pauli", "haar"])
 @pytest.mark.parametrize(
     "noise",

@@ -474,6 +474,18 @@ def test_finite_weighted_distribution():
         FiniteWeighted(((e1, 0.5), (e2, 0.25)))
 
 
+def test_finite_weighted_refuses_items_on_more_than_one_qubit_count():
+    # Z beside ZZ once built with n = 1, and an inner product, an oracle
+    # query or a draw on it each ended in DimensionMismatch
+    z = PauliMeasurement(PauliOperator.from_string("Z"))
+    zz = PauliMeasurement(PauliOperator.from_string("ZZ"))
+    projector = SingleQubitProjector(2, 0, BlochVector(0.0, 0.0, 1.0))
+    for items in (((z, 0.5), (zz, 0.5)), ((zz, 0.5), (z, 0.5)), ((projector, 0.5), (z, 0.5))):
+        with pytest.raises(ValueError, match="finite distribution items must all act on one qubit count"):
+            FiniteWeighted(items)
+    assert FiniteWeighted(((zz, 0.5), (projector, 0.5))).n == 2
+
+
 NAN, INF = float("nan"), float("inf")
 
 

@@ -25,7 +25,7 @@ from dense_ref import (
     random_subgroup,
     state_matrix,
 )
-from paulisq.pauli import PauliMeasurement, PauliOperator, commutes, gf2_echelon
+from paulisq.pauli import DimensionMismatch, PauliMeasurement, PauliOperator, commutes, gf2_echelon
 from paulisq.pconcept import (
     MaximallyMixed,
     _z_subgroup,
@@ -516,6 +516,14 @@ def test_pivots_read_off_the_rows_are_the_echelons_at_large_n(n, bits, seed):
     assert g == StabilizerGroup.from_generators(rows)
     for group in (g, _z_subgroup(g), StabilizerGroup.basis_state(bits & ((1 << n) - 1), n)):
         _assert_pivots_are_the_echelons(group)
+
+
+@pytest.mark.parametrize("n, texts, counts", [(2, ["+ZZZ"], [3]), (3, ["+ZI"], [2]), (2, ["+ZI", "+IZZ"], [2, 3])])
+def test_raw_constructor_refuses_a_generator_on_another_qubit_count(n, texts, counts):
+    # StabilizerGroup(2, (+ZZZ,)) once built and answered contains(+IZ) with ABSENT
+    rows = tuple(PauliOperator.from_string(t) for t in texts)
+    with pytest.raises(DimensionMismatch, match=re.escape(f"generators must act on {n} qubits, got {counts}")):
+        StabilizerGroup(n, rows)
 
 
 @pytest.mark.parametrize("texts", [["ZI", "ZZ"], ["IZ", "ZI"], ["ZZ", "IZ"], ["II"]])

@@ -170,22 +170,24 @@ def test_the_reference_loss_of_the_stabilizer_class_is_2_to_the_minus_n_less_4_t
 
 
 def test_verdict_refuses_the_n2_instantiation_that_the_mixed_state_meets():
-    # every other side condition holds, but the zero-query learner that
-    # outputs I/4 reaches loss 3/16 < 3/8 on every state
+    # the zero-query learner that outputs I/4 reaches loss 3/16 < 3/8 on
+    # every state, and the squared loss 3/8 is above beta^2/3 = 1/12
     cls = stabilizer_class(2)
     gamma_pair = Fraction(1, 8)
     report = sda_bound(cls, gamma_pair, Fraction(1, 4), Fraction(9, 64) - gamma_pair)
     verdict = verify_query_lower_bound(report, epsilon=3 / 8, beta=0.5, tau=3 / 8, reference_loss=reference_loss(cls))
     assert not verdict.ok
-    assert [name for name, passed in verdict.checks.items() if not passed] == ["reference_loss_above_epsilon"]
+    failed = ["epsilon_at_most_beta_sq_third", "reference_loss_above_epsilon"]
+    assert [name for name, passed in verdict.checks.items() if not passed] == failed
     assert verdict.implied_queries is None
-    assert verdict.statement == "side conditions violated: reference_loss_above_epsilon"
+    assert verdict.statement == "side conditions violated: " + ", ".join(failed)
 
 
 @pytest.mark.parametrize("beta", [2.0**-4, 2.0**-8], ids=["beta-as-norm", "beta-as-squared-norm"])
 def test_verdict_refuses_the_n8_case_that_the_mixed_state_meets(beta):
-    # n = 8, epsilon 0.01, tau = sqrt(epsilon)/(2n): the four other checks
-    # pass under either reading of beta, but I/2^8 is within 2^-8 - 4^-8 of every state
+    # n = 8, epsilon 0.01, tau = sqrt(epsilon)/(2n): I/2^8 is within
+    # 2^-8 - 4^-8 of every state, and epsilon is above beta^2/3 under either
+    # reading of beta; the other three checks pass
     n, epsilon = 8, 0.01
     tau = epsilon**0.5 / (2 * n)
     report = SDAReport(
@@ -194,24 +196,26 @@ def test_verdict_refuses_the_n8_case_that_the_mixed_state_meets(beta):
     )
     loss = Fraction(1, 2**n) - Fraction(1, 4**n)
     verdict = verify_query_lower_bound(report, epsilon=epsilon, beta=beta, tau=tau, reference_loss=loss)
-    assert [name for name, passed in verdict.checks.items() if not passed] == ["reference_loss_above_epsilon"]
+    failed = ["epsilon_at_most_beta_sq_third", "reference_loss_above_epsilon"]
+    assert [name for name, passed in verdict.checks.items() if not passed] == failed
     assert not verdict.ok and verdict.implied_queries is None
 
 
 def test_verdict_positive_instantiation_on_a_hand_built_report():
+    # epsilon = tau = 1/16 <= beta^2/3 = 1/12, and the threshold is tau^2
     report = SDAReport(
-        gamma=Fraction(9, 64), sda_value=Fraction(15, 2), is_lower_bound=True, kappa=Fraction(1, 4),
+        gamma=Fraction(1, 256), sda_value=Fraction(15, 2), is_lower_bound=True, kappa=Fraction(1, 4),
         gamma_pair=Fraction(1, 8), min_norm_sq=Fraction(1, 4), class_size=60,
     )
-    verdict = verify_query_lower_bound(report, epsilon=3 / 8, beta=0.5, tau=3 / 8, reference_loss=Fraction(1, 2))
+    verdict = verify_query_lower_bound(report, epsilon=1 / 16, beta=0.5, tau=1 / 16, reference_loss=Fraction(1, 2))
     assert verdict.ok
     assert all(verdict.checks.values())
     assert verdict.implied_queries == Fraction(15, 2)
     assert verdict.statement == (
-        "any SQ learner reaching squared loss 0.375 with tolerance-0.375 queries needs at least 15/2 queries (lower bound)"
+        "any SQ learner reaching squared loss 0.0625 with tolerance-0.0625 queries needs at least 15/2 queries (lower bound)"
     )
     # at a reference loss of exactly epsilon, the mixed state already meets the target
-    assert not verify_query_lower_bound(report, epsilon=3 / 8, beta=0.5, tau=3 / 8, reference_loss=Fraction(3, 8)).ok
+    assert not verify_query_lower_bound(report, epsilon=1 / 16, beta=0.5, tau=1 / 16, reference_loss=Fraction(1, 16)).ok
 
 
 def test_verdict_rejects_tau_above_epsilon():
@@ -223,12 +227,14 @@ def test_verdict_rejects_tau_above_epsilon():
     assert verdict.implied_queries is None
 
 
-def test_verdict_rejects_epsilon_sq_above_beta_third():
-    cls = stabilizer_class(1)
-    report = sda_bound(cls, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
-    verdict = verify_query_lower_bound(report, epsilon=0.9, beta=0.5, tau=0.7072, reference_loss=reference_loss(cls))
+@pytest.mark.parametrize("epsilon, passed", [(0.2, False), (1 / 12, True), (0.0834, False)])
+def test_verdict_compares_the_squared_loss_epsilon_with_beta_squared_over_three(epsilon, passed):
+    # beta = 1/2 is a norm: epsilon 0.2 met epsilon^2 <= beta/3, the reading of
+    # beta that compared a squared loss with a norm
+    report = sda_bound(stabilizer_class(1), Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+    verdict = verify_query_lower_bound(report, epsilon=epsilon, beta=0.5, tau=0.01, reference_loss=Fraction(1, 4))
+    assert verdict.checks["epsilon_at_most_beta_sq_third"] is passed
     assert not verdict.ok
-    assert not verdict.checks["epsilon_sq_at_most_beta_third"]
 
 
 def test_sda_report_json_rationals():
