@@ -234,8 +234,9 @@ class LPNInstance:
     """Noisy parity examples: labels are x . secret mod 2, each flipped
     independently with probability eta in [0, 1/2); a known secret is < 2^n.
 
-    Every example is an (x, b) pair in [0, 2^n) x {0, 1}: the first that is
-    not is refused here, with a ValueError that names it, and `examples`
+    n is at least 1, and every example is an (x, b) pair in
+    [0, 2^n) x {0, 1}: an n below 1, or the first example that is not such
+    a pair, is refused here with a ValueError that names it, and `examples`
     keeps the checked pairs as a tuple."""
 
     n: int
@@ -244,6 +245,8 @@ class LPNInstance:
     secret: Optional[int] = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"an LPN instance needs n >= 1, got n = {self.n}")
         if not 0 <= self.eta < 0.5:
             raise ValueError(f"LPN noise rate must lie in [0, 1/2), got {self.eta}")
         # a negative int shifts to -1, so one shift tests both ends
@@ -399,31 +402,43 @@ def _hadamard_blocks(top: int) -> tuple[np.ndarray, ...]:
 _HADAMARD = _hadamard_blocks(4)
 
 
-def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
+def _walsh_hadamard(v: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform of a contiguous float32 vector of
-    length 2^n; consumes v and returns the result, in v or in one new buffer.
+    length 2^n; consumes v and spare, a contiguous float32 vector of the same
+    length, and returns the result, which is one of the two.
 
     Each pass applies a Hadamard block to the next k <= 4 index bits: the
     first is one matrix product on the low bits, each later one a batched
-    product on the axis between the bits done and the bits to come.  The
-    passes alternate between v and the new buffer.  On integer entries whose
-    absolute values sum below 2^24 every partial sum is an exact float32
-    integer, so the result does not depend on the order of summation.
+    product on the axis between the bits done and the bits to come.  Every
+    pass writes into the other buffer with `out=`, so the transform allocates
+    nothing of length 2^n.  exhaustive_lpn_solver passes the two rows of its
+    kept workspace, 2^(n+3) bytes shared by every solve in the process, so
+    this call is not thread-safe there.  On integer entries whose absolute
+    values sum below 2^24 every partial sum is an exact float32 integer, so
+    the result does not depend on the order of summation.
     """
     n = len(v).bit_length() - 1
-    src, dst = v, None
+    src, dst = v, spare
     done = 0
     while done < n:
         k = min(4, n - done)
         h = _HADAMARD[k]
-        if dst is None:
-            dst = np.matmul(src.reshape(-1, 1 << k), h).reshape(-1)
+        if done == 0:
+            np.matmul(src.reshape(-1, 1 << k), h, out=dst.reshape(-1, 1 << k))
         else:
             low = 1 << done
             np.matmul(h, src.reshape(-1, 1 << k, low), out=dst.reshape(-1, 1 << k, low))
         src, dst = dst, src
         done += k
     return src
+
+
+@lru_cache(maxsize=1)
+def _sweep_workspace(n: int) -> np.ndarray:
+    """The (2, 2^n) float32 rows that exhaustive_lpn_solver builds its
+    histogram and transform in, kept for the last n solved: a solve at that
+    n reuses them, so it faults no fresh pages."""
+    return np.empty((2, 1 << n), dtype=np.float32)
 
 
 SWEEP_LIMIT = 24
@@ -442,6 +457,14 @@ def exhaustive_lpn_solver(instance: LPNInstance) -> MaximumLikelihoodSecret:
     transform are float32, exact while there are fewer than 2^24 examples.
     The instance has checked its examples, so the 2m ints are read in one
     flat pass.
+
+    The histogram and the transform run in a (2, 2^n) float32 workspace kept
+    for the last n solved (`_sweep_workspace`), so a solve at the same n
+    allocates nothing of size 2^n and faults no fresh pages.  After a solve
+    the workspace holds 2^(n+3) bytes, 512 KB at n = 16 and 128 MB at
+    n = SWEEP_LIMIT, until a solve at another n replaces it.  It is shared
+    by every call in the process, so the solver is not thread-safe; worker
+    processes each keep their own.
     """
     n = instance.n
     if n > SWEEP_LIMIT:
@@ -450,10 +473,11 @@ def exhaustive_lpn_solver(instance: LPNInstance) -> MaximumLikelihoodSecret:
     if m >= EXACT_SWEEP_EXAMPLES:
         raise BudgetExceeded(f"the float32 sweep is exact below 2^24 examples, got {m}")
     flat = np.fromiter(chain.from_iterable(instance.examples), np.int64, 2 * m)
-    hist = np.zeros(1 << n, dtype=np.float32)
+    hist, spare = _sweep_workspace(n)
+    hist.fill(0)
     np.add.at(hist, flat[0::2], (1 - 2 * flat[1::2]).astype(np.float32))
     # hist[y] = sum_i (-1)^{b_i + x_i.y} = m - 2 disagreements(y)
-    hist = _walsh_hadamard(hist)
+    hist = _walsh_hadamard(hist, spare)
     top = int(hist.max())
     ties = tuple(
         start + int(y)

@@ -24,8 +24,11 @@ clean one, and is the one entry point to a correction: Kearns'
 split-and-rescale for classification noise, subtracting the I/2^n
 reference for depolarizing noise, and a tolerance tightened by the
 channel's margin for a bounded channel; `margin` states the most that
-learner oracle takes off a query tolerance.  Each `ResponsePolicy` owns its
-`answer` and the random `stream` an oracle opens for it once.
+learner oracle takes off a query tolerance, and `n` the qubit count of the
+measurements a model brings of its own (a malicious corruption's), which
+an oracle checks against its distribution's when it is built.  Each
+`ResponsePolicy` owns its `answer` and the random `stream` an oracle opens
+for it once.
 `StatisticalQueryOracle` only calls the pair.
 
 Every answer is evaluated on one kind of object, a measurement batch (see
@@ -238,9 +241,13 @@ class NoiseModel:
     noise.  `margin` is the most `learner_oracle` subtracts from a query's
     tolerance, which must stay above it: 0 for every model but the bounded
     channel, as the correction wrappers scale a tolerance instead.  It is
-    derived, and read-only, as every model is a frozen dataclass."""
+    derived, and read-only, as every model is a frozen dataclass.  `n` is
+    the qubit count of the measurements a model brings of its own, which
+    must be its oracle's distribution's: None for every model but a
+    malicious one with an explicit corruption."""
 
     margin = 0.0
+    n = None
 
     def mean(self, f, f_mixed):
         """Noisy outcome mean from the clean one, elementwise; f_mixed() gives
@@ -299,8 +306,9 @@ class MaliciousNoise(NoiseModel):
     """With probability eta the whole example is replaced by a draw from an
     adversarial distribution; `corruption` is a tuple of ((E, y), weight)
     entries with y = +-1 and weights as a FiniteWeighted's, or None for the
-    default of E ~ D with a uniform label.  Learners query it uncorrected;
-    see MaliciousAbsorbingOracle."""
+    default of E ~ D with a uniform label.  An explicit corruption's qubit
+    count is `n`, which its oracle's distribution must share.  Learners
+    query it uncorrected; see MaliciousAbsorbingOracle."""
 
     eta: float
     corruption: Optional[tuple] = None
@@ -312,6 +320,12 @@ class MaliciousNoise(NoiseModel):
             self._corruption_draws()  # its weights are checked as a FiniteWeighted's
             if any(y not in (1, -1) for (_, y), _ in self.corruption):
                 raise ValueError(f"corruption labels must be +1 or -1, got {[y for (_, y), _ in self.corruption]}")
+
+    @property
+    def n(self) -> Optional[int]:
+        """The explicit corruption's qubit count (its measurements share one,
+        as a FiniteWeighted's do), or None for the default corruption."""
+        return None if self.corruption is None else self.corruption[0][0][0].n
 
     def label_weights(self, atoms) -> tuple:
         batch, accept, reject = super().label_weights(atoms)
@@ -655,7 +669,9 @@ class StatisticalQueryOracle:
 
     Stateful: keeps a monotone query counter and, in `transcript`, one
     {"query", "tau", "answer"} row per answered query, in order.  One query
-    at a time; distinct instances are independent.
+    at a time; distinct instances are independent.  A state, or a noise
+    model's own measurements (its `n`), on another qubit count than the
+    distribution is refused here with DimensionMismatch.
     """
 
     def __init__(
@@ -663,6 +679,8 @@ class StatisticalQueryOracle:
     ):
         if state.n != distribution.n:
             raise DimensionMismatch(f"state on {state.n} qubits, distribution on {distribution.n}")
+        if config.noise.n not in (None, distribution.n):
+            raise DimensionMismatch(f"corruption on {config.noise.n} qubits, distribution on {distribution.n}")
         self._state = state
         self._distribution = distribution
         self.config = config

@@ -303,8 +303,11 @@ def _noisy_over_cap_file():
         ('{"n": 3, "eta": 0.0, "examples": [["010", 1]', "JSONDecodeError"),
         (json.dumps({"n": 65, "eta": 0.0, "examples": [["1" * 65, 1]]}), "lpn supports n <= 64, got n = 65"),
         (_noisy_over_cap_file(), f"noisy lpn supports n <= {SWEEP_LIMIT}, got n = {SWEEP_LIMIT + 1}"),
+        # n = 0 once passed the config check and ended in a traceback from PauliOperator
+        ('{"n": 0, "eta": 0.0, "examples": [["", 1]]}', "an LPN instance needs n >= 1, got n = 0"),
+        ('{"n": 0, "eta": 0.1, "examples": [["", 1]]}', "an LPN instance needs n >= 1, got n = 0"),
     ],
-    ids=["missing", "bad-bits", "bad-json", "n65", "noisy-over-cap"],
+    ids=["missing", "bad-bits", "bad-json", "n65", "noisy-over-cap", "n0", "n0-noisy"],
 )
 def test_lpn_file_is_checked_at_the_boundary(content, message, tmp_path, capsys):
     path = tmp_path / "instance.json"
@@ -315,8 +318,8 @@ def test_lpn_file_is_checked_at_the_boundary(content, message, tmp_path, capsys)
     with pytest.raises(SystemExit) as exit_info:
         main(["lpn", "--lpn-file", str(path)])
     assert exit_info.value.code == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
     assert err.splitlines()[-1].startswith("paulisq") and message in err.splitlines()[-1]
 
 

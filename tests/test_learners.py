@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from paulisq.learners import (
     EXACT_SWEEP_EXAMPLES,
     InconsistentSystem,
     LPNInstance,
+    MaximumLikelihoodSecret,
     PromiseViolation,
     SWEEP_LIMIT,
     _AxisSignQuery,
@@ -345,6 +347,16 @@ def test_lpn_instance_refuses_a_secret_outside_n_bits(secret):
     assert [LPNInstance(4, 0.1, (), s).secret for s in (0, 15, None)] == [0, 15, None]
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_lpn_instance_refuses_fewer_than_one_bit(n):
+    # n = 0 once built, and the embedding failed on it in PauliOperator
+    message = re.escape(f"an LPN instance needs n >= 1, got n = {n}")
+    with pytest.raises(ValueError, match=message):
+        LPNInstance(n, 0.0, ((0, 1),))
+    _refused_before_a_draw(message, n, 5, 0.1)
+    assert LPNInstance(1, 0.0, ((0, 1), (1, 0))).n == 1
+
+
 @pytest.mark.parametrize("m", [-1, -3])
 def test_generate_lpn_instance_refuses_a_negative_example_count(m):
     _refused_before_a_draw(re.escape(f"example count must be non-negative, got m = {m}"), 4, m, 0.1)
@@ -612,10 +624,47 @@ def test_walsh_hadamard_matches_block_loop_for_every_n_up_to_20():
         total = int(rng.integers(0, EXACT_SWEEP_EXAMPLES)) if n != 20 else EXACT_SWEEP_EXAMPLES - 1
         want = _signed_histogram(rng, n, total)
         assert np.abs(want).sum() == total
-        got = _walsh_hadamard(want.astype(np.float32))
+        rows = np.empty((2, 1 << n), dtype=np.float32)
+        rows[0] = want
+        got = _walsh_hadamard(rows[0], rows[1])
         _walsh_hadamard_block_loop(want)
         assert got.dtype == np.float32 and len(got) == 1 << n
+        assert np.shares_memory(got, rows), n  # the result is one of the two rows
         assert np.array_equal(got.astype(np.int64), want), n
+
+
+def _fresh_sweep(instance):
+    """The sweep on a fresh int64 histogram, transformed by the block loop."""
+    hist = np.zeros(1 << instance.n, dtype=np.int64)
+    for x, b in instance.examples:
+        hist[x] += 1 - 2 * b
+    _walsh_hadamard_block_loop(hist)
+    top = int(hist.max())
+    ties = tuple(int(y) for y in np.flatnonzero(hist == top))
+    return MaximumLikelihoodSecret(ties[0], (len(instance.examples) - top) // 2, ties)
+
+
+def test_solves_in_the_kept_workspace_equal_a_fresh_sweep():
+    # n = 17 replaces the n = 16 workspace, and each later solve at 16 finds
+    # the rows holding the previous solve's transform
+    rng = substream(66, "workspace")
+    for n, eta in ((16, 0.1), (17, 0.1), (16, 0.2), (16, 0.0)):
+        instance = generate_lpn_instance(n, 300, eta, rng)
+        assert exhaustive_lpn_solver(instance) == _fresh_sweep(instance), n
+
+
+def test_a_second_solve_at_one_n_allocates_nothing_of_size_2_to_the_n():
+    instance = generate_lpn_instance(16, 800, 0.1, substream(67, "kept"))
+    first = exhaustive_lpn_solver(instance)
+    tracemalloc.start()
+    try:
+        again = exhaustive_lpn_solver(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    # one float32 row of 2^16 entries is 2^18 bytes; a tie mask chunk is 2^16
+    assert peak < 1 << 18, peak
 
 
 def test_exhaustive_solver_matches_per_candidate_count_with_repeated_examples():
@@ -649,10 +698,12 @@ class _UnbuiltExamples:
 
 
 def test_exhaustive_solver_refuses_inexact_example_counts_before_reading_them(monkeypatch):
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("the sweep allocated")
+    import paulisq.learners as learners
 
-    monkeypatch.setattr(np, "zeros", no_allocation)
+    def no_workspace(n):
+        raise AssertionError("the sweep fetched its workspace")
+
+    monkeypatch.setattr(learners, "_sweep_workspace", no_workspace)
     # an LPNInstance would read every example as it is built
     instance = SimpleNamespace(n=SWEEP_LIMIT, eta=0.1, examples=_UnbuiltExamples(EXACT_SWEEP_EXAMPLES))
     with pytest.raises(BudgetExceeded, match="2\\^24"):
@@ -674,7 +725,7 @@ def _brute_force_sweep(n, examples):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_exhaustive_solver_matches_brute_force_with_repeats_and_ties(data):
-    n = data.draw(st.integers(0, 10), label="n")
+    n = data.draw(st.integers(1, 10), label="n")
     # a small pool of example vectors makes repeats and ties common
     pool = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6), label="pool")
     xs = st.sampled_from(pool) | st.integers(0, (1 << n) - 1)

@@ -1032,6 +1032,24 @@ def test_malicious_noise_refuses_a_corruption_label_other_than_plus_or_minus_one
     assert oracle.query(SQQuery(lambda e, y: 1.0, 0.1)) == 1.0
 
 
+@pytest.mark.parametrize(
+    "policy", [ExactPolicy(), EmpiricalFromSamples(samples=50, seed=4)], ids=["exact", "empirical"]
+)
+def test_oracle_refuses_a_malicious_corruption_on_another_qubit_count(policy):
+    # on the point mass at Z, a ZZ corruption at eta 0.5 once answered the
+    # label query 1.0, and failed only on a query that read E, in the table
+    wide = MaliciousNoise(0.5, (((PauliMeasurement(PauliOperator.from_string("ZZ")), 1), 1.0),))
+    assert wide.n == 2
+    with pytest.raises(DimensionMismatch, match=re.escape("corruption on 2 qubits, distribution on 1")):
+        StatisticalQueryOracle(KET0, POINT_MASS_Z, OracleConfig(policy, wide))
+    # on the distribution's qubit count a corruption answers as before
+    noise = MaliciousNoise(0.5, (((E_X, -1), 1.0),))
+    assert noise.n == 1 and MaliciousNoise(0.5).n is None and NoNoise().n is None
+    oracle = StatisticalQueryOracle(KET0, POINT_MASS_Z, OracleConfig(ExactPolicy(), noise))
+    assert oracle.query(SQQuery(label_query, 0.1)) == 0.0
+    assert oracle.query(SQQuery(lambda e, y: float(y) if e == E_Z else 0.0, 0.1)) == 0.5
+
+
 @pytest.mark.parametrize("distribution", [UniformPauli(2), HaarSingleQubitProduct(2)], ids=["pauli", "haar"])
 @pytest.mark.parametrize(
     "noise",
